@@ -12,19 +12,22 @@ test:
 	$(GO) test ./...
 
 # The CI fast lane: reduced-size (not skipped) tests under the race
-# detector, the allocation gate, plus the netsweep, saturate, faultsweep
-# and MD timestep CLI smokes (the saturate, faultsweep and fig12 smokes
-# also diff sharded vs sequential output — shard-count invariance end to
-# end; the faultsweep smoke pins a dead-link cell with rerouting live),
-# the cache smoke (cold + warm -cache runs byte-identical to uncached,
-# warm run executing zero probes), and the telemetry smoke (-metrics
-# output minus its 'telemetry' lines byte-identical to the plain run and
-# to itself at -shards 2; -trace-events emits a valid Chrome trace-event
-# document).
+# detector, vet and tests of the separate bench module, the allocation
+# gate, plus the netsweep, saturate, faultsweep and MD timestep CLI smokes
+# (each diffs sharded vs sequential output — shard-count invariance end
+# to end; the faultsweep smoke pins a dead-link cell with rerouting live),
+# the cache smoke (cold, warm and warm-sharded -cache runs byte-identical
+# to uncached, warm run executing zero probes), and the telemetry smoke
+# (-metrics output minus its 'telemetry' lines byte-identical to the
+# plain run and to itself at -shards 2; -trace-events emits a valid
+# Chrome trace-event document).
 test-short:
 	$(GO) test -short -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) alloc-gate
-	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q > /dev/null
+	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q > /tmp/anton3-ns-seq.txt
+	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -shards 2 > /tmp/anton3-ns-sh2.txt
+	diff /tmp/anton3-ns-seq.txt /tmp/anton3-ns-sh2.txt
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q > /tmp/anton3-sat-seq.txt
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -shards 2 > /tmp/anton3-sat-sh2.txt
 	diff /tmp/anton3-sat-seq.txt /tmp/anton3-sat-sh2.txt
@@ -37,8 +40,10 @@ test-short:
 	@cdir=$$(mktemp -d); \
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -cache -cachedir "$$cdir" -json /tmp/anton3-sat-cold.json > /tmp/anton3-sat-cold.txt && \
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -cache -cachedir "$$cdir" -json /tmp/anton3-sat-warm.json > /tmp/anton3-sat-warm.txt && \
+	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -cache -cachedir "$$cdir" -shards 2 > /tmp/anton3-sat-warm2.txt && \
 	diff /tmp/anton3-sat-seq.txt /tmp/anton3-sat-cold.txt && \
 	diff /tmp/anton3-sat-seq.txt /tmp/anton3-sat-warm.txt && \
+	diff /tmp/anton3-sat-seq.txt /tmp/anton3-sat-warm2.txt && \
 	python3 -c "import json; c=json.load(open('/tmp/anton3-sat-cold.json'))['cache']; w=json.load(open('/tmp/anton3-sat-warm.json'))['cache']; assert c['misses']>0 and c['hits']==0, c; assert w['hits']>0 and w['misses']==0, w; print('cache smoke: cold', c, '-> warm', w)"
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -metrics > /tmp/anton3-sat-met.txt
 	grep -v '^telemetry' /tmp/anton3-sat-met.txt | diff - /tmp/anton3-sat-seq.txt

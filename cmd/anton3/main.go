@@ -158,8 +158,7 @@ func run() int {
 
 	p := experiments.DefaultParams()
 	p.Cache = store
-	p.NetShards = *shards
-	p.MDShards = *shards
+	p.Shards = *shards
 	p.Fig5Pairs = *pairs
 	p.Fig12Atoms = *atoms
 	p.Fig9bSteps = *steps
@@ -168,15 +167,10 @@ func run() int {
 	p.Fig9aMeasure = *measure
 	p.NetPackets = *npkts
 	p.NetWarmup = *nwarm
-	p.Saturate = cmd == "saturate"
-	p.MDSweep = cmd == "mdsweep"
-	p.FaultSweep = cmd == "faultsweep"
 	p.FaultSeed = *faultseed
 	p.FaultPlan = *faults
 	p.MDAtoms = *mdatoms
 	p.MDSteps = *mdsteps
-	p.SatPackets = *npkts
-	p.SatWarmup = *nwarm
 	p.SatQueueFlits = *vcq
 	p.SatInjDepth = *injq
 	p.Metrics = *metrics
@@ -190,12 +184,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "anton3:", err)
 		return 2
 	}
-	p.SatShapes = p.NetShapes
 	if p.NetLoads, err = parseLoads(*loads); err != nil {
 		fmt.Fprintln(os.Stderr, "anton3:", err)
 		return 2
 	}
-	p.SatLoads = p.NetLoads
 
 	// Validate a custom fault plan up front, against every selected shape:
 	// a plan naming a channel outside a shape must die here with a readable
@@ -206,7 +198,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "anton3: -faults:", perr)
 			return 2
 		}
-		for _, shape := range p.SatShapes {
+		for _, shape := range p.NetShapes {
 			if verr := plan.Validate(shape); verr != nil {
 				fmt.Fprintf(os.Stderr, "anton3: -faults plan does not fit shape %s: %v\n", shape, verr)
 				return 2

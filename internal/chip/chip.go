@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"anton3/internal/packet"
-	"anton3/internal/router"
 	"anton3/internal/sim"
 	"anton3/internal/topo"
 )
@@ -26,6 +25,15 @@ const Slices = 2
 
 // LanesPerSlice is the SERDES lane count of one channel slice.
 const LanesPerSlice = topo.SerdesPerNeighbor / Slices
+
+// Router per-hop pipeline latencies from Section III-B, in core clock
+// cycles: the dimension-sliced Core Router's U and V hops, and the Edge
+// Router's hop.
+const (
+	CoreUHopCycles = 2
+	CoreVHopCycles = 5
+	EdgeHopCycles  = 3
+)
 
 // ChannelSpec locates one channel slice on the chip.
 type ChannelSpec struct {
@@ -145,9 +153,9 @@ func DefaultLatencies() Latencies {
 		CATxCycles:             6,
 		CARxCycles:             6,
 		ChannelFixed:           26_900 * sim.Picosecond,
-		EdgeHopCycles:          router.EdgeHopCycles,
-		CoreUCycles:            router.CoreUHopCycles,
-		CoreVCycles:            router.CoreVHopCycles,
+		EdgeHopCycles:          EdgeHopCycles,
+		CoreUCycles:            CoreUHopCycles,
+		CoreVCycles:            CoreVHopCycles,
 		FenceMergeCycles:       4,
 		FenceGatherCycles:      64,
 		FenceScatterCycles:     40,

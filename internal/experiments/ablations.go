@@ -13,7 +13,6 @@ import (
 	"anton3/internal/serdes"
 	"anton3/internal/sim"
 	"anton3/internal/topo"
-	"anton3/internal/traffic"
 )
 
 // The ablation experiments quantify the design choices DESIGN.md calls out.
@@ -40,53 +39,31 @@ func RenderAblation(title string, rows []AblationRow) string {
 // AblationPredictorOrder compares particle cache predictor orders by
 // achieved traffic reduction (quadratic is the hardware choice).
 func AblationPredictorOrder(atoms, warm, measure int) []AblationRow {
+	names := []string{"constant predictor", "linear predictor", "quadratic predictor (hw)"}
+	var cfgs []serdes.CompressConfig
+	for _, pred := range []pcache.Predictor{pcache.PredictConstant, pcache.PredictLinear, pcache.PredictQuadratic} {
+		cfgs = append(cfgs, serdes.CompressConfig{INZ: true, Pcache: true,
+			PcacheConfig: pcache.Config{Entries: 1024, Ways: 4, EvictThreshold: 2, Predictor: pred}})
+	}
+	_, st := replayTrajectory(atoms, 55, warm, measure, cfgs)
 	var rows []AblationRow
-	for _, p := range []struct {
-		name string
-		pred pcache.Predictor
-	}{
-		{"constant predictor", pcache.PredictConstant},
-		{"linear predictor", pcache.PredictLinear},
-		{"quadratic predictor (hw)", pcache.PredictQuadratic},
-	} {
-		cfg := serdes.CompressConfig{INZ: true, Pcache: true,
-			PcacheConfig: pcache.Config{Entries: 1024, Ways: 4, EvictThreshold: 2, Predictor: p.pred}}
-		sys := md.NewWater(atoms, 300, sim.NewRand(55))
-		r := traffic.NewReplayer(Shape8, sys.Box, cfg)
-		for i := 0; i < warm; i++ {
-			r.ReplayStep(sys)
-			sys.Step()
-		}
-		before := r.Snapshot()
-		for i := 0; i < measure; i++ {
-			r.ReplayStep(sys)
-			sys.Step()
-		}
-		red := traffic.Delta(r.Stats(), before).Reduction()
-		rows = append(rows, AblationRow{p.name, 100 * red, "% reduction"})
+	for i, name := range names {
+		rows = append(rows, AblationRow{name, 100 * st[i].Reduction(), "% reduction"})
 	}
 	return rows
 }
 
 // AblationPcacheSize sweeps particle cache capacity.
 func AblationPcacheSize(atoms, warm, measure int, sizes []int) []AblationRow {
-	var rows []AblationRow
+	var cfgs []serdes.CompressConfig
 	for _, entries := range sizes {
-		cfg := serdes.CompressConfig{INZ: true, Pcache: true,
-			PcacheConfig: pcache.Config{Entries: entries, Ways: 4, EvictThreshold: 2}}
-		sys := md.NewWater(atoms, 300, sim.NewRand(55))
-		r := traffic.NewReplayer(Shape8, sys.Box, cfg)
-		for i := 0; i < warm; i++ {
-			r.ReplayStep(sys)
-			sys.Step()
-		}
-		before := r.Snapshot()
-		for i := 0; i < measure; i++ {
-			r.ReplayStep(sys)
-			sys.Step()
-		}
-		red := traffic.Delta(r.Stats(), before).Reduction()
-		rows = append(rows, AblationRow{fmt.Sprintf("%d entries", entries), 100 * red, "% reduction"})
+		cfgs = append(cfgs, serdes.CompressConfig{INZ: true, Pcache: true,
+			PcacheConfig: pcache.Config{Entries: entries, Ways: 4, EvictThreshold: 2}})
+	}
+	_, st := replayTrajectory(atoms, 55, warm, measure, cfgs)
+	var rows []AblationRow
+	for i, entries := range sizes {
+		rows = append(rows, AblationRow{fmt.Sprintf("%d entries", entries), 100 * st[i].Reduction(), "% reduction"})
 	}
 	return rows
 }

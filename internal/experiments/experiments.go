@@ -228,35 +228,56 @@ type Fig9aPoint struct {
 func Fig9a(sizes []int, warm, measure int) []Fig9aPoint {
 	var out []Fig9aPoint
 	for _, n := range sizes {
-		pt := Fig9aPoint{Atoms: n,
-			PaperINZLo: 0.32, PaperINZHi: 0.40,
-			PaperBothLo: 0.45, PaperBothHi: 0.62}
-		for _, mode := range []serdes.CompressConfig{
+		rs, st := replayTrajectory(n, 1234, warm, measure, []serdes.CompressConfig{
 			{INZ: true},
 			{INZ: true, Pcache: true},
-		} {
-			sys := md.NewWater(n, 300, sim.NewRand(1234))
-			r := traffic.NewReplayer(Shape8, sys.Box, mode)
-			for i := 0; i < warm; i++ {
-				r.ReplayStep(sys)
-				sys.Step()
-			}
-			before := r.Snapshot()
-			for i := 0; i < measure; i++ {
-				r.ReplayStep(sys)
-				sys.Step()
-			}
-			st := traffic.Delta(r.Stats(), before)
-			if mode.Pcache {
-				pt.INZPlusPcache = st.Reduction()
-				pt.PcacheHitRate = r.CacheStats().HitRate()
-			} else {
-				pt.INZOnly = st.Reduction()
-			}
-		}
-		out = append(out, pt)
+		})
+		out = append(out, Fig9aPoint{
+			Atoms:         n,
+			INZOnly:       st[0].Reduction(),
+			INZPlusPcache: st[1].Reduction(),
+			PcacheHitRate: rs[1].CacheStats().HitRate(),
+			PaperINZLo:    0.32,
+			PaperINZHi:    0.40,
+			PaperBothLo:   0.45,
+			PaperBothHi:   0.62,
+		})
 	}
 	return out
+}
+
+// replayTrajectory integrates one water trajectory of the given size and
+// seed for warm+measure steps and replays every step through one traffic
+// replayer per compression config. It returns the replayers and each
+// one's wire counters over the measured steps. ReplayStep only reads the
+// system, so every config sees exactly the trajectory a private
+// integration would have given it, at the cost of one.
+func replayTrajectory(atoms int, seed uint64, warm, measure int, cfgs []serdes.CompressConfig) ([]*traffic.Replayer, []serdes.Stats) {
+	sys := md.NewWater(atoms, 300, sim.NewRand(seed))
+	rs := make([]*traffic.Replayer, len(cfgs))
+	for i, cfg := range cfgs {
+		rs[i] = traffic.NewReplayer(Shape8, sys.Box, cfg)
+	}
+	step := func() {
+		for _, r := range rs {
+			r.ReplayStep(sys)
+		}
+		sys.Step()
+	}
+	for i := 0; i < warm; i++ {
+		step()
+	}
+	st := make([]serdes.Stats, len(rs))
+	for i, r := range rs {
+		st[i] = r.Stats()
+	}
+	for i := 0; i < measure; i++ {
+		step()
+	}
+	for i, r := range rs {
+		st[i] = traffic.Delta(r.Stats(), st[i])
+	}
+	return rs, st
 }
 
 // RenderFig9a formats the series.

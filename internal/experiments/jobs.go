@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -38,50 +39,34 @@ type Params struct {
 	AblINZAtoms       int   // INZ interleave ablation system size
 	AblDimWrites      int   // writes per node in the dimension-order ablation
 
-	NetShapes  []topo.Shape // netsweep torus shapes (one job per shape x pattern)
-	NetLoads   []float64    // offered loads swept per cell
-	NetPackets int          // measured packets per node per run
-	NetWarmup  int          // per-node packets injected before measurement
-	// NetShards shards each netsweep machine across that many kernels
+	// NetShapes, NetLoads, NetPackets and NetWarmup size the sweep grids
+	// (netsweep, saturate, faultsweep): one cell per shape x pattern, each
+	// sweeping its policies across the offered loads with that many
+	// measured and warmup packets per node per run. The closed-loop grids
+	// read the budgets at unit load (their harness scales them with the
+	// load so the offered horizon stays load-independent).
+	NetShapes  []topo.Shape
+	NetLoads   []float64
+	NetPackets int
+	NetWarmup  int
+	// Shards shards each sweep-cell and timestep-engine machine (netsweep,
+	// saturate, faultsweep, fig9b, fig12, mdsweep) across that many kernels
 	// (conservative-lookahead parallel simulation; see machine.Config.
 	// Shards). Output is byte-identical at every value; 0 or 1 is the
-	// sequential machine. Saturate cells shard with the same value.
-	NetShards int
+	// sequential machine.
+	Shards int
 
-	// Saturate gates the closed-loop saturation grid (anton3 saturate):
-	// the jobs are appended to the registry only when set, so the `all`
-	// output stream stays byte-identical to older trees.
-	Saturate bool
-	// SatShapes/SatLoads/SatPackets/SatWarmup size the saturate grid the
-	// way the Net* fields size netsweep; packets and warmup are per node
-	// at unit load (the closed-loop harness scales them with the load so
-	// the offered horizon stays load-independent).
-	SatShapes  []topo.Shape
-	SatLoads   []float64
-	SatPackets int
-	SatWarmup  int
-	// SatQueueFlits and SatInjDepth configure the per-VC ingress queue
-	// depth and per-source injection window; 0 takes the flow package
-	// defaults (bandwidth-delay-product queues, 8-slot windows).
+	// SatQueueFlits and SatInjDepth configure the closed-loop grids' per-VC
+	// ingress queue depth and per-source injection window; 0 takes the
+	// flow package defaults (bandwidth-delay-product queues, 8-slot
+	// windows).
 	SatQueueFlits int
 	SatInjDepth   int
 
-	// MDShards shards each timestep-engine machine (fig9b, fig12, mdsweep)
-	// across that many kernels, the way NetShards does for netsweep.
-	// Output is byte-identical at every value; 0 or 1 is sequential.
-	MDShards int
-	// MDSweep gates the closed-loop MD backpressure grid (anton3 mdsweep):
-	// like Saturate, the jobs only join the registry when set, so the
-	// `all` output stream stays byte-identical to older trees.
-	MDSweep bool
 	// MDAtoms and MDSteps size each mdsweep cell.
 	MDAtoms int
 	MDSteps int
 
-	// FaultSweep gates the link-fault knee-shift grid (anton3 faultsweep):
-	// like Saturate, the jobs only join the registry when set. Cells reuse
-	// the saturate grid's shapes, loads, budgets and queue depths.
-	FaultSweep bool
 	// FaultSeed seeds the drawn fault-severity grid (fault.SeverityGrid):
 	// which links each severity degrades or kills is a deterministic
 	// function of (shape, FaultSeed).
@@ -137,11 +122,6 @@ func DefaultParams() Params {
 		NetLoads:   []float64{0.5, 1, 2, 3, 4},
 		NetPackets: 96,
 		NetWarmup:  32,
-
-		SatShapes:  []topo.Shape{{X: 4, Y: 4, Z: 8}, {X: 8, Y: 8, Z: 8}},
-		SatLoads:   []float64{0.5, 1, 2, 3, 4},
-		SatPackets: 96,
-		SatWarmup:  32,
 
 		MDAtoms: 8000,
 		MDSteps: 2,
@@ -233,31 +213,6 @@ func cellKey(p Params, kind string, seed uint64, cfg any) resultstore.Key {
 	return resultstore.KeyFor(kind, seed, cfg)
 }
 
-// cellRecorder returns a fresh per-cell trace recorder when tracing is
-// armed, nil otherwise; cellDrain hands the filled recorder to the sink
-// under the cell's job name.
-func cellRecorder(p Params) *trace.Recorder {
-	if p.Trace == nil {
-		return nil
-	}
-	return trace.NewRecorder()
-}
-
-func cellDrain(p Params, name string, rec *trace.Recorder) {
-	if rec != nil {
-		p.Trace.Add(name, rec)
-	}
-}
-
-// cellCache resolves the point-level store a traced cell may use: none —
-// point hits would leave holes in the trace — and p.Cache otherwise.
-func cellCache(p Params) *resultstore.Store {
-	if p.Trace != nil {
-		return nil
-	}
-	return p.Cache
-}
-
 // policyNames flattens a policy list into the cache-key config: the
 // policy set is part of what a cell's output depends on.
 func policyNames(pols []route.Policy) []string {
@@ -279,197 +234,167 @@ type sweepCellCfg struct {
 	Loads    []float64
 	Packets  int
 	Warmup   int
-	// QueueFlits/InjDepth only apply to closed-loop (saturate) cells;
-	// they hold the resolved depths, not the 0 the flags pass for
-	// "default", so a default-depth run and an explicit -vcq 64 run
-	// share entries.
+	// QueueFlits/InjDepth only apply to closed-loop cells; they hold the
+	// resolved depths, not the 0 the flags pass for "default", so a
+	// default-depth run and an explicit -vcq 64 run share entries.
 	QueueFlits int
 	InjDepth   int
 }
 
-// netsweepJobs registers one job per shape x pattern, each sweeping every
-// routing policy across the offered loads. Seeds depend on position only,
-// so the grid decomposes freely across workers. Cells are auto-shardable:
-// when the pool has idle workers and -autoshard is on, a cell's machine
-// runs across the spare cores with byte-identical output (pinned by the
-// shard-invariance tier-1 tests). Each cell carries a content-addressed
-// cache key, armed when the pool runs with a result store.
-func netsweepJobs(p Params) []runner.Job {
+// faultCellCfg is sweepCellCfg plus a faultsweep cell's severity rows,
+// each canonicalized as "<name>=<plan>", so a different -faultseed
+// (different drawn links) or -faults plan can never collide with a cached
+// cell. The fields stay flat: the key hashes field names, so nesting
+// sweepCellCfg would change every faultsweep key.
+type faultCellCfg struct {
+	Shape      string
+	Pattern    string
+	Policies   []string
+	Loads      []float64
+	Packets    int
+	Warmup     int
+	QueueFlits int
+	InjDepth   int
+	Severities []string
+}
+
+// shardable sets a job's Run and ShardRun from one body parameterized by
+// the kernel shard count. Run uses the configured count; when that count
+// leaves the machine sequential, ShardRun lets the pool run the job across
+// spare cores at dispatch (-autoshard). The simulators guarantee output
+// byte-identical at every shard count, so either path prints the same.
+func shardable(job runner.Job, shards int, run func(shards int) runner.Output) runner.Job {
+	job.Run = func(*sim.Rand) (runner.Output, error) { return run(shards), nil }
+	if shards <= 1 {
+		job.ShardRun = func(_ *sim.Rand, n int) (runner.Output, error) { return run(n), nil }
+	}
+	return job
+}
+
+// sweepGrid is one shape x pattern grid of sweep cells (netsweep,
+// saturate, faultsweep): each cell sweeps the grid's policies across
+// Params.NetLoads on one shape under one synthetic pattern.
+type sweepGrid struct {
+	name     string  // job-name prefix and cell cache kind
+	seed     uint64  // cell (shape si, pattern pi) runs with seed+100*si+pi
+	cost     float64 // runtime hint per 16 nodes
+	policies []route.Policy
+	closed   bool // closed-loop cells: queue depths join the cache key
+	faults   bool // faultsweep cells: a severity grid per shape
+	// run simulates one cell; sevs is nil unless faults is set.
+	run func(s flow.Spec, sevs []fault.Severity) runner.Output
+}
+
+// gridJobs registers one job per shape x pattern of a sweep grid. Seeds
+// depend on position only, so the grid decomposes freely across workers,
+// and cells are shardable. Each cell carries a content-addressed cache
+// key (kind "cell/<grid>"), armed when the pool runs with a result store;
+// on a cell miss, closed-loop cells also memoize every point — swept
+// loads and knee probes — inside flow, so a knee search never
+// re-simulates a probe any invocation has seen. Healthy faultsweep points
+// share those entries with saturate's.
+func gridJobs(p Params, g sweepGrid) []runner.Job {
+	var qf, injd int
+	if g.closed {
+		qf, injd = p.SatQueueFlits, p.SatInjDepth
+		if qf <= 0 {
+			qf = flow.DefaultQueueFlits
+		}
+		if injd <= 0 {
+			injd = flow.DefaultInjDepth
+		}
+	}
+	// Traced cells skip the point cache too: hits would leave holes in
+	// the trace.
+	cache := p.Cache
+	if p.Trace != nil {
+		cache = nil
+	}
 	var jobs []runner.Job
 	for si, shape := range p.NetShapes {
+		var sevs []fault.Severity
+		var canons []string
+		if g.faults {
+			sevs = faultSevs(p, shape)
+			for _, sev := range sevs {
+				canons = append(canons, sev.Name+"="+sev.Plan.Canon())
+			}
+		}
 		for pi, pat := range synth.Patterns() {
-			shape, pat := shape, pat
-			seed := uint64(7000 + 100*si + pi)
-			name := fmt.Sprintf("netsweep/%s/%s", shape, pat.Name)
-			run := func(shards int) (runner.Output, error) {
-				rec := cellRecorder(p)
-				r := synth.SweepOpts(shape, route.Policies(), pat, p.NetLoads, p.NetPackets, p.NetWarmup, seed, shards,
-					synth.Opts{Metrics: p.Metrics, Trace: rec})
-				cellDrain(p, name, rec)
-				return runner.Output{Text: r.Render(), Data: r}, nil
+			seed := g.seed + uint64(100*si+pi)
+			name := fmt.Sprintf("%s/%s/%s", g.name, shape, pat.Name)
+			cfg := sweepCellCfg{
+				Shape:      shape.String(),
+				Pattern:    pat.Name,
+				Policies:   policyNames(g.policies),
+				Loads:      p.NetLoads,
+				Packets:    p.NetPackets,
+				Warmup:     p.NetWarmup,
+				QueueFlits: qf,
+				InjDepth:   injd,
+			}
+			var key any = cfg
+			if g.faults {
+				key = faultCellCfg{cfg.Shape, cfg.Pattern, cfg.Policies, cfg.Loads, cfg.Packets, cfg.Warmup,
+					cfg.QueueFlits, cfg.InjDepth, canons}
+			}
+			spec := flow.Spec{
+				Spec: synth.Spec{Shape: shape, Policies: g.policies, Pattern: pat, Loads: p.NetLoads,
+					Packets: p.NetPackets, Warmup: p.NetWarmup, Seed: seed, Metrics: p.Metrics},
+				QueueFlits: qf,
+				InjDepth:   injd,
+				Cache:      cache,
 			}
 			job := runner.Job{
-				Name: name,
-				Seed: seed,
-				Cost: 0.1 * float64(shape.Nodes()) / 16,
-				CacheKey: cellKey(p, "cell/netsweep", seed, sweepCellCfg{
-					Shape:    shape.String(),
-					Pattern:  pat.Name,
-					Policies: policyNames(route.Policies()),
-					Loads:    p.NetLoads,
-					Packets:  p.NetPackets,
-					Warmup:   p.NetWarmup,
-				}),
-				Run: func(*sim.Rand) (runner.Output, error) {
-					return run(p.NetShards)
-				}}
-			if p.NetShards <= 1 {
-				job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-					return run(shards)
-				}
+				Name:     name,
+				Seed:     seed,
+				Cost:     g.cost * float64(shape.Nodes()) / 16,
+				CacheKey: cellKey(p, "cell/"+g.name, seed, key),
 			}
-			jobs = append(jobs, job)
+			jobs = append(jobs, shardable(job, p.Shards, func(shards int) runner.Output {
+				s := spec
+				s.Shards = shards
+				if p.Trace != nil {
+					s.Trace = trace.NewRecorder()
+				}
+				out := g.run(s, sevs)
+				if s.Trace != nil {
+					p.Trace.Add(name, s.Trace)
+				}
+				return out
+			}))
 		}
 	}
 	return jobs
-}
-
-// saturateJobs registers the closed-loop saturation grid: one job per
-// shape x pattern, each sweeping all four policies (netsweep's trio plus
-// credit-echo) across the offered loads and bisecting for each policy's
-// saturation knee. Like netsweep cells they pre-draw all randomness from
-// the cell seed, so the grid is byte-identical at any worker and shard
-// count, and they are auto-shardable the same way. With a result store,
-// cells memoize at two grains: the whole cell through its CacheKey, and
-// — on a cell miss — every closed-loop point inside flow, so knee
-// searches never re-simulate a (policy x pattern x shape x load) probe
-// any invocation has seen.
-func saturateJobs(p Params) []runner.Job {
-	var jobs []runner.Job
-	qf, injd := p.SatQueueFlits, p.SatInjDepth
-	if qf <= 0 {
-		qf = flow.DefaultQueueFlits
-	}
-	if injd <= 0 {
-		injd = flow.DefaultInjDepth
-	}
-	for si, shape := range p.SatShapes {
-		for pi, pat := range synth.Patterns() {
-			shape, pat := shape, pat
-			seed := uint64(9000 + 100*si + pi)
-			name := fmt.Sprintf("saturate/%s/%s", shape, pat.Name)
-			run := func(shards int) (runner.Output, error) {
-				rec := cellRecorder(p)
-				r := flow.SweepOpts(shape, route.SaturatePolicies(), pat, p.SatLoads,
-					p.SatPackets, p.SatWarmup, seed, shards, p.SatQueueFlits, p.SatInjDepth, cellCache(p),
-					flow.Opts{Metrics: p.Metrics, Trace: rec})
-				cellDrain(p, name, rec)
-				return runner.Output{Text: r.Render(), Data: r}, nil
-			}
-			job := runner.Job{
-				Name: name,
-				Seed: seed,
-				// ~4 policies x (sweep + knee probes) of load-scaled
-				// closed-loop points: roughly 5x a netsweep cell.
-				Cost: 0.5 * float64(shape.Nodes()) / 16,
-				CacheKey: cellKey(p, "cell/saturate", seed, sweepCellCfg{
-					Shape:      shape.String(),
-					Pattern:    pat.Name,
-					Policies:   policyNames(route.SaturatePolicies()),
-					Loads:      p.SatLoads,
-					Packets:    p.SatPackets,
-					Warmup:     p.SatWarmup,
-					QueueFlits: qf,
-					InjDepth:   injd,
-				}),
-				Run: func(*sim.Rand) (runner.Output, error) {
-					return run(p.NetShards)
-				}}
-			if p.NetShards <= 1 {
-				job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-					return run(shards)
-				}
-			}
-			jobs = append(jobs, job)
-		}
-	}
-	return jobs
-}
-
-// fig9bJob builds the compression-speedup job. The timestep engine runs on
-// the sharded executive with byte-identical output, so the job is
-// auto-shardable exactly like a netsweep cell: spare cores at dispatch
-// become kernel shards.
-func fig9bJob(p Params) runner.Job {
-	run := func(shards int) (runner.Output, error) {
-		pts := Fig9b(p.Fig9bSizes, p.Fig9bSteps, shards)
-		return runner.Output{Text: RenderFig9b(pts), Data: pts}, nil
-	}
-	job := runner.Job{Name: "fig9b", Seed: 4, Cost: 20,
-		Run: func(*sim.Rand) (runner.Output, error) {
-			return run(p.MDShards)
-		}}
-	if p.MDShards <= 1 {
-		job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-			return run(shards)
-		}
-	}
-	return job
-}
-
-// fig12Job builds the activity-plot job, auto-shardable like fig9b.
-func fig12Job(p Params) runner.Job {
-	run := func(shards int) (runner.Output, error) {
-		r := Fig12(p.Fig12Atoms, p.Fig12Steps, shards)
-		return runner.Output{Text: r.Render(), Data: r}, nil
-	}
-	job := runner.Job{Name: "fig12", Seed: 6, Cost: 15,
-		Run: func(*sim.Rand) (runner.Output, error) {
-			return run(p.MDShards)
-		}}
-	if p.MDShards <= 1 {
-		job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-			return run(shards)
-		}
-	}
-	return job
 }
 
 // mdsweepJobs registers the closed-loop MD backpressure grid: one job per
 // routing policy (the saturate quartet), each sweeping the per-VC queue
 // depths over real MD timesteps. Every cell pre-draws its randomness from
 // the water seed alone, so the grid decomposes freely across workers and
-// shards with byte-identical output, and cells auto-shard like netsweep
-// cells.
+// shards with byte-identical output.
 func mdsweepJobs(p Params) []runner.Job {
 	var jobs []runner.Job
 	for pi, pol := range route.SaturatePolicies() {
 		pol := pol
-		run := func(shards int) (runner.Output, error) {
-			pts := MDSweepPolicy(pol, p.MDAtoms, p.MDSteps, shards)
-			return runner.Output{Text: RenderMDSweep(p.MDAtoms, p.MDSteps, pts), Data: pts}, nil
-		}
+		seed := uint64(9500 + pi)
 		job := runner.Job{
-			Name: fmt.Sprintf("mdsweep/%s", pol.Name()),
-			Seed: uint64(9500 + pi),
+			Name: "mdsweep/" + pol.Name(),
+			Seed: seed,
 			// Each cell runs len(MDQueueDepths) full timestep pipelines
 			// at the fig9b 8000-atom scale.
 			Cost: 10,
-			CacheKey: resultstore.KeyFor("cell/mdsweep", uint64(9500+pi), struct {
+			CacheKey: resultstore.KeyFor("cell/mdsweep", seed, struct {
 				Policy string
 				Atoms  int
 				Steps  int
 				Depths []int
 			}{pol.Name(), p.MDAtoms, p.MDSteps, MDQueueDepths}),
-			Run: func(*sim.Rand) (runner.Output, error) {
-				return run(p.MDShards)
-			}}
-		if p.MDShards <= 1 {
-			job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-				return run(shards)
-			}
 		}
-		jobs = append(jobs, job)
+		jobs = append(jobs, shardable(job, p.Shards, func(shards int) runner.Output {
+			pts := MDSweepPolicy(pol, p.MDAtoms, p.MDSteps, shards)
+			return runner.Output{Text: RenderMDSweep(p.MDAtoms, p.MDSteps, pts), Data: pts}
+		}))
 	}
 	return jobs
 }
@@ -479,6 +404,10 @@ func mdsweepJobs(p Params) []runner.Job {
 // already validated it against every selected shape — a parse failure here
 // is a programming error), the drawn grid otherwise.
 func faultSevs(p Params, shape topo.Shape) []fault.Severity {
+	if shape.Nodes() == 1 {
+		// No link to fault, and SeverityGrid would search for one forever.
+		return []fault.Severity{{Name: "healthy"}}
+	}
 	if p.FaultPlan == "" {
 		return fault.SeverityGrid(shape, p.FaultSeed)
 	}
@@ -489,77 +418,13 @@ func faultSevs(p Params, shape topo.Shape) []fault.Severity {
 	return []fault.Severity{{Name: "healthy"}, {Name: "custom", Plan: *plan}}
 }
 
-// faultsweepJobs registers the link-fault knee-shift grid: one job per
-// shape x pattern, each locating every saturate policy's knee under every
-// severity of the fault grid and reporting the shift against the healthy
-// baseline. Severity plans are canonicalized into the cache key, so a
-// different -faultseed (different drawn links) or -faults plan can never
-// collide with a cached cell; healthy probe points inside flow share
-// entries with saturate's.
-func faultsweepJobs(p Params) []runner.Job {
-	var jobs []runner.Job
-	qf, injd := p.SatQueueFlits, p.SatInjDepth
-	if qf <= 0 {
-		qf = flow.DefaultQueueFlits
-	}
-	if injd <= 0 {
-		injd = flow.DefaultInjDepth
-	}
-	for si, shape := range p.SatShapes {
-		sevs := faultSevs(p, shape)
-		canons := make([]string, len(sevs))
-		for i, sev := range sevs {
-			canons[i] = sev.Name + "=" + sev.Plan.Canon()
-		}
-		for pi, pat := range synth.Patterns() {
-			shape, pat, sevs := shape, pat, sevs
-			seed := uint64(9700 + 100*si + pi)
-			name := fmt.Sprintf("faultsweep/%s/%s", shape, pat.Name)
-			run := func(shards int) (runner.Output, error) {
-				rec := cellRecorder(p)
-				r := flow.FaultSweepOpts(shape, route.SaturatePolicies(), pat, p.SatLoads,
-					p.SatPackets, p.SatWarmup, seed, sevs, shards, p.SatQueueFlits, p.SatInjDepth, cellCache(p),
-					flow.Opts{Metrics: p.Metrics, Trace: rec})
-				cellDrain(p, name, rec)
-				return runner.Output{Text: r.Render(), Data: r}, nil
-			}
-			job := runner.Job{
-				Name: name,
-				Seed: seed,
-				// len(sevs) saturate-style knee searches per cell.
-				Cost: 2.5 * float64(shape.Nodes()) / 16,
-				CacheKey: cellKey(p, "cell/faultsweep", seed, struct {
-					Shape      string
-					Pattern    string
-					Policies   []string
-					Loads      []float64
-					Packets    int
-					Warmup     int
-					QueueFlits int
-					InjDepth   int
-					Severities []string
-				}{shape.String(), pat.Name, policyNames(route.SaturatePolicies()),
-					p.SatLoads, p.SatPackets, p.SatWarmup, qf, injd, canons}),
-				Run: func(*sim.Rand) (runner.Output, error) {
-					return run(p.NetShards)
-				}}
-			if p.NetShards <= 1 {
-				job.ShardRun = func(_ *sim.Rand, shards int) (runner.Output, error) {
-					return run(shards)
-				}
-			}
-			jobs = append(jobs, job)
-		}
-	}
-	return jobs
-}
-
 // Jobs returns every table, figure and ablation of the paper as runner
 // jobs, in the order cmd/anton3 has always printed them, followed by the
-// netsweep policy/pattern grid. Each job owns a private machine and
-// kernel, so the set can run on any worker count with byte-identical
-// output. Cost hints come from measured paper-scale runtimes and only
-// shape dispatch order, never output.
+// sweep grids: netsweep, then the opt-in saturate, mdsweep and faultsweep
+// grids that SelectJobs keeps out of "all". Each job owns a private
+// machine and kernel, so the set can run on any worker count with
+// byte-identical output. Cost hints come from measured paper-scale
+// runtimes and only shape dispatch order, never output.
 func Jobs(p Params) []runner.Job {
 	jobs := []runner.Job{
 		{Name: "tables", Seed: 1, Cost: 0.1,
@@ -579,11 +444,17 @@ func Jobs(p Params) []runner.Job {
 				pts := Fig9a(p.Fig9aSizes, p.Fig9aWarm, p.Fig9aMeasure)
 				return runner.Output{Text: RenderFig9a(pts), Data: pts}, nil
 			}},
-		fig9bJob(p),
+		shardable(runner.Job{Name: "fig9b", Seed: 4, Cost: 20}, p.Shards, func(shards int) runner.Output {
+			pts := Fig9b(p.Fig9bSizes, p.Fig9bSteps, shards)
+			return runner.Output{Text: RenderFig9b(pts), Data: pts}
+		}),
 	)
 	jobs = append(jobs, fig11Jobs()...)
 	jobs = append(jobs,
-		fig12Job(p),
+		shardable(runner.Job{Name: "fig12", Seed: 6, Cost: 15}, p.Shards, func(shards int) runner.Output {
+			r := Fig12(p.Fig12Atoms, p.Fig12Steps, shards)
+			return runner.Output{Text: r.Render(), Data: r}
+		}),
 		runner.Job{Name: "ablation-predictor-order", Seed: 7, Cost: 2,
 			Run: func(*sim.Rand) (runner.Output, error) {
 				rows := AblationPredictorOrder(p.AblPredictorAtoms, 3, 3)
@@ -625,32 +496,50 @@ func Jobs(p Params) []runner.Job {
 				}, nil
 			}},
 	)
-	jobs = append(jobs, netsweepJobs(p)...)
-	if p.Saturate {
-		jobs = append(jobs, saturateJobs(p)...)
-	}
-	if p.MDSweep {
-		jobs = append(jobs, mdsweepJobs(p)...)
-	}
-	if p.FaultSweep {
-		jobs = append(jobs, faultsweepJobs(p)...)
-	}
-	return jobs
+	jobs = append(jobs, gridJobs(p, sweepGrid{name: "netsweep", seed: 7000, cost: 0.1, policies: route.Policies(),
+		run: func(s flow.Spec, _ []fault.Severity) runner.Output {
+			r := synth.Sweep(s.Spec)
+			return runner.Output{Text: r.Render(), Data: r}
+		}})...)
+	// A saturate cell runs ~4 policies x (sweep + knee probes) of
+	// load-scaled closed-loop points, roughly 5x a netsweep cell; a
+	// faultsweep cell runs one such knee search per severity.
+	jobs = append(jobs, gridJobs(p, sweepGrid{name: "saturate", seed: 9000, cost: 0.5,
+		policies: route.SaturatePolicies(), closed: true,
+		run: func(s flow.Spec, _ []fault.Severity) runner.Output {
+			r := flow.Sweep(s)
+			return runner.Output{Text: r.Render(), Data: r}
+		}})...)
+	jobs = append(jobs, mdsweepJobs(p)...)
+	return append(jobs, gridJobs(p, sweepGrid{name: "faultsweep", seed: 9700, cost: 2.5,
+		policies: route.SaturatePolicies(), closed: true, faults: true,
+		run: func(s flow.Spec, sevs []fault.Severity) runner.Output {
+			r := flow.FaultSweep(s, sevs)
+			return runner.Output{Text: r.Render(), Data: r}
+		}})...)
 }
+
+// optInGrids run only when selected by name: "all" leaves them out, so
+// its output stays byte-stable across PRs.
+var optInGrids = []string{"saturate", "mdsweep", "faultsweep"}
 
 // SelectJobs filters jobs by subcommand name: a job matches itself or any
 // job it was sharded into (name-prefix "<selector>/", which also selects
 // the reducer and every netsweep cell), and "ablations" matches every
-// ablation-* job. It returns nil when nothing matches.
+// ablation-* job. "all" matches every job outside the opt-in grids. It
+// returns nil when nothing matches.
 func SelectJobs(jobs []runner.Job, name string) []runner.Job {
-	if name == "all" {
-		return jobs
-	}
 	var out []runner.Job
 	for _, j := range jobs {
-		if j.Name == name ||
-			strings.HasPrefix(j.Name, name+"/") ||
-			(name == "ablations" && strings.HasPrefix(j.Name, "ablation-")) {
+		var ok bool
+		if name == "all" {
+			grid, _, _ := strings.Cut(j.Name, "/")
+			ok = !slices.Contains(optInGrids, grid)
+		} else {
+			ok = j.Name == name || strings.HasPrefix(j.Name, name+"/") ||
+				(name == "ablations" && strings.HasPrefix(j.Name, "ablation-"))
+		}
+		if ok {
 			out = append(out, j)
 		}
 	}

@@ -88,11 +88,11 @@ func BenchmarkSaturationKnee(b *testing.B) {
 	loads := []float64{0.5, 1, 2, 3, 4}
 	for _, pol := range route.SaturatePolicies() {
 		b.Run(fmt.Sprintf("bitcomp/%s", pol.Name()), func(b *testing.B) {
+			spec := Spec{Spec: synth.Spec{Shape: shape, Policies: []route.Policy{pol}, Pattern: synth.BitComplement(),
+				Loads: loads, Packets: 96, Warmup: 32, Seed: 7000, Shards: 1}}
 			var knee float64
 			for i := 0; i < b.N; i++ {
-				curves := SweepPattern(shape, []route.Policy{pol}, synth.BitComplement(),
-					loads, 96, 32, 7000, 1, 0, 0, nil)
-				knee = curves[0].Knee
+				knee = Sweep(spec).Curves[0].Knee
 			}
 			b.ReportMetric(knee, "knee_load")
 		})

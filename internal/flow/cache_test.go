@@ -11,15 +11,21 @@ import (
 )
 
 // sweepThrough runs the reference saturate cell of these tests through
-// SweepPattern with the given store (nil = uncached).
+// Sweep with the given store (nil = uncached).
 func sweepThrough(cache *resultstore.Store) []Curve {
-	return SweepPattern(
-		topo.Shape{X: 2, Y: 2, Z: 4},
-		[]route.Policy{route.XYZ(), route.Random()},
-		synth.BitComplement(),
-		[]float64{0.5, 1, 2, 4},
-		24, 8, 21, 1, 0, 0, cache,
-	)
+	return Sweep(Spec{
+		Spec: synth.Spec{
+			Shape:    topo.Shape{X: 2, Y: 2, Z: 4},
+			Policies: []route.Policy{route.XYZ(), route.Random()},
+			Pattern:  synth.BitComplement(),
+			Loads:    []float64{0.5, 1, 2, 4},
+			Packets:  24,
+			Warmup:   8,
+			Seed:     21,
+			Shards:   1,
+		},
+		Cache: cache,
+	}).Curves
 }
 
 // TestWarmCacheProbeBudget pins the resultstore's payoff on a saturate

@@ -66,10 +66,13 @@ func TestFaultSweepShardInvariance(t *testing.T) {
 		{Name: "dead1", Plan: *mustPlan(t, "0,0,1:z+:dead")},
 	}
 	loads := []float64{0.5, 2}
-	ref := FaultSweep(shape, route.SaturatePolicies(), synth.Tornado(), loads, 16, 4, 99, sevs, 1, 0, 0, nil)
+	spec := Spec{Spec: synth.Spec{Shape: shape, Policies: route.SaturatePolicies(), Pattern: synth.Tornado(),
+		Loads: loads, Packets: 16, Warmup: 4, Seed: 99, Shards: 1}}
+	ref := FaultSweep(spec, sevs)
 	refText := ref.Render()
 	for _, shards := range []int{2, 4} {
-		got := FaultSweep(shape, route.SaturatePolicies(), synth.Tornado(), loads, 16, 4, 99, sevs, shards, 0, 0, nil)
+		spec.Shards = shards
+		got := FaultSweep(spec, sevs)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("faultsweep at %d shards differs:\n%s\nvs\n%s", shards, got.Render(), refText)
 		}
@@ -189,11 +192,11 @@ func BenchmarkFaultKneeShift(b *testing.B) {
 	sevs := fault.SeverityGrid(shape, 1)
 	for _, pol := range route.SaturatePolicies() {
 		b.Run(fmt.Sprintf("bitcomp/%s", pol.Name()), func(b *testing.B) {
+			spec := Spec{Spec: synth.Spec{Shape: shape, Policies: []route.Policy{pol}, Pattern: synth.BitComplement(),
+				Loads: loads, Packets: 96, Warmup: 32, Seed: 9700, Shards: 1}}
 			var c FaultCurve
 			for i := 0; i < b.N; i++ {
-				res := FaultSweep(shape, []route.Policy{pol}, synth.BitComplement(),
-					loads, 96, 32, 9700, sevs, 1, 0, 0, nil)
-				c = res.Curves[0]
+				c = FaultSweep(spec, sevs).Curves[0]
 			}
 			b.ReportMetric(c.Healthy, "healthy_knee")
 			for _, row := range c.Rows {

@@ -5,11 +5,7 @@ import (
 	"strings"
 
 	"anton3/internal/fault"
-	"anton3/internal/resultstore"
-	"anton3/internal/route"
-	"anton3/internal/synth"
 	"anton3/internal/telemetry"
-	"anton3/internal/topo"
 )
 
 // The faultsweep experiment measures graceful degradation: for each routing
@@ -42,7 +38,7 @@ type FaultCurve struct {
 	Healthy float64    `json:"healthy_knee"`
 	Rows    []FaultRow `json:"rows"`
 	// Tel aggregates telemetry across every severity of this policy
-	// (nil unless the sweep ran with Opts.Metrics); the fault-reroute
+	// (nil unless the sweep ran with Spec.Metrics); the fault-reroute
 	// counter is the mid-run-trip visibility the grid exists for.
 	Tel *telemetry.Summary `json:"telemetry,omitempty"`
 }
@@ -61,65 +57,40 @@ type FaultResult struct {
 // the grid. The first severity with an empty plan (conventionally sevs[0],
 // "healthy") is the baseline all shifts are measured against; if the grid
 // carries no healthy row, shifts are reported as zero. Swept loads and knee
-// probes reuse the saturate experiment's seeding, so the healthy cells are
-// bit-identical to — and cache-shared with — saturate's. Loads must be
-// ascending, as in SweepPattern.
-func FaultSweep(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, sevs []fault.Severity, shards, queueFlits, injDepth int, cache *resultstore.Store) FaultResult {
-	return FaultSweepOpts(shape, policies, pat, loads, packets, warmup, seed, sevs, shards, queueFlits, injDepth, cache, Opts{})
-}
-
-// FaultSweepOpts is FaultSweep with the observability layer gates.
-// Telemetry aggregates per policy across the whole severity grid; trace
-// tracks are prefixed "<policy>/<severity>" so every harness stays
-// distinguishable.
-func FaultSweepOpts(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, sevs []fault.Severity, shards, queueFlits, injDepth int, cache *resultstore.Store, opts Opts) FaultResult {
-	if queueFlits <= 0 {
-		queueFlits = DefaultQueueFlits
-	}
-	if injDepth <= 0 {
-		injDepth = DefaultInjDepth
-	}
+// probes reuse Sweep's seeding, so the healthy cells are bit-identical to —
+// and cache-shared with — saturate's. Telemetry aggregates per policy
+// across the whole severity grid; trace tracks are prefixed
+// "<policy>/<severity>" so every harness stays distinguishable.
+func FaultSweep(s Spec, sevs []fault.Severity) FaultResult {
+	s = s.withDefaults()
 	res := FaultResult{
-		Shape:      shape.String(),
-		Nodes:      shape.Nodes(),
-		Pattern:    pat.Name,
-		QueueFlits: queueFlits,
-		InjDepth:   injDepth,
-		Curves:     make([]FaultCurve, len(policies)),
+		Shape:      s.Shape.String(),
+		Nodes:      s.Shape.Nodes(),
+		Pattern:    s.Pattern.Name,
+		QueueFlits: s.QueueFlits,
+		InjDepth:   s.InjDepth,
+		Curves:     make([]FaultCurve, len(s.Policies)),
 	}
-	for pi, pol := range policies {
+	for pi, pol := range s.Policies {
 		c := FaultCurve{Policy: pol.Name(), Rows: make([]FaultRow, 0, len(sevs))}
 		var agg telemetry.Shard
 		for _, sev := range sevs {
 			plan := sev.Plan
-			h := NewFaultHarness(shape, pol, shards, queueFlits, injDepth, &plan)
-			h.Cache = cache
-			if opts.Metrics {
-				h.EnableMetrics()
-			}
-			if opts.Trace != nil {
-				h.AttachTrace(pol.Name() + "/" + sev.Name)
-			}
-			var pts []Point
-			for li, load := range loads {
-				pts = append(pts, h.RunPoint(
-					pat, load, packets, warmup, seed+uint64(li)*9176,
-				))
-			}
+			h := s.harness(pol, &plan, pol.Name()+"/"+sev.Name)
 			row := FaultRow{Severity: sev.Name, Faults: plan.Canon()}
-			row.Knee, row.KneeLB = findKnee(h, pat, pts, packets, warmup, seed)
+			_, row.Knee, row.KneeLB = s.sweepKnee(h)
 			if row.Faults == "" && c.Healthy == 0 {
 				c.Healthy = row.Knee
 			}
 			c.Rows = append(c.Rows, row)
-			if opts.Metrics {
+			if s.Metrics {
 				agg.Merge(h.Telemetry())
 			}
-			if opts.Trace != nil {
-				h.DrainTrace(opts.Trace)
+			if s.Trace != nil {
+				h.DrainTrace(s.Trace)
 			}
 		}
-		if opts.Metrics {
+		if s.Metrics {
 			sum := agg.Summary()
 			c.Tel = &sum
 		}

@@ -315,23 +315,11 @@ func (e *emitter) Act() {
 // network accepts immediately is a network entry now; a refused one parks
 // (packet.WalkParked) and enters when its Accepted callback fires.
 func (h *Harness) emit(s *source) {
-	flat := int(s.node)*h.total + int(s.sent)
+	p := h.sched.Packet(h.m, h.shape, h.core, int(s.node)*h.total+int(s.sent))
 	s.sent++
-	src := h.shape.CoordOf(int(s.node))
-	dst := h.shape.CoordOf(int(h.sched.Dsts[flat]))
-	p := h.m.NewPacketAt(src)
-	atom := uint32(flat)
-	p.Type = packet.Position
-	p.SrcNode, p.DstNode = src, dst
-	p.SrcCore, p.DstCore = h.core, h.core
-	p.AtomID = atom
-	p.SetQuad([4]uint32{atom, 0xfeed, 0xbeef, 0xcafe})
-	p.PreRouted = true
-	p.Order = h.sched.Orders[flat]
-	p.Tie = atom&2 != 0
-	p.Inj = uint64(flat)
 	p.OnAccept = s
-	h.m.Send(p, &h.sinks[h.m.ShardOf(dst)])
+	src := p.SrcNode
+	h.m.Send(p, &h.sinks[h.m.ShardOf(p.DstNode)])
 	if p.State == packet.WalkParked {
 		s.parked++
 	} else {
@@ -529,11 +517,4 @@ func (h *Harness) runPoint(pat synth.Pattern, load float64, packets, warmup int,
 		pt.P99Ns = lats[len(lats)*99/100]
 	}
 	return pt
-}
-
-// Run measures one closed-loop point on a private machine (one-shot form
-// of a Harness point; sweeps reuse a Harness instead).
-func Run(shape topo.Shape, policy route.Policy, pat synth.Pattern, load float64, packets, warmup int, seed uint64, shards int) Point {
-	h := NewHarness(shape, policy, shards, 0, 0)
-	return h.RunPoint(pat, load, packets, warmup, seed)
 }

@@ -117,7 +117,7 @@ func TestHarnessReuseMatchesFresh(t *testing.T) {
 	}{{1, 5}, {4, 6}, {1, 5}, {2, 9}}
 	for _, cell := range cells {
 		reused := h.RunPoint(synth.Uniform(), cell.load, 10, 3, cell.seed)
-		fresh := Run(shape, pol, synth.Uniform(), cell.load, 10, 3, cell.seed, 1)
+		fresh := NewHarness(shape, pol, 1, 0, 0).RunPoint(synth.Uniform(), cell.load, 10, 3, cell.seed)
 		if reused != fresh {
 			t.Fatalf("load %.1f seed %d: reused harness %+v, fresh machine %+v",
 				cell.load, cell.seed, reused, fresh)
@@ -135,9 +135,9 @@ func TestKneeSearch(t *testing.T) {
 	// The offered span must cover several queue-fill times for saturation
 	// to register, which sets the per-node packet budget's floor.
 	packets, warmup := 96, 32
-	curves := SweepPattern(shape, []route.Policy{route.XYZ()}, synth.BitComplement(),
-		loads, packets, warmup, 21, 1, 0, 0, nil)
-	c := curves[0]
+	spec := Spec{Spec: synth.Spec{Shape: shape, Policies: []route.Policy{route.XYZ()}, Pattern: synth.BitComplement(),
+		Loads: loads, Packets: packets, Warmup: warmup, Seed: 21, Shards: 1}}
+	c := Sweep(spec).Curves[0]
 	if c.KneeLB {
 		t.Fatalf("bitcomp/xyz reported knee lower bound %.3f; expected a located knee", c.Knee)
 	}
@@ -158,10 +158,8 @@ func TestKneeSearch(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	again := SweepPattern(shape, []route.Policy{route.XYZ()}, synth.BitComplement(),
-		loads, packets, warmup, 21, 1, 0, 0, nil)
-	if again[0].Knee != c.Knee {
-		t.Fatalf("knee not reproducible: %.6f vs %.6f", again[0].Knee, c.Knee)
+	if again := Sweep(spec).Curves[0]; again.Knee != c.Knee {
+		t.Fatalf("knee not reproducible: %.6f vs %.6f", again.Knee, c.Knee)
 	}
 }
 
@@ -169,8 +167,8 @@ func TestKneeSearch(t *testing.T) {
 // knee footer.
 func TestRenderStable(t *testing.T) {
 	shape := topo.Shape{X: 2, Y: 2, Z: 2}
-	r := Sweep(shape, route.SaturatePolicies()[:2], synth.Uniform(),
-		[]float64{0.5, 2}, 6, 2, 3, 1, 0, 0, nil)
+	r := Sweep(Spec{Spec: synth.Spec{Shape: shape, Policies: route.SaturatePolicies()[:2], Pattern: synth.Uniform(),
+		Loads: []float64{0.5, 2}, Packets: 6, Warmup: 2, Seed: 3, Shards: 1}})
 	text := r.Render()
 	for _, want := range []string{"Saturate: pattern uniform", "offered", "random acc", "xyz acc", "saturation knee:"} {
 		if !contains(text, want) {

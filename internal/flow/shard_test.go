@@ -59,10 +59,13 @@ func TestSaturateSweepShardInvariance(t *testing.T) {
 	shape := topo.Shape{X: 2, Y: 2, Z: 4}
 	pols := route.SaturatePolicies()
 	loads := []float64{0.5, 2}
-	ref := Sweep(shape, pols, synth.Tornado(), loads, 16, 4, 99, 1, 0, 0, nil)
+	spec := Spec{Spec: synth.Spec{Shape: shape, Policies: pols, Pattern: synth.Tornado(),
+		Loads: loads, Packets: 16, Warmup: 4, Seed: 99, Shards: 1}}
+	ref := Sweep(spec)
 	refText := ref.Render()
 	for _, shards := range []int{2, 4} {
-		got := Sweep(shape, pols, synth.Tornado(), loads, 16, 4, 99, shards, 0, 0, nil)
+		spec.Shards = shards
+		got := Sweep(spec)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("sweep at %d shards differs:\n%s\nvs\n%s", shards, got.Render(), refText)
 		}
@@ -84,7 +87,7 @@ func TestShardedSaturateStress(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		ref := Run(shape, route.Random(), synth.Tornado(), 3, 16, 4, seed, 1)
+		ref := NewHarness(shape, route.Random(), 1, 0, 0).RunPoint(synth.Tornado(), 3, 16, 4, seed)
 		for _, shards := range shardCounts {
 			h := NewHarness(shape, route.Random(), shards, 0, 0)
 			// Two points per harness so reuse and sharding compose.

@@ -7,27 +7,71 @@ import (
 	"strings"
 
 	"anton3/internal/chip"
+	"anton3/internal/fault"
 	"anton3/internal/resultstore"
 	"anton3/internal/route"
 	"anton3/internal/sim"
 	"anton3/internal/synth"
 	"anton3/internal/telemetry"
 	"anton3/internal/topo"
-	"anton3/internal/trace"
 )
 
-// Opts gates the optional observability layers of a sweep cell; the
-// zero value runs exactly the pre-telemetry pipeline.
-type Opts struct {
-	// Metrics arms per-(policy x pattern) telemetry: counters and
-	// latency/park histograms accumulated across every point (swept
-	// loads and knee probes), surfaced as Curve.Tel plus "telemetry"
-	// render lines and a channel-utilization heatmap at the knee.
-	Metrics bool
-	// Trace, when non-nil, collects packet-lifecycle spans from every
-	// policy's machine into the recorder (tracks are prefixed with the
-	// policy name, so policies never collide).
-	Trace *trace.Recorder
+// Spec is one saturate or faultsweep cell: the open-loop cell spec plus
+// the closed-loop rig's per-VC ingress queue depth in flits and per-source
+// injection window in packets (0 takes DefaultQueueFlits and
+// DefaultInjDepth). Loads must be ascending. Packets and Warmup are per
+// node at unit load (see RunPoint). Metrics accumulates telemetry across
+// every point, swept loads and knee probes alike, and adds a
+// channel-utilization heatmap at the knee; Trace prefixes each machine's
+// tracks with its policy name (and severity, in a faultsweep).
+type Spec struct {
+	synth.Spec
+	QueueFlits int
+	InjDepth   int
+	// Cache, when non-nil, memoizes every point — the swept loads and the
+	// knee-search probes — so a re-run of the same cell, or a knee search
+	// revisiting a load another invocation probed, short-circuits to the
+	// recorded Point with bit-identical curves and knees. nil runs
+	// everything.
+	Cache *resultstore.Store
+}
+
+// withDefaults resolves zero queue depths to the package defaults.
+func (s Spec) withDefaults() Spec {
+	if s.QueueFlits <= 0 {
+		s.QueueFlits = DefaultQueueFlits
+	}
+	if s.InjDepth <= 0 {
+		s.InjDepth = DefaultInjDepth
+	}
+	return s
+}
+
+// harness builds one policy's machine for the cell under plan (nil =
+// healthy), with the cache and the observability gates armed; trace
+// tracks get the given prefix.
+func (s Spec) harness(pol route.Policy, plan *fault.Plan, prefix string) *Harness {
+	h := NewFaultHarness(s.Shape, pol, s.Shards, s.QueueFlits, s.InjDepth, plan)
+	h.Cache = s.Cache
+	if s.Metrics {
+		h.EnableMetrics()
+	}
+	if s.Trace != nil {
+		h.AttachTrace(prefix)
+	}
+	return h
+}
+
+// sweepKnee runs the cell's loads on h, then locates the saturation knee.
+// Every load's seed derives from its position only, so all policies (and
+// all severities) at one load face byte-identical offered traffic — a
+// paired comparison.
+func (s Spec) sweepKnee(h *Harness) (pts []Point, knee float64, lb bool) {
+	for li, load := range s.Loads {
+		pts = append(pts, h.RunPoint(s.Pattern, load, s.Packets, s.Warmup, s.Seed+uint64(li)*9176))
+	}
+	knee, lb = findKnee(h, s.Pattern, pts, s.Packets, s.Warmup, s.Seed)
+	return pts, knee, lb
 }
 
 // SatRatio is the saturation detector: a point whose accepted/offered
@@ -60,7 +104,7 @@ type Curve struct {
 	Points []Point `json:"points"`
 	// Tel is the per-(policy x pattern) telemetry digest over every
 	// point of this curve; Heat the top-k hottest links at the knee.
-	// Both nil unless the sweep ran with Opts.Metrics.
+	// Both nil unless the sweep ran with Spec.Metrics.
 	Tel  *telemetry.Summary `json:"telemetry,omitempty"`
 	Heat []ChannelHeat      `json:"heat,omitempty"`
 }
@@ -142,57 +186,6 @@ func findKnee(h *Harness, pat synth.Pattern, pts []Point, packets, warmup int, s
 	return (lo + hi) / 2, false
 }
 
-// SweepPattern measures one pattern across every policy and offered load
-// on the given shape, then locates each policy's saturation knee. All
-// policies at one load share one seed, so they face byte-identical offered
-// traffic (paired comparison); cells of one policy share one machine
-// (reset between loads), which keeps the sweep's steady state
-// allocation-free. Loads must be ascending.
-//
-// cache, when non-nil, memoizes every point — the swept loads and the
-// knee-search probes — so a re-run of the same cell, or a knee search
-// revisiting a load another invocation probed, short-circuits to the
-// recorded Point with bit-identical curves and knees. nil runs
-// everything, exactly as before the store existed.
-func SweepPattern(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, shards, queueFlits, injDepth int, cache *resultstore.Store) []Curve {
-	return SweepPatternOpts(shape, policies, pat, loads, packets, warmup, seed, shards, queueFlits, injDepth, cache, Opts{})
-}
-
-// SweepPatternOpts is SweepPattern with the observability layer gates.
-func SweepPatternOpts(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, shards, queueFlits, injDepth int, cache *resultstore.Store, opts Opts) []Curve {
-	curves := make([]Curve, len(policies))
-	for pi, pol := range policies {
-		c := Curve{Policy: pol.Name()}
-		h := NewHarness(shape, pol, shards, queueFlits, injDepth)
-		h.Cache = cache
-		if opts.Metrics {
-			h.EnableMetrics()
-		}
-		if opts.Trace != nil {
-			h.AttachTrace(pol.Name())
-		}
-		for li, load := range loads {
-			c.Points = append(c.Points, h.RunPoint(
-				pat, load, packets, warmup, seed+uint64(li)*9176,
-			))
-		}
-		c.Knee, c.KneeLB = findKnee(h, pat, c.Points, packets, warmup, seed)
-		if opts.Metrics {
-			// Snapshot the curve digest before the heatmap probe runs
-			// (the probe's telemetry belongs to the heatmap, not the
-			// curve totals).
-			sum := h.Telemetry().Summary()
-			c.Tel = &sum
-			c.Heat = kneeHeat(h, pat, c.Knee, packets, warmup, seed)
-		}
-		if opts.Trace != nil {
-			h.DrainTrace(opts.Trace)
-		}
-		curves[pi] = c
-	}
-	return curves
-}
-
 // heatTopK bounds the hottest-links digest.
 const heatTopK = 4
 
@@ -238,27 +231,38 @@ type Result struct {
 	Curves     []Curve `json:"curves"`
 }
 
-// Sweep runs SweepPattern and packages the result for reports.
-func Sweep(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, shards, queueFlits, injDepth int, cache *resultstore.Store) Result {
-	return SweepOpts(shape, policies, pat, loads, packets, warmup, seed, shards, queueFlits, injDepth, cache, Opts{})
-}
-
-// SweepOpts is Sweep with the observability layer gates.
-func SweepOpts(shape topo.Shape, policies []route.Policy, pat synth.Pattern, loads []float64, packets, warmup int, seed uint64, shards, queueFlits, injDepth int, cache *resultstore.Store, opts Opts) Result {
-	if queueFlits <= 0 {
-		queueFlits = DefaultQueueFlits
+// Sweep measures the cell's pattern under every policy and offered load,
+// then locates each policy's saturation knee. Points of one policy share
+// one machine (reset between loads), which keeps the sweep's steady state
+// allocation-free.
+func Sweep(s Spec) Result {
+	s = s.withDefaults()
+	r := Result{
+		Shape:      s.Shape.String(),
+		Nodes:      s.Shape.Nodes(),
+		Pattern:    s.Pattern.Name,
+		QueueFlits: s.QueueFlits,
+		InjDepth:   s.InjDepth,
+		Curves:     make([]Curve, len(s.Policies)),
 	}
-	if injDepth <= 0 {
-		injDepth = DefaultInjDepth
+	for pi, pol := range s.Policies {
+		c := Curve{Policy: pol.Name()}
+		h := s.harness(pol, nil, pol.Name())
+		c.Points, c.Knee, c.KneeLB = s.sweepKnee(h)
+		if s.Metrics {
+			// Snapshot the curve digest before the heatmap probe runs
+			// (the probe's telemetry belongs to the heatmap, not the
+			// curve totals).
+			sum := h.Telemetry().Summary()
+			c.Tel = &sum
+			c.Heat = kneeHeat(h, s.Pattern, c.Knee, s.Packets, s.Warmup, s.Seed)
+		}
+		if s.Trace != nil {
+			h.DrainTrace(s.Trace)
+		}
+		r.Curves[pi] = c
 	}
-	return Result{
-		Shape:      shape.String(),
-		Nodes:      shape.Nodes(),
-		Pattern:    pat.Name,
-		QueueFlits: queueFlits,
-		InjDepth:   injDepth,
-		Curves:     SweepPatternOpts(shape, policies, pat, loads, packets, warmup, seed, shards, queueFlits, injDepth, cache, opts),
-	}
+	return r
 }
 
 // Render formats the table: one row per offered load with an

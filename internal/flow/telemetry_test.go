@@ -62,11 +62,12 @@ func TestTelemetrySweepShardInvariance(t *testing.T) {
 	shape := topo.Shape{X: 2, Y: 2, Z: 4}
 	loads := []float64{0.5, 2}
 	pols := []route.Policy{route.Random(), route.CreditEcho()}
-	opts := Opts{Metrics: true}
-	ref := SweepOpts(shape, pols, synth.Tornado(), loads, 8, 2, 42, 1, 0, 0, nil, opts)
-	refText := ref.Render()
+	spec := Spec{Spec: synth.Spec{Shape: shape, Policies: pols, Pattern: synth.Tornado(),
+		Loads: loads, Packets: 8, Warmup: 2, Seed: 42, Shards: 1, Metrics: true}}
+	refText := Sweep(spec).Render()
 	for _, shards := range []int{2, 4} {
-		got := SweepOpts(shape, pols, synth.Tornado(), loads, 8, 2, 42, shards, 0, 0, nil, opts)
+		spec.Shards = shards
+		got := Sweep(spec)
 		if got.Render() != refText {
 			t.Fatalf("metrics render at %d shards not byte-identical:\n%s\nvs\n%s",
 				shards, got.Render(), refText)

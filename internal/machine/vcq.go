@@ -555,8 +555,8 @@ func (n *Node) resetVCQ(queueFlits int) {
 }
 
 // IngressOccupancy reports the flits queued in the per-VC ingress FIFO fed
-// by inbound channel in (the spec a packet carries in In) — the node-level
-// analog of router.Router.Occupancy. Zero when per-VC queues are disabled.
+// by inbound channel in (the spec a packet carries in In). Zero when per-VC
+// queues are disabled.
 func (n *Node) IngressOccupancy(in chip.ChannelSpec, vc int) int {
 	if n.m.vcq == nil {
 		return 0
@@ -565,8 +565,8 @@ func (n *Node) IngressOccupancy(in chip.ChannelSpec, vc int) int {
 }
 
 // OutCredits reports the downstream ingress space (in flits) this node
-// holds for its outbound channel out on VC vc — the node-level analog of
-// router.Router.Credits. Zero when per-VC queues are disabled.
+// holds for its outbound channel out on VC vc. Zero when per-VC queues are
+// disabled.
 func (n *Node) OutCredits(out chip.ChannelSpec, vc int) int {
 	if n.m.vcq == nil {
 		return 0

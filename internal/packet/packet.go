@@ -13,14 +13,13 @@ import (
 
 // Flit geometry (Section III-B).
 const (
-	FlitBits        = 192
-	HeaderBits      = 64
-	PayloadBits     = 128
-	HeaderBytes     = HeaderBits / 8
-	PayloadBytes    = PayloadBits / 8
-	PayloadWords    = 4
-	MaxFlitsPerPkt  = 2
-	InputQueueFlits = 8 // per-VC router input queue depth
+	FlitBits       = 192
+	HeaderBits     = 64
+	PayloadBits    = 128
+	HeaderBytes    = HeaderBits / 8
+	PayloadBytes   = PayloadBits / 8
+	PayloadWords   = 4
+	MaxFlitsPerPkt = 2
 )
 
 // RouteCap is the longest hop list a packet can carry precomputed (see

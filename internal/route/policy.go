@@ -10,10 +10,9 @@ import (
 // LoadView exposes a congestion signal to adaptive policies: the load on
 // the outbound link along (dim, dir) from the node where the routing
 // decision is being made. Larger means busier; the unit is up to the
-// caller (the machine model reports serialization backlog in picoseconds,
-// the router model reports occupied downstream credits). A nil view means
-// "no load information" and adaptive policies fall back to a fixed
-// preference order.
+// caller (the machine model reports serialization backlog in picoseconds).
+// A nil view means "no load information" and adaptive policies fall back
+// to a fixed preference order.
 //
 // LoadView is an interface rather than a func type so hot paths can hand a
 // long-lived view object (the machine keeps one per node and slice, backed

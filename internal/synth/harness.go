@@ -20,31 +20,6 @@ import (
 // expressed in.
 const RefPacketBits = 192
 
-// RunConfig parameterizes one timed network-only measurement: one shape,
-// one policy, one pattern, one offered load.
-type RunConfig struct {
-	Shape   topo.Shape
-	Policy  route.Policy
-	Pattern Pattern
-	// Load is the offered injection rate per node, normalized to one
-	// channel slice's reference-packet rate: at Load 1.0 every node
-	// injects, on average, one 192-bit packet per channel-slice
-	// serialization interval. Uniform traffic on the 128-node machine
-	// saturates around 3 in these units (12 outbound slices per node /
-	// ~4 average hops).
-	Load float64
-	// Packets is the measured packet count per node; Warmup packets
-	// precede them, excluded from the statistics.
-	Packets int
-	Warmup  int
-	Seed    uint64
-	// Shards runs the machine sharded across that many kernels (see
-	// machine.Config.Shards); 0 or 1 is the classic sequential run. The
-	// harness pre-routes every packet and runs shard kernels in lineage
-	// order, so output is byte-identical at every shard count.
-	Shards int
-}
-
 // Point is the measured outcome at one offered load.
 type Point struct {
 	Load    float64 `json:"load"`
@@ -147,24 +122,8 @@ type injector struct {
 // Act builds the pre-routed packet for this injection slot and sends it.
 func (ij *injector) Act() {
 	h := ij.h
-	flat := int(ij.flat)
-	src := h.shape.CoordOf(flat / h.total)
-	dst := h.shape.CoordOf(int(h.sched.Dsts[flat]))
-	p := h.m.NewPacketAt(src)
-	atom := uint32(flat)
-	p.Type = packet.Position
-	p.SrcNode, p.DstNode = src, dst
-	p.SrcCore, p.DstCore = h.core, h.core
-	p.AtomID = atom
-	p.SetQuad([4]uint32{atom, 0xfeed, 0xbeef, 0xcafe})
-	p.PreRouted = true
-	p.Order = h.sched.Orders[flat]
-	// Position packets break the even-ring direction tie by atom ID; the
-	// machine's tie draw was still consumed by DrawRoute, exactly as Send
-	// consumes it before overriding.
-	p.Tie = atom&2 != 0
-	p.Inj = uint64(flat)
-	h.m.Send(p, &h.sinks[h.m.ShardOf(dst)])
+	p := h.sched.Packet(h.m, h.shape, h.core, int(ij.flat))
+	h.m.Send(p, &h.sinks[h.m.ShardOf(p.DstNode)])
 }
 
 // sink records deliveries landing on one shard (packet.Deliverer).
@@ -270,70 +229,37 @@ func (h *Harness) RunPoint(pat Pattern, load float64, packets, warmup int, seed 
 	}
 }
 
-// Run injects Pattern traffic at the configured load on a private machine
-// and returns the latency statistics of the measured window (one-shot
-// form of a Harness point; sweeps reuse a Harness instead).
-func Run(cfg RunConfig) Point {
-	h := NewHarness(cfg.Shape, cfg.Policy, cfg.Shards)
-	return h.RunPoint(cfg.Pattern, cfg.Load, cfg.Packets, cfg.Warmup, cfg.Seed)
-}
-
 // Curve is one policy's load/latency curve under one pattern.
 type Curve struct {
 	Policy string  `json:"policy"`
 	Points []Point `json:"points"`
 	// Tel aggregates telemetry across every load point of this policy
-	// (nil unless the sweep ran with Opts.Metrics).
+	// (nil unless the sweep ran with Spec.Metrics).
 	Tel *telemetry.Summary `json:"telemetry,omitempty"`
 }
 
-// Opts gates the observability layer onto a sweep: Metrics arms the
-// sharded telemetry collector (curves gain a Tel summary), Trace drains
-// packet-lifecycle tracks — prefixed with the policy name — into the
-// given recorder. Both default off, leaving output byte-identical.
-type Opts struct {
-	Metrics bool
-	Trace   *trace.Recorder
-}
-
-// SweepPattern measures one pattern across every policy and offered load
-// on the given shape, sharding each machine across the given kernel count.
-// Each (policy, load) cell runs with a seed derived from cell position
-// only, so the sweep decomposes freely across runner workers without
-// changing a digit; cells of one policy share one machine (reset between
-// loads), which keeps the sweep's steady state allocation-free.
-func SweepPattern(shape topo.Shape, policies []route.Policy, pat Pattern, loads []float64, packets, warmup int, seed uint64, shards int) []Curve {
-	return SweepPatternOpts(shape, policies, pat, loads, packets, warmup, seed, shards, Opts{})
-}
-
-// SweepPatternOpts is SweepPattern with the observability layer gates.
-func SweepPatternOpts(shape topo.Shape, policies []route.Policy, pat Pattern, loads []float64, packets, warmup int, seed uint64, shards int, opts Opts) []Curve {
-	curves := make([]Curve, len(policies))
-	for pi, pol := range policies {
-		c := Curve{Policy: pol.Name()}
-		h := NewHarness(shape, pol, shards)
-		if opts.Metrics {
-			h.EnableMetrics()
-		}
-		if opts.Trace != nil {
-			h.AttachTrace(pol.Name())
-		}
-		for li, load := range loads {
-			c.Points = append(c.Points, h.RunPoint(
-				pat, load, packets, warmup,
-				seed+uint64(pi)*1009+uint64(li)*9176,
-			))
-		}
-		if opts.Metrics {
-			sum := h.Telemetry().Summary()
-			c.Tel = &sum
-		}
-		if opts.Trace != nil {
-			h.DrainTrace(opts.Trace)
-		}
-		curves[pi] = c
-	}
-	return curves
+// Spec is one sweep cell: Pattern on Shape under every policy, across the
+// offered Loads, with Packets measured and Warmup unmeasured packets per
+// node per point (see RunPoint). A load is the offered injection rate per
+// node, normalized to one channel slice's reference-packet rate: at 1.0
+// every node injects, on average, one RefPacketBits packet per
+// channel-slice serialization interval (uniform traffic on the 128-node
+// machine saturates around 3). Seed seeds the cell and Shards shards each
+// policy's machine (0 or 1 = sequential). Metrics arms the sharded
+// telemetry collector (curves gain a Tel summary); Trace, when non-nil,
+// collects packet-lifecycle tracks prefixed with the policy name. Both
+// default off, leaving output byte-identical.
+type Spec struct {
+	Shape    topo.Shape
+	Policies []route.Policy
+	Pattern  Pattern
+	Loads    []float64
+	Packets  int
+	Warmup   int
+	Seed     uint64
+	Shards   int
+	Metrics  bool
+	Trace    *trace.Recorder
 }
 
 // SweepResult is one pattern x shape table of the netsweep experiment.
@@ -344,19 +270,44 @@ type SweepResult struct {
 	Curves  []Curve `json:"curves"`
 }
 
-// Sweep runs SweepPattern and packages the result for reports.
-func Sweep(shape topo.Shape, policies []route.Policy, pat Pattern, loads []float64, packets, warmup int, seed uint64, shards int) SweepResult {
-	return SweepOpts(shape, policies, pat, loads, packets, warmup, seed, shards, Opts{})
-}
-
-// SweepOpts is Sweep with the observability layer gates.
-func SweepOpts(shape topo.Shape, policies []route.Policy, pat Pattern, loads []float64, packets, warmup int, seed uint64, shards int, opts Opts) SweepResult {
-	return SweepResult{
-		Shape:   shape.String(),
-		Nodes:   shape.Nodes(),
-		Pattern: pat.Name,
-		Curves:  SweepPatternOpts(shape, policies, pat, loads, packets, warmup, seed, shards, opts),
+// Sweep measures the spec's pattern under every policy and offered load.
+// Each (policy, load) point runs with a seed derived from its position in
+// the cell only, so a grid of cells decomposes freely across runner
+// workers without changing a digit; points of one policy share one
+// machine (reset between loads), which keeps the sweep's steady state
+// allocation-free.
+func Sweep(s Spec) SweepResult {
+	r := SweepResult{
+		Shape:   s.Shape.String(),
+		Nodes:   s.Shape.Nodes(),
+		Pattern: s.Pattern.Name,
+		Curves:  make([]Curve, len(s.Policies)),
 	}
+	for pi, pol := range s.Policies {
+		c := Curve{Policy: pol.Name()}
+		h := NewHarness(s.Shape, pol, s.Shards)
+		if s.Metrics {
+			h.EnableMetrics()
+		}
+		if s.Trace != nil {
+			h.AttachTrace(pol.Name())
+		}
+		for li, load := range s.Loads {
+			c.Points = append(c.Points, h.RunPoint(
+				s.Pattern, load, s.Packets, s.Warmup,
+				s.Seed+uint64(pi)*1009+uint64(li)*9176,
+			))
+		}
+		if s.Metrics {
+			sum := h.Telemetry().Summary()
+			c.Tel = &sum
+		}
+		if s.Trace != nil {
+			h.DrainTrace(s.Trace)
+		}
+		r.Curves[pi] = c
+	}
+	return r
 }
 
 // Render formats the table: one row per offered load, an avg/p99 column

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"anton3/internal/machine"
+	"anton3/internal/packet"
 	"anton3/internal/sim"
 	"anton3/internal/topo"
 )
@@ -103,4 +104,27 @@ func (s *Schedule) Draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanG
 		s.Orders[flat], _ = m.DrawRoute()
 	}
 	return end
+}
+
+// Packet builds the pre-routed Position packet of injection slot flat from
+// m's pool: node flat/Total sends it to the drawn destination along the
+// drawn dimension order, core is both endpoints' core, and the slot index
+// doubles as atom ID and injection ID.
+func (s *Schedule) Packet(m *machine.Machine, shape topo.Shape, core packet.CoreID, flat int) *packet.Packet {
+	src := shape.CoordOf(flat / s.Total)
+	p := m.NewPacketAt(src)
+	atom := uint32(flat)
+	p.Type = packet.Position
+	p.SrcNode, p.DstNode = src, shape.CoordOf(int(s.Dsts[flat]))
+	p.SrcCore, p.DstCore = core, core
+	p.AtomID = atom
+	p.SetQuad([4]uint32{atom, 0xfeed, 0xbeef, 0xcafe})
+	p.PreRouted = true
+	p.Order = s.Orders[flat]
+	// Position packets break the even-ring direction tie by atom ID; the
+	// machine's tie draw was still consumed by DrawRoute, exactly as Send
+	// consumes it before overriding.
+	p.Tie = atom&2 != 0
+	p.Inj = uint64(flat)
+	return p
 }

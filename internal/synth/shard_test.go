@@ -27,10 +27,12 @@ func TestNetsweepShardCountInvariance(t *testing.T) {
 		loads = loads[1:]
 	}
 	for _, pat := range pats {
-		ref := Sweep(shape, pols, pat, loads, packets, warmup, 77, 1)
+		spec := Spec{Shape: shape, Policies: pols, Pattern: pat, Loads: loads, Packets: packets, Warmup: warmup, Seed: 77}
+		ref := Sweep(spec)
 		refText := ref.Render()
 		for _, shards := range []int{2, 4} {
-			got := Sweep(shape, pols, pat, loads, packets, warmup, 77, shards)
+			spec.Shards = shards
+			got := Sweep(spec)
 			if !reflect.DeepEqual(got, ref) {
 				t.Fatalf("pattern %s: sweep at %d shards differs from 1 shard:\n%s\nvs\n%s",
 					pat.Name, shards, got.Render(), refText)
@@ -55,10 +57,7 @@ func TestHarnessReuseMatchesFresh(t *testing.T) {
 	}{{1, 5}, {4, 6}, {1, 5}, {2, 9}}
 	for _, cell := range cells {
 		reused := h.RunPoint(Uniform(), cell.load, 10, 3, cell.seed)
-		fresh := Run(RunConfig{
-			Shape: shape, Policy: pol, Pattern: Uniform(),
-			Load: cell.load, Packets: 10, Warmup: 3, Seed: cell.seed,
-		})
+		fresh := NewHarness(shape, pol, 1).RunPoint(Uniform(), cell.load, 10, 3, cell.seed)
 		if reused != fresh {
 			t.Fatalf("load %.1f seed %d: reused harness %+v, fresh machine %+v",
 				cell.load, cell.seed, reused, fresh)
@@ -80,10 +79,7 @@ func TestShardedNetsweepStress(t *testing.T) {
 	}
 	pol := route.Random()
 	for _, seed := range seeds {
-		ref := Run(RunConfig{
-			Shape: shape, Policy: pol, Pattern: Tornado(),
-			Load: 3, Packets: 16, Warmup: 4, Seed: seed,
-		})
+		ref := NewHarness(shape, pol, 1).RunPoint(Tornado(), 3, 16, 4, seed)
 		for _, shards := range shardCounts {
 			h := NewHarness(shape, pol, shards)
 			// Two points per harness so reuse and sharding compose.

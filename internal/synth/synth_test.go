@@ -83,11 +83,10 @@ func TestNeighborIsOneHop(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := RunConfig{
-		Shape: testShape, Policy: route.Random(), Pattern: Uniform(),
-		Load: 1, Packets: 20, Warmup: 5, Seed: 42,
+	run := func() Point {
+		return NewHarness(testShape, route.Random(), 1).RunPoint(Uniform(), 1, 20, 5, 42)
 	}
-	a, b := Run(cfg), Run(cfg)
+	a, b := run(), run()
 	if a != b {
 		t.Fatalf("identical configs disagreed: %+v vs %+v", a, b)
 	}
@@ -98,10 +97,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestLatencyRisesTowardSaturation(t *testing.T) {
 	mk := func(load float64) Point {
-		return Run(RunConfig{
-			Shape: testShape, Policy: route.Random(), Pattern: Uniform(),
-			Load: load, Packets: 600, Warmup: 100, Seed: 7,
-		})
+		return NewHarness(testShape, route.Random(), 1).RunPoint(Uniform(), load, 600, 100, 7)
 	}
 	lo, hi := mk(0.5), mk(24)
 	if hi.AvgNs <= lo.AvgNs*1.1 {
@@ -116,7 +112,8 @@ func TestLatencyRisesTowardSaturation(t *testing.T) {
 
 func TestSweepShapesAndRender(t *testing.T) {
 	pols := []route.Policy{route.Random(), route.XYZ(), route.MinimalAdaptive()}
-	res := Sweep(testShape, pols, Tornado(), []float64{0.5, 1}, 8, 2, 11, 1)
+	res := Sweep(Spec{Shape: testShape, Policies: pols, Pattern: Tornado(),
+		Loads: []float64{0.5, 1}, Packets: 8, Warmup: 2, Seed: 11})
 	if len(res.Curves) != 3 {
 		t.Fatalf("want 3 curves, got %d", len(res.Curves))
 	}

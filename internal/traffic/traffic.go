@@ -158,12 +158,6 @@ func (r *Replayer) CacheStats() pcache.Stats {
 	return t
 }
 
-// ResetStats zeroes wire accounting (e.g., after cache warmup) while
-// keeping cache contents. Implemented by swapping in fresh counters is not
-// possible on the shared Compressor, so warmup is handled by callers
-// measuring deltas instead; this helper returns a snapshot for that.
-func (r *Replayer) Snapshot() serdes.Stats { return r.Stats() }
-
 // Channels reports how many channel slices carried traffic.
 func (r *Replayer) Channels() int { return r.live }
 

@@ -26,7 +26,7 @@ func run(t *testing.T, n, warm, measure int, cfg serdes.CompressConfig) serdes.S
 		r.ReplayStep(s)
 		s.Step()
 	}
-	before := r.Snapshot()
+	before := r.Stats()
 	for i := 0; i < measure; i++ {
 		r.ReplayStep(s)
 		s.Step()
