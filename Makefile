@@ -55,12 +55,12 @@ test-short:
 
 # The allocation gate: testing.AllocsPerRun regression tests pinning the
 # steady-state machine.Send (request and response classes), the synth
-# harness inner loop and the closed-loop saturate point at 0 allocs/op,
-# plus the MD timestep budget (allocs/step must not scale with atoms).
-# Run without -race: the detector's instrumentation allocates, so the
-# tests skip themselves there.
+# harness inner loop, the closed-loop saturate point and the warm MD force
+# pass and step at 0 allocs/op, plus the MD timestep budget (allocs/step
+# must not scale with atoms). Run without -race: the detector's
+# instrumentation allocates, so the tests skip themselves there.
 alloc-gate:
-	$(GO) test -run 'AllocFree|TimestepAllocBudget' -count=1 ./internal/machine ./internal/synth ./internal/flow
+	$(GO) test -run 'AllocFree|TimestepAllocBudget' -count=1 ./internal/machine ./internal/synth ./internal/flow ./internal/md
 
 # The CI bench lane: every paper artifact once, the hot-path micro-bench
 # report (BENCH_hotpath.json: ns/op + allocs/op per PR, gated against the
@@ -126,16 +126,17 @@ bench-faults:
 # over shards=4 ratio is the MD speedup of the parallel executive), plus
 # the closed-loop backpressure rows: simulated step duration and parked
 # injection counts per queue depth, the MD-traffic counterpart of the
-# synthetic knees in BENCH_saturation.json. Like bench-parallel, a
+# synthetic knees in BENCH_saturation.json, and the MD force kernel rows
+# (Forces32k, Step4k) with their ns/pair. Like bench-parallel, a
 # single-core host writes to /tmp so its shard timings never overwrite
 # the committed multicore artifact.
 bench-md:
 	@ncpu=$$(getconf _NPROCESSORS_ONLN); \
 	if [ "$$ncpu" -le 1 ]; then \
 		echo "bench-md: 1-core host — writing /tmp/BENCH_md.json, keeping committed multicore baseline"; \
-		$(GO) test -run '^$$' -bench 'TimestepShards|MDBackpressure' -benchmem -count=1 -timeout 1800s ./internal/machine | $(GO) run ./cmd/benchjson > /tmp/BENCH_md.json; \
+		$(GO) test -run '^$$' -bench 'TimestepShards|MDBackpressure|Forces32k|Step4k' -benchmem -count=1 -timeout 1800s ./internal/machine ./internal/md | $(GO) run ./cmd/benchjson > /tmp/BENCH_md.json; \
 	else \
-		$(GO) test -run '^$$' -bench 'TimestepShards|MDBackpressure' -benchmem -count=1 -timeout 1800s ./internal/machine | $(GO) run ./cmd/benchjson > BENCH_md.json; \
+		$(GO) test -run '^$$' -bench 'TimestepShards|MDBackpressure|Forces32k|Step4k' -benchmem -count=1 -timeout 1800s ./internal/machine ./internal/md | $(GO) run ./cmd/benchjson > BENCH_md.json; \
 	fi
 
 # staticcheck runs when installed (CI installs it; the target stays green

@@ -2,18 +2,31 @@ package md
 
 import "anton3/internal/fixp"
 
-// cellList is a standard linked-cell neighbor structure: the box is divided
-// into cells no smaller than the cutoff, so all interacting pairs lie in
-// the same or adjacent cells (with periodic wraparound). The cell-pair scan
-// list is precomputed once with the half-shell convention, so each pair of
-// cells is visited exactly once per force evaluation.
+// cellList is a standard cell neighbor structure: the box is divided into
+// cells no smaller than the cutoff, so all interacting pairs lie in the
+// same or adjacent cells (with periodic wraparound). Atoms are counting
+// sorted into a CSR index, and the cell-pair scan list is precomputed once
+// with the half-shell convention, so each pair of cells is visited exactly
+// once per force evaluation.
 type cellList struct {
-	box      float64
 	perSide  int
 	cellSize float64
-	heads    []int32 // first atom index per cell, -1 if empty
-	next     []int32 // next atom in cell chain
-	pairs    [][2]int32
+	// minImage is set below three cells per side. There one cell pair
+	// holds atoms whose nearest images differ, so every candidate pair
+	// takes MinImage instead of its cell pair's image shift.
+	minImage bool
+	start    []int32 // cell c holds atom[start[c]:start[c+1]]
+	atom     []int32 // atom index per slot, descending within a cell
+	pairs    []cellPair
+}
+
+// cellPair is one half-shell scan entry: cells a and b (a == b for the
+// self pair), and b's periodic wrap seen from a. The image of an atom of b
+// next to cell a sits at its position plus box*k, so k in {-1, 0, +1} per
+// axis.
+type cellPair struct {
+	a, b int32
+	k    [3]int8
 }
 
 func newCellList(box, cutoff float64) *cellList {
@@ -22,10 +35,10 @@ func newCellList(box, cutoff float64) *cellList {
 		perSide = 1
 	}
 	c := &cellList{
-		box:      box,
 		perSide:  perSide,
 		cellSize: box / float64(perSide),
-		heads:    make([]int32, perSide*perSide*perSide),
+		minImage: perSide < 3,
+		start:    make([]int32, perSide*perSide*perSide+1),
 	}
 	c.buildPairs()
 	return c
@@ -40,20 +53,28 @@ func (c *cellList) buildPairs() {
 		{0, 1, 1}, {0, 1, -1},
 		{1, 1, 1}, {1, 1, -1}, {1, -1, 1}, {1, -1, -1},
 	}
-	idx := func(x, y, z int) int32 {
-		x = (x%n + n) % n
-		y = (y%n + n) % n
-		z = (z%n + n) % n
-		return int32(x + n*(y+n*z))
+	// wrapped folds u into [0, n) and returns the number of boxes it moved.
+	wrapped := func(u int) (int, int8) {
+		switch {
+		case u < 0:
+			return u + n, -1
+		case u >= n:
+			return u - n, 1
+		}
+		return u, 0
 	}
+	idx := func(x, y, z int) int32 { return int32(x + n*(y+n*z)) }
 	seen := make(map[[2]int32]bool)
 	for z := 0; z < n; z++ {
 		for y := 0; y < n; y++ {
 			for x := 0; x < n; x++ {
 				a := idx(x, y, z)
-				c.pairs = append(c.pairs, [2]int32{a, a})
+				c.pairs = append(c.pairs, cellPair{a: a, b: a})
 				for _, o := range offsets {
-					b := idx(x+o[0], y+o[1], z+o[2])
+					bx, kx := wrapped(x + o[0])
+					by, ky := wrapped(y + o[1])
+					bz, kz := wrapped(z + o[2])
+					b := idx(bx, by, bz)
 					if a == b {
 						continue // tiny boxes: offset wraps onto self
 					}
@@ -65,7 +86,7 @@ func (c *cellList) buildPairs() {
 						continue // tiny boxes: two offsets, one cell
 					}
 					seen[[2]int32{lo, hi}] = true
-					c.pairs = append(c.pairs, [2]int32{a, b})
+					c.pairs = append(c.pairs, cellPair{a: a, b: b, k: [3]int8{kx, ky, kz}})
 				}
 			}
 		}
@@ -76,7 +97,8 @@ func (c *cellList) cellOf(p fixp.Vec) int {
 	ix := int(p.X / c.cellSize)
 	iy := int(p.Y / c.cellSize)
 	iz := int(p.Z / c.cellSize)
-	// Guard the upper boundary (positions exactly at Box wrap to 0).
+	// Guard the upper boundary: a coordinate just below Box can divide
+	// to perSide.
 	if ix >= c.perSide {
 		ix = c.perSide - 1
 	}
@@ -89,17 +111,26 @@ func (c *cellList) cellOf(p fixp.Vec) int {
 	return ix + c.perSide*(iy+c.perSide*iz)
 }
 
-// build (re)assigns all atoms to cells.
+// build (re)assigns all atoms to cells with a counting sort. Filling each
+// cell from its end while walking atoms upward leaves every cell in
+// descending atom order.
 func (c *cellList) build(pos []fixp.Vec) {
-	if len(c.next) < len(pos) {
-		c.next = make([]int32, len(pos))
+	if len(c.atom) < len(pos) {
+		c.atom = make([]int32, len(pos))
 	}
-	for i := range c.heads {
-		c.heads[i] = -1
+	cells := len(c.start) - 1
+	clear(c.start)
+	for _, p := range pos {
+		c.start[c.cellOf(p)]++
 	}
+	for i := 1; i < cells; i++ {
+		c.start[i] += c.start[i-1]
+	}
+	// start[cell] is now one past the cell's last slot.
 	for i, p := range pos {
 		cell := c.cellOf(p)
-		c.next[i] = c.heads[cell]
-		c.heads[cell] = int32(i)
+		c.start[cell]--
+		c.atom[c.start[cell]] = int32(i)
 	}
+	c.start[cells] = int32(len(pos))
 }

@@ -127,6 +127,25 @@ func TestPositionsStayInBox(t *testing.T) {
 	}
 }
 
+func TestWrapStaysBelowBox(t *testing.T) {
+	box := BoxForAtoms(16000)
+	below := math.Nextafter(box, 0)
+	for _, c := range []struct{ x, want float64 }{
+		{-1e-18, 0}, // box - 1e-18 rounds to box
+		{-5e-15, 0},
+		{math.Copysign(0, -1), 0},
+		{box, 0},
+		{below, below},
+		{-1, box - 1},
+		{box + 1, 1},
+	} {
+		got := wrap(c.x, box)
+		if got != c.want || got < 0 || got >= box {
+			t.Errorf("wrap(%g, %g) = %g, want %g in [0, box)", c.x, box, got, c.want)
+		}
+	}
+}
+
 func TestRescalePullsTemperature(t *testing.T) {
 	s := smallSystem(512)
 	for i := range s.Vel {
@@ -288,12 +307,19 @@ func TestPerStepDisplacementFitsPcache(t *testing.T) {
 	}
 }
 
+// reportNsPerPair reports the mean time per in-cutoff pair of the last
+// force evaluation; the count barely moves over a short run.
+func reportNsPerPair(b *testing.B, s *System) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.PairCount()), "ns/pair")
+}
+
 func BenchmarkForces32k(b *testing.B) {
 	s := NewWater(32768, 300, sim.NewRand(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ComputeForces()
 	}
+	reportNsPerPair(b, s)
 }
 
 func BenchmarkStep4k(b *testing.B) {
@@ -302,4 +328,5 @@ func BenchmarkStep4k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Step()
 	}
+	reportNsPerPair(b, s)
 }

@@ -56,6 +56,9 @@ type System struct {
 	cells *cellList
 	// Potential is the total LJ energy of the last force evaluation.
 	Potential float64
+	// pairCount is the number of in-cutoff pairs of the last force
+	// evaluation.
+	pairCount int
 	// Steps counts integration steps taken.
 	Steps int
 }
@@ -120,11 +123,15 @@ func NewWater(n int, tempK float64, rng *sim.Rand) *System {
 	return s
 }
 
-// wrap maps a coordinate into [0, box).
+// wrap maps a coordinate into [0, box). A tiny negative remainder plus box
+// rounds to box itself; that point is 0 in the periodic box.
 func wrap(x, box float64) float64 {
 	x = math.Mod(x, box)
 	if x < 0 {
 		x += box
+		if x == box {
+			x = 0
+		}
 	}
 	return x
 }
