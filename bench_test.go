@@ -40,7 +40,7 @@ func BenchmarkRunnerAll(b *testing.B) {
 	var rep runner.Report
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = runner.Run(experiments.SelectJobs(experiments.Jobs(p), "all"), 0)
+		rep, err = runner.Run(experiments.SelectJobs(experiments.Jobs(p), "all"), 0, runner.Options{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

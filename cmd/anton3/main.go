@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -29,17 +31,23 @@ import (
 	"anton3/internal/topo"
 )
 
-func main() { os.Exit(run()) }
+// minMDAtoms is the smallest water system whose box spans two cutoffs
+// (md.BoxForAtoms(n) >= 2*md.Cutoff): the thinnest the 8-node MD machine
+// decomposes. Fewer atoms panic inside md.
+const minMDAtoms = 195
+
+func main() { os.Exit(run(os.Args[1:])) }
 
 // run holds main's body so deferred cleanups (profile flushes) execute
-// before the process exits.
-func run() int {
-	if len(os.Args) < 2 {
+// before the process exits. args is the command line after the program
+// name; the result is the exit code.
+func run(args []string) int {
+	if len(args) < 1 {
 		usage()
 		return 2
 	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	cmd := args[0]
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	jobs := fs.Int("jobs", 0, "worker count for independent experiments (0 = all cores)")
 	shards := fs.Int("shards", 1, "kernel shards per netsweep machine (parallel simulation of one machine)")
 	jsonPath := fs.String("json", "", "write the runner report (timings, rows) to this file")
@@ -67,7 +75,42 @@ func run() int {
 	cachedir := fs.String("cachedir", "", "result-cache directory (default <user cache dir>/anton3, e.g. ~/.cache/anton3)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (after the run) to this file")
-	fs.Parse(os.Args[2:])
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	// Reject out-of-range sizes here, naming the flag, rather than as a
+	// panic (or a silent row of zeros) deep inside a harness or the MD
+	// model.
+	for _, c := range []struct {
+		flag   string
+		v, min int
+	}{
+		{"shards", *shards, 1},
+		{"pairs", *pairs, 1},
+		{"steps", *steps, 1},
+		{"measure", *measure, 1},
+		{"npkts", *npkts, 1},
+		{"mdsteps", *mdsteps, 1},
+		{"warm", *warm, 0},
+		{"nwarm", *nwarm, 0},
+		{"injq", *injq, 0},
+		{"atoms", *atoms, minMDAtoms},
+		{"mdatoms", *mdatoms, minMDAtoms},
+	} {
+		if c.v < c.min {
+			fmt.Fprintf(os.Stderr, "anton3: -%s must be >= %d (got %d)\n", c.flag, c.min, c.v)
+			return 2
+		}
+	}
+	if *vcq != 0 && *vcq < packet.MaxFlitsPerPkt {
+		fmt.Fprintf(os.Stderr, "anton3: -vcq must be 0 (default depth) or >= %d flits, the largest packet (got %d)\n",
+			packet.MaxFlitsPerPkt, *vcq)
+		return 2
+	}
 
 	// The memprofile defer is registered before the cpuprofile one so that
 	// (LIFO) the CPU profile stops first and its samples never include the
@@ -105,15 +148,6 @@ func run() int {
 	// Worker budgeting: a sharded netsweep machine runs shards goroutines
 	// at once, so the default worker count shrinks to keep jobs x shards
 	// within the core budget; explicit -jobs is respected with a warning.
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "anton3: -shards must be >= 1 (got %d)\n", *shards)
-		return 2
-	}
-	if *vcq != 0 && *vcq < packet.MaxFlitsPerPkt {
-		fmt.Fprintf(os.Stderr, "anton3: -vcq must be 0 (default depth) or >= %d flits, the largest packet (got %d)\n",
-			packet.MaxFlitsPerPkt, *vcq)
-		return 2
-	}
 	maxprocs := runtime.GOMAXPROCS(0)
 	if *jobs == 0 && *shards > 1 {
 		if *jobs = maxprocs / *shards; *jobs < 1 {
@@ -181,11 +215,11 @@ func run() int {
 	}
 	var err error
 	if p.NetShapes, err = parseShapes(*shapes); err != nil {
-		fmt.Fprintln(os.Stderr, "anton3:", err)
+		fmt.Fprintln(os.Stderr, "anton3: -shapes:", err)
 		return 2
 	}
 	if p.NetLoads, err = parseLoads(*loads); err != nil {
-		fmt.Fprintln(os.Stderr, "anton3:", err)
+		fmt.Fprintln(os.Stderr, "anton3: -loads:", err)
 		return 2
 	}
 
@@ -220,7 +254,7 @@ func run() int {
 	// Auto-sharding only composes with the worker budget when cells are
 	// not already explicitly sharded via -shards.
 	opts := runner.Options{AutoShard: *autoshard && *shards <= 1, Cache: store}
-	rep, err := runner.RunEmitOpts(selected, *jobs, opts, func(res runner.Result) {
+	rep, err := runner.Run(selected, *jobs, opts, func(res runner.Result) {
 		if !res.Hidden {
 			fmt.Println(res.Text)
 		}
@@ -299,7 +333,11 @@ func parseShapes(s string) ([]topo.Shape, error) {
 			}
 			v[i] = n
 		}
-		out = append(out, topo.Shape{X: v[0], Y: v[1], Z: v[2]})
+		sh := topo.Shape{X: v[0], Y: v[1], Z: v[2]}
+		if sh.Nodes() < 2 {
+			return nil, fmt.Errorf("shape %q has 1 node, want at least 2", part)
+		}
+		out = append(out, sh)
 	}
 	return out, nil
 }
@@ -308,8 +346,8 @@ func parseLoads(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || f <= 0 {
-			return nil, fmt.Errorf("bad load %q", part)
+		if err != nil || !(f > 0) || math.IsInf(f, 1) {
+			return nil, fmt.Errorf("bad load %q (want a finite number > 0)", part)
 		}
 		out = append(out, f)
 	}

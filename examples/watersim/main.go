@@ -7,8 +7,9 @@ package main
 import (
 	"fmt"
 
-	"anton3/internal/core"
+	"anton3/internal/machine"
 	"anton3/internal/md"
+	"anton3/internal/serdes"
 	"anton3/internal/sim"
 	"anton3/internal/topo"
 	"anton3/internal/traffic"
@@ -17,15 +18,18 @@ import (
 func main() {
 	const atoms = 16000
 	const steps = 3
+	shape := topo.Shape{X: 2, Y: 2, Z: 2}
 
-	for _, comp := range []core.CompressConfig{
+	for _, comp := range []serdes.CompressConfig{
 		{},
 		{INZ: true},
 		{INZ: true, Pcache: true},
 	} {
-		m := core.NewMachineWith(core.Shape8, comp)
-		sys := core.NewWater(atoms, 42)
-		e := core.NewEngine(m, sys)
+		cfg := machine.DefaultConfig(shape)
+		cfg.Compress = comp
+		m := machine.New(cfg)
+		sys := md.NewWater(atoms, 300, sim.NewRand(42))
+		e := machine.NewEngine(m, sys, machine.DefaultTimestepConfig())
 		var last float64
 		for i := 0; i < steps; i++ {
 			last = e.RunStep().Duration.Nanoseconds()
@@ -40,8 +44,7 @@ func main() {
 
 	// The untimed replayer measures compression alone, at any scale.
 	sys := md.NewWater(atoms, 300, sim.NewRand(7))
-	r := traffic.NewReplayer(topo.Shape{X: 2, Y: 2, Z: 2}, sys.Box,
-		core.CompressConfig{INZ: true, Pcache: true})
+	r := traffic.NewReplayer(shape, sys.Box, serdes.CompressConfig{INZ: true, Pcache: true})
 	for i := 0; i < 4; i++ {
 		r.ReplayStep(sys)
 		sys.Step()
@@ -51,7 +54,7 @@ func main() {
 
 	// Validate the decomposition against the golden model while we're at
 	// it: forces computed the distributed way must match exactly.
-	d := md.NewDecomposition(topo.Shape{X: 2, Y: 2, Z: 2}, sys.Box)
+	d := md.NewDecomposition(shape, sys.Box)
 	dist := md.DistributedForces(sys, d)
 	worst := 0.0
 	for i := range dist {

@@ -236,7 +236,7 @@ func TestFig5ShardedMatchesDirect(t *testing.T) {
 	p.Fig5Pairs = sz(2, 1)
 	want := Fig5(sim.NewRand(Fig5Seed), p.Fig5Pairs).Render()
 	for _, workers := range []int{1, 4} {
-		rep, err := runner.Run(SelectJobs(Jobs(p), "fig5"), workers)
+		rep, err := runner.Run(SelectJobs(Jobs(p), "fig5"), workers, runner.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,11 +264,11 @@ func TestNetsweepSmoke(t *testing.T) {
 	if len(jobs) != 8 {
 		t.Fatalf("want 6 netsweep + 2 closed-loop cells, got %d jobs", len(jobs))
 	}
-	seq, err := runner.Run(jobs, 1)
+	seq, err := runner.Run(jobs, 1, runner.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runner.Run(jobs, 4)
+	par, err := runner.Run(jobs, 4, runner.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -258,12 +258,6 @@ func (h *Harness) DrainTrace(dst *trace.Recorder) { h.m.DrainPacketTrace(dst) }
 // (zero-valued unless EnableMetrics was called).
 func (h *Harness) Telemetry() *telemetry.Shard { return &h.telAgg }
 
-// QueueFlits reports the machine's per-VC ingress queue depth.
-func (h *Harness) QueueFlits() int { return h.m.Config().VCQueueFlits }
-
-// InjDepth reports the per-source injection-window depth.
-func (h *Harness) InjDepth() int { return h.injQ }
-
 // source is one node's closed-loop traffic generator. Its injection window
 // holds at most injQ packets that the network has refused (parked at their
 // first-hop channel for lack of credits); when the window is full, the

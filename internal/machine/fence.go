@@ -71,7 +71,7 @@ func (m *Machine) StartFence(pattern fence.Pattern, hops int, onComplete func(n 
 	gather := m.Geom.GatherLatency()
 	for _, n := range m.nodes {
 		node := n
-		n.sh.k.After(gather, func() { node.fenceRoundComplete(id, 0) })
+		n.sh.k.AfterActor(gather, sim.Func(func() { node.fenceRoundComplete(id, 0) }))
 	}
 	return id
 }
@@ -98,7 +98,7 @@ func (n *Node) fenceRoundComplete(id, r int) {
 		// into a counted write and unblock their blocking reads).
 		m := n.m
 		at := n.sh.k.Now() + m.Geom.ScatterLatency()
-		n.sh.k.At(at, func() { op.onComplete(n, at) })
+		n.sh.k.AtActor(at, sim.Func(func() { op.onComplete(n, at) }))
 		return
 	}
 	if r+1 <= op.hops {

@@ -65,9 +65,9 @@ func (g *GC) BlockingRead(addr uint32, threshold uint8, fn func([4]uint32)) {
 	satisfiedNow := true
 	g.SRAM().BlockingRead(addr, threshold, func(data [4]uint32) {
 		if satisfiedNow {
-			m.K.After(readLat, func() { fn(data) })
+			m.K.AfterActor(readLat, sim.Func(func() { fn(data) }))
 		} else {
-			m.K.After(wakeLat, func() { fn(data) })
+			m.K.AfterActor(wakeLat, sim.Func(func() { fn(data) }))
 		}
 	})
 	satisfiedNow = false

@@ -403,9 +403,6 @@ func (m *Machine) tileIdx(c packet.CoreID) int { return m.Geom.Shape.Index(c.Til
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// Policy returns the active routing policy (never nil).
-func (m *Machine) Policy() route.Policy { return m.policy }
-
 // Shape returns the torus shape.
 func (m *Machine) Shape() topo.Shape { return m.cfg.Shape }
 

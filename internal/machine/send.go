@@ -253,7 +253,7 @@ func (m *Machine) OnPacket(p *packet.Packet) {
 		if m.vcqFlits > 0 && m.cross[hop] {
 			// Dateline tracking for the per-hop VC assignment: crossing the
 			// wraparound link switches the packet to the high VC for the
-			// rest of this dimension (route.HopVCs semantics).
+			// rest of this dimension (the dateline rule; see hopVC).
 			p.Crossed = true
 		}
 		p.CurIdx = next

@@ -599,7 +599,7 @@ func (e *Engine) maybeUnload(st *nodeStep) {
 
 // timestepKeepAlive holds a node's kernel clock open to its integration
 // completion without allocating a closure per node per step.
-var timestepKeepAlive = func() {}
+var timestepKeepAlive sim.Func = func() {}
 
 // maybeIntegrate runs GC integration once every force (stored-set unload
 // and all stream-set returns) is in.
@@ -620,7 +620,7 @@ func (e *Engine) maybeIntegrate(st *nodeStep) {
 	// Keep the node's kernel clock alive to its completion: the next
 	// step's t0 is then the max doneAt across all nodes at every shard
 	// count (the executive aligns all kernels to the last event time).
-	k.At(st.doneAt, timestepKeepAlive)
+	k.AtActor(st.doneAt, timestepKeepAlive)
 }
 
 // AttachChannelTrace wires every channel's OnSend hook into rec, split by

@@ -205,7 +205,7 @@ const (
 // hopVC returns base's dateline-adjusted VC for p crossing channel out:
 // base+1 once the packet has crossed the wraparound link of the dimension
 // it is traversing, base otherwise, with the crossed bit resetting on a
-// dimension change (route.HopVCs semantics).
+// dimension change (the dateline rule of Section III-B2).
 func (m *Machine) hopVC(p *packet.Packet, out chip.ChannelSpec, base int) int {
 	if p.Crossed && int8(out.Dim) == p.CurDim {
 		return base + 1

@@ -247,7 +247,7 @@ type Packet struct {
 	// CurDim and Crossed track the dateline rule that drives the VC
 	// assignment: Crossed flips when the packet traverses the wraparound
 	// link of the dimension it is traversing and resets on a dimension
-	// change, mirroring route.HopVCs.
+	// change (the machine's hopVC applies it).
 	VC      int8
 	OutVC   int8
 	CurDim  int8

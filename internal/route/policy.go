@@ -45,8 +45,8 @@ type HealthFunc func(dim topo.Dim, dir int) bool
 func (f HealthFunc) Dead(dim topo.Dim, dir int) bool { return f(dim, dir) }
 
 // Policy is a request-packet routing policy: it picks the dimension order
-// recorded on the packet, chooses each hop's output, and assigns virtual
-// channels. Implementations must be stateless (one Policy value is shared
+// recorded on the packet, chooses each hop's output, and sizes the request
+// VC set. Implementations must be stateless (one Policy value is shared
 // by every node of a machine and by concurrently running machines); all
 // randomness comes from the rng the caller passes in.
 //
@@ -58,7 +58,7 @@ type Policy interface {
 	Name() string
 	// Order picks the dimension order for a new request packet. Policies
 	// that randomize draw from rng; deterministic policies must not touch
-	// it. Adaptive policies return the order used for VC accounting.
+	// it. Adaptive policies return a fixed label their NextStep ignores.
 	Order(rng *sim.Rand) topo.DimOrder
 	// NextStep chooses the next hop for a request at cur headed to dst.
 	// o and plusOnTie are the per-packet decisions made at injection
@@ -75,12 +75,6 @@ type Policy interface {
 	// on hot paths use it to skip building a view (a per-decision
 	// closure) for oblivious policies, which would ignore it anyway.
 	Adaptive() bool
-	// VC returns the request VC for a packet labeled with order o whose
-	// current dimension has (or has not) crossed its dateline. Assignments
-	// must stay within [0, RequestVCs()) and keep the two order rotation
-	// groups on disjoint VCs — the structural deadlock-freedom argument of
-	// Section III-B2 (property-tested in policy_test.go).
-	VC(o topo.DimOrder, crossedDateline bool) int
 	// RequestVCs is the number of request VCs the policy provisions. The
 	// fence engine sends one fence copy per request VC, so this threads
 	// through barrier behavior too.
@@ -123,10 +117,6 @@ func (p oblivious) Adaptive() bool { return false }
 
 func (p oblivious) NextStep(s topo.Shape, cur, dst topo.Coord, o topo.DimOrder, plusOnTie bool, _ LoadView, _ HealthView) (topo.Step, bool) {
 	return obliviousNext(s, cur, dst, o, plusOnTie)
-}
-
-func (p oblivious) VC(o topo.DimOrder, crossedDateline bool) int {
-	return RequestVC(o, crossedDateline)
 }
 
 func (p oblivious) RequestVCs() int { return NumRequestVCs }
@@ -226,8 +216,8 @@ func EscapeNextAvoid(s topo.Shape, cur, dst topo.Coord, plusOnTie bool, health H
 // Anton 3's scale: among the dimensions that still make minimal progress
 // (topo.LegalNextSteps), take the one whose output link is least loaded
 // right now. With no load information it degenerates to XYZ preference.
-// The order label (used only for VC accounting) is fixed to XYZ and no
-// rng is consumed.
+// The order label is fixed to XYZ (NextStep ignores it) and no rng is
+// consumed.
 type adaptive struct{}
 
 // MinimalAdaptive returns the load-adaptive minimal policy: per hop, pick
@@ -270,10 +260,6 @@ func (adaptive) NextStep(s topo.Shape, cur, dst topo.Coord, _ topo.DimOrder, _ b
 		}
 	}
 	return best, true
-}
-
-func (adaptive) VC(o topo.DimOrder, crossedDateline bool) int {
-	return RequestVC(o, crossedDateline)
 }
 
 func (adaptive) RequestVCs() int { return NumRequestVCs }

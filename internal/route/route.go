@@ -1,8 +1,8 @@
 // Package route implements the Anton 3 routing policies of Section III-B:
 // minimal oblivious torus routing over the six dimension orders for request
 // packets, the XYZ mesh-restricted policy for response packets, and the
-// virtual-channel assignment that makes five VCs suffice where torus routing
-// would normally need four per class.
+// five-VC provisioning those two classes share. The machine assigns VCs per
+// hop itself (machine/vcq.go).
 package route
 
 import (
@@ -20,39 +20,10 @@ const (
 	NumVCs        = 5
 )
 
-// orderGroup splits the six dimension orders into the two rotation classes.
-// Orders in different groups can never form a cyclic channel dependency
-// with each other once the dateline bit splits each group again, which is
-// the structural reason four request VCs suffice.
-func orderGroup(o topo.DimOrder) int {
-	switch o {
-	case topo.OrderXYZ, topo.OrderYZX, topo.OrderZXY:
-		return 0
-	default:
-		return 1
-	}
-}
-
-// RequestVC returns the VC a request packet occupies given its dimension
-// order and whether it has crossed the dateline (wraparound link) in the
-// dimension it is currently traversing.
-func RequestVC(o topo.DimOrder, crossedDateline bool) int {
-	vc := orderGroup(o) * 2
-	if crossedDateline {
-		vc++
-	}
-	return vc
-}
-
 // PickOrder selects one of the six dimension orders uniformly at random —
 // the "routes are randomized independent of network load" policy.
 func PickOrder(r *sim.Rand) topo.DimOrder {
 	return topo.AllDimOrders[r.Intn(len(topo.AllDimOrders))]
-}
-
-// RequestRoute returns the hop sequence for a request packet.
-func RequestRoute(s topo.Shape, src, dst topo.Coord, o topo.DimOrder) []topo.Step {
-	return topo.Route(s, src, dst, o)
 }
 
 // ResponseRoute returns the hop sequence for a response packet: XYZ
@@ -91,37 +62,4 @@ func ResponseNext(cur, dst topo.Coord) (topo.Step, bool) {
 		return topo.Step{Dim: dim, Dir: dir}, true
 	}
 	return topo.Step{}, false
-}
-
-// HopVCs annotates each hop of a request route with its VC, applying the
-// dateline rule: a packet starts each dimension on the group's low VC and
-// switches to the high VC for the rest of that dimension once it traverses
-// the wraparound link (from coordinate max to 0 going +, or 0 to max
-// going -).
-func HopVCs(s topo.Shape, src topo.Coord, steps []topo.Step, o topo.DimOrder) []int {
-	vcs := make([]int, len(steps))
-	cur := src
-	crossed := false
-	var curDim topo.Dim
-	first := true
-	for i, st := range steps {
-		if first || st.Dim != curDim {
-			curDim = st.Dim
-			crossed = false
-			first = false
-		}
-		vcs[i] = RequestVC(o, crossed)
-		next := s.Neighbor(cur, st.Dim, st.Dir)
-		// Detect wraparound traversal.
-		if st.Dir > 0 && next.Get(st.Dim) < cur.Get(st.Dim) {
-			crossed = true
-		}
-		if st.Dir < 0 && next.Get(st.Dim) > cur.Get(st.Dim) {
-			crossed = true
-		}
-		// The VC for the hop we just took reflects the state *before*
-		// crossing; the switch applies from the next hop in this dim.
-		cur = next
-	}
-	return vcs
 }

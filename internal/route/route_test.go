@@ -15,31 +15,6 @@ func TestVCProvisioning(t *testing.T) {
 	}
 }
 
-func TestRequestVCRange(t *testing.T) {
-	seen := map[int]bool{}
-	for _, o := range topo.AllDimOrders {
-		for _, crossed := range []bool{false, true} {
-			vc := RequestVC(o, crossed)
-			if vc < 0 || vc >= NumRequestVCs {
-				t.Fatalf("RequestVC(%v,%v) = %d out of range", o, crossed, vc)
-			}
-			seen[vc] = true
-		}
-	}
-	if len(seen) != NumRequestVCs {
-		t.Fatalf("only %d of %d request VCs used", len(seen), NumRequestVCs)
-	}
-}
-
-func TestDatelineSwitchesVCUpward(t *testing.T) {
-	for _, o := range topo.AllDimOrders {
-		lo, hi := RequestVC(o, false), RequestVC(o, true)
-		if hi != lo+1 {
-			t.Fatalf("order %v: dateline VC %d -> %d, want +1", o, lo, hi)
-		}
-	}
-}
-
 func TestPickOrderUniform(t *testing.T) {
 	r := sim.NewRand(1)
 	counts := map[topo.DimOrder]int{}
@@ -102,57 +77,5 @@ func TestResponseRouteXYZOrder(t *testing.T) {
 			t.Fatalf("response route out of XYZ order: %v", steps)
 		}
 		last = rank[st.Dim]
-	}
-}
-
-func TestHopVCsMonotoneWithinDim(t *testing.T) {
-	// Within one dimension the VC can only step up (at the dateline),
-	// never down; entering a new dimension resets to the low VC.
-	s := topo.Shape{X: 4, Y: 4, Z: 8}
-	f := func(a, b uint16, oi uint8) bool {
-		src := s.CoordOf(int(a) % s.Nodes())
-		dst := s.CoordOf(int(b) % s.Nodes())
-		o := topo.AllDimOrders[int(oi)%6]
-		steps := topo.Route(s, src, dst, o)
-		vcs := HopVCs(s, src, steps, o)
-		lo := RequestVC(o, false)
-		for i := range steps {
-			if i > 0 && steps[i].Dim == steps[i-1].Dim && vcs[i] < vcs[i-1] {
-				return false
-			}
-			if i == 0 || steps[i].Dim != steps[i-1].Dim {
-				if vcs[i] != lo {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHopVCsDatelineExample(t *testing.T) {
-	// 0 -> 3 in a 4-ring going + passes 0,1 then... minimal route from 0
-	// to 3 is one hop across the wraparound (0 -> 3 going -): VC low for
-	// that single hop. Use 1 -> 3: hops 1->2->3, no wrap, all low VC.
-	s := topo.Shape{X: 4, Y: 1, Z: 1}
-	steps := topo.Route(s, topo.Coord{X: 1}, topo.Coord{X: 3}, topo.OrderXYZ)
-	vcs := HopVCs(s, topo.Coord{X: 1}, steps, topo.OrderXYZ)
-	for _, vc := range vcs {
-		if vc != RequestVC(topo.OrderXYZ, false) {
-			t.Fatalf("no-wrap route used dateline VC: %v", vcs)
-		}
-	}
-	// 3 -> 1 going +: hop 3->0 crosses the dateline, then 0->1 must be on
-	// the high VC.
-	steps = topo.Route(s, topo.Coord{X: 3}, topo.Coord{X: 1}, topo.OrderXYZ)
-	vcs = HopVCs(s, topo.Coord{X: 3}, steps, topo.OrderXYZ)
-	if len(vcs) != 2 {
-		t.Fatalf("route length %d, want 2", len(vcs))
-	}
-	if vcs[0] != RequestVC(topo.OrderXYZ, false) || vcs[1] != RequestVC(topo.OrderXYZ, true) {
-		t.Fatalf("dateline VCs = %v", vcs)
 	}
 }

@@ -37,7 +37,7 @@ func TestCacheShortCircuitsJobs(t *testing.T) {
 	store := resultstore.OpenMemory()
 	var executed atomic.Int64
 
-	first, err := RunEmitOpts(cacheableJobs(8, &executed), 4, Options{Cache: store}, nil)
+	first, err := Run(cacheableJobs(8, &executed), 4, Options{Cache: store}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCacheShortCircuitsJobs(t *testing.T) {
 		}
 	}
 
-	second, err := RunEmitOpts(cacheableJobs(8, &executed), 4, Options{Cache: store}, nil)
+	second, err := Run(cacheableJobs(8, &executed), 4, Options{Cache: store}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCacheShortCircuitsJobs(t *testing.T) {
 // exactly as if the key were absent.
 func TestCacheIgnoredWithoutStore(t *testing.T) {
 	var executed atomic.Int64
-	rep, err := Run(cacheableJobs(4, &executed), 2)
+	rep, err := Run(cacheableJobs(4, &executed), 2, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCacheKeyRejectedOnReducePaths(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		if _, err := Run(c.jobs, 2); err == nil {
+		if _, err := Run(c.jobs, 2, Options{}, nil); err == nil {
 			t.Fatalf("%s: expected error", c.name)
 		}
 	}

@@ -143,25 +143,18 @@ type Report struct {
 	Cache *resultstore.Stats `json:"cache,omitempty"`
 }
 
-// Run executes jobs on a pool of workers goroutines and returns the
-// aggregated report. workers <= 0 means runtime.GOMAXPROCS(0). The first
-// job error is returned (the report still carries every result, including
-// the failed job's Err); a panicking job propagates its panic.
-func Run(jobs []Job, workers int) (Report, error) {
-	return RunEmit(jobs, workers, nil)
-}
-
-// RunEmit is Run with streaming: emit (if non-nil) is called on the
-// caller's goroutine with each Result in submission order, as soon as
-// that result and all earlier ones have completed. A driver printing
-// emitted texts (skipping Hidden ones) produces output byte-identical to
-// a sequential run without waiting for the whole pool to drain.
-func RunEmit(jobs []Job, workers int, emit func(Result)) (Report, error) {
-	return RunEmitOpts(jobs, workers, Options{}, emit)
-}
-
-// RunEmitOpts is RunEmit with scheduling options.
-func RunEmitOpts(jobs []Job, workers int, opts Options, emit func(Result)) (Report, error) {
+// Run executes jobs on a pool of workers goroutines, scheduled per opts,
+// and returns the aggregated report. workers <= 0 means
+// runtime.GOMAXPROCS(0). The first job error is returned (the report still
+// carries every result, including the failed job's Err); a panicking job
+// propagates its panic.
+//
+// emit (if non-nil) is called on the caller's goroutine with each Result in
+// submission order, as soon as that result and all earlier ones have
+// completed. A driver printing emitted texts (skipping Hidden ones)
+// produces output byte-identical to a sequential run without waiting for
+// the whole pool to drain.
+func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -38,11 +38,11 @@ func noisyJobs(n int) []Job {
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
-	seq, err := Run(noisyJobs(16), 1)
+	seq, err := Run(noisyJobs(16), 1, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(noisyJobs(16), 8)
+	par, err := Run(noisyJobs(16), 8, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSeedsIndependentOfWorkerCount(t *testing.T) {
 					return Output{}, nil
 				}}
 		}
-		if _, err := Run(jobs, workers); err != nil {
+		if _, err := Run(jobs, workers, Options{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		return out[:]
@@ -91,7 +91,7 @@ func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("kernel exploded")
 	jobs := noisyJobs(6)
 	jobs[3].Run = func(*sim.Rand) (Output, error) { return Output{}, boom }
-	rep, err := Run(jobs, 4)
+	rep, err := Run(jobs, 4, Options{}, nil)
 	if err == nil {
 		t.Fatal("job error not propagated")
 	}
@@ -121,7 +121,7 @@ func TestCostHintOrdersDispatchNotOutput(t *testing.T) {
 				return Output{Text: fmt.Sprintf("out%d", i)}, nil
 			}}
 	}
-	rep, err := Run(jobs, 1)
+	rep, err := Run(jobs, 1, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestCostHintOrdersDispatchNotOutput(t *testing.T) {
 func TestEmitStreamsInSubmissionOrder(t *testing.T) {
 	jobs := noisyJobs(12)
 	var emitted []string
-	rep, err := RunEmit(jobs, 4, func(r Result) {
+	rep, err := Run(jobs, 4, Options{}, func(r Result) {
 		emitted = append(emitted, r.Name)
 	})
 	if err != nil {
@@ -157,7 +157,7 @@ func TestEmitStreamsInSubmissionOrder(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	rep, err := Run(noisyJobs(5), 2)
+	rep, err := Run(noisyJobs(5), 2, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +189,12 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestEmptyAndOversubscribed(t *testing.T) {
-	rep, err := Run(nil, 8)
+	rep, err := Run(nil, 8, Options{}, nil)
 	if err != nil || rep.Jobs != 0 || rep.Speedup != 1 {
 		t.Fatalf("empty run: %+v, %v", rep, err)
 	}
 	// More workers than jobs must clamp, not deadlock.
-	rep, err = Run(noisyJobs(2), 64)
+	rep, err = Run(noisyJobs(2), 64, Options{}, nil)
 	if err != nil || rep.Workers != 2 {
 		t.Fatalf("oversubscribed run: workers=%d, %v", rep.Workers, err)
 	}
@@ -218,7 +218,7 @@ func TestReduceJobSeesInputsInNeedsOrder(t *testing.T) {
 					return Output{Text: fmt.Sprintf("sum=%d", in[0].Data.(int)+in[1].Data.(int))}, nil
 				}},
 		}
-		rep, err := Run(jobs, workers)
+		rep, err := Run(jobs, workers, Options{}, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -248,7 +248,7 @@ func TestReduceChainsAndEmitOrder(t *testing.T) {
 		{Name: "solo", Run: func(*sim.Rand) (Output, error) { return Output{Text: "solo"}, nil }},
 	}
 	var emitted []string
-	rep, err := RunEmit(jobs, 3, func(r Result) { emitted = append(emitted, r.Name) })
+	rep, err := Run(jobs, 3, Options{}, func(r Result) { emitted = append(emitted, r.Name) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestDependencyValidation(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		if _, err := Run(c.jobs, 2); err == nil {
+		if _, err := Run(c.jobs, 2, Options{}, nil); err == nil {
 			t.Fatalf("%s: expected error", c.name)
 		}
 	}
@@ -303,7 +303,7 @@ func TestReduceSeesDependencyError(t *testing.T) {
 				return Output{Text: "ok"}, nil
 			}},
 	}
-	rep, err := Run(jobs, 2)
+	rep, err := Run(jobs, 2, Options{}, nil)
 	if err == nil {
 		t.Fatal("expected propagated error")
 	}
@@ -339,7 +339,7 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 
 	// One shardable long pole, four workers, nothing else ready: the pole
 	// should get all the spare capacity.
-	rep, err := RunEmitOpts([]Job{mk("pole", 10, true)}, 4, Options{AutoShard: true}, nil)
+	rep, err := Run([]Job{mk("pole", 10, true)}, 4, Options{AutoShard: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 	// Enough ready jobs to occupy every worker: no spare, no promotion.
 	granted = map[string]int{}
 	jobs := []Job{mk("a", 4, true), mk("b", 3, true), mk("c", 2, true), mk("d", 1, true)}
-	if _, err := RunEmitOpts(jobs, 4, Options{AutoShard: true}, nil); err != nil {
+	if _, err := Run(jobs, 4, Options{AutoShard: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for name, g := range granted {
@@ -365,7 +365,7 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 	// Two shardable jobs on four workers: the spare pair of cores splits,
 	// one extra shard budget to each (2 + 2 = the core budget).
 	granted = map[string]int{}
-	if _, err := RunEmitOpts([]Job{mk("a", 2, true), mk("b", 1, true)}, 4, Options{AutoShard: true}, nil); err != nil {
+	if _, err := Run([]Job{mk("a", 2, true), mk("b", 1, true)}, 4, Options{AutoShard: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if granted["a"] != 2 || granted["b"] != 2 {
@@ -374,7 +374,7 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 
 	// AutoShard off: ShardRun untouched even with idle workers.
 	granted = map[string]int{}
-	if _, err := RunEmitOpts([]Job{mk("pole", 10, true)}, 4, Options{}, nil); err != nil {
+	if _, err := Run([]Job{mk("pole", 10, true)}, 4, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if granted["pole"] != 1 {
@@ -387,7 +387,7 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 	// later dispatches see less spare — not 4+4+4=12 goroutines).
 	granted = map[string]int{}
 	jobs = []Job{mk("a", 3, true), mk("b", 2, true), mk("c", 1, true)}
-	if _, err := RunEmitOpts(jobs, 8, Options{AutoShard: true}, nil); err != nil {
+	if _, err := Run(jobs, 8, Options{AutoShard: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if total := granted["a"] + granted["b"] + granted["c"]; total > 8 {

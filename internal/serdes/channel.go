@@ -12,8 +12,8 @@ type ChannelConfig struct {
 	GbpsLane int // per-lane bandwidth (29 Gb/s on Anton 3)
 	// FixedLatency is the load-independent part of a channel crossing:
 	// SERDES tx, wire flight, SERDES rx/CDR, and the Channel Adapter logic
-	// at both ends. Calibrated in internal/core so that the measured
-	// off-chip per-hop latency lands at the paper's 34.2 ns.
+	// at both ends. Calibrated in chip.DefaultLatencies so that the
+	// measured off-chip per-hop latency lands at the paper's 34.2 ns.
 	FixedLatency sim.Time
 	Compress     CompressConfig
 }
@@ -104,8 +104,7 @@ func (ch *Channel) Init(k *sim.Kernel, cfg ChannelConfig) {
 func (ch *Channel) Compressor() *Compressor { return ch.comp }
 
 // SetRemote routes far-end arrivals through d instead of the local kernel
-// (cross-shard channels of a sharded machine). Only the closure-free
-// SendPacket path supports remote delivery.
+// (cross-shard channels of a sharded machine).
 func (ch *Channel) SetRemote(d sim.Deferrer) { ch.remote = d }
 
 // Reset returns the channel to its just-built state — serialization
@@ -168,24 +167,11 @@ func (ch *Channel) Carried() uint64 { return ch.carried }
 // accounting and the saturation heatmap, so the hot path pays nothing.
 func (ch *Channel) BusyTime() sim.Time { return ch.busyTime }
 
-// Send compresses and serializes p, delivering the reconstructed packet to
-// deliver at the far end after serialization plus the fixed SERDES/wire
-// latency. Delivery order always matches send order — the in-order property
-// the network fence builds on.
-func (ch *Channel) Send(p *packet.Packet, deliver func(*packet.Packet)) sim.Time {
-	if ch.remote != nil {
-		panic("serdes: closure Send on a cross-shard channel; use SendPacket")
-	}
-	out, arrival := ch.transmit(p)
-	if deliver != nil {
-		ch.k.At(arrival, func() { deliver(out) })
-	}
-	return arrival
-}
-
-// SendPacket is the closure-free variant of Send: the packet itself (a
-// sim.Actor whose walk state encodes what arrival means) is scheduled at
-// the far end. Timing and accounting are identical to Send.
+// SendPacket compresses and serializes p and schedules the reconstructed
+// packet (a sim.Actor whose walk state encodes what arrival means) at the
+// far end after serialization plus the fixed SERDES/wire latency, and
+// returns that arrival time. Delivery order always matches send order —
+// the in-order property the network fence builds on.
 func (ch *Channel) SendPacket(p *packet.Packet) sim.Time {
 	out, arrival := ch.transmit(p)
 	if ch.remote != nil {

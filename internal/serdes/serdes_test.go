@@ -13,6 +13,20 @@ func posPacket(id uint32, pos [3]int32) *packet.Packet {
 	return p
 }
 
+// arrivalWalker stands in for the machine's packet.Walker: each packet
+// arriving at the channel's far end is handed to the function.
+type arrivalWalker func(*packet.Packet)
+
+func (w arrivalWalker) OnPacket(p *packet.Packet) { w(p) }
+
+// send transmits p over ch and hands its far-end arrival to deliver.
+func send(ch *Channel, p *packet.Packet, deliver func(*packet.Packet)) {
+	p.Walker = arrivalWalker(deliver)
+	ch.SendPacket(p)
+}
+
+func ignore(*packet.Packet) {}
+
 func forcePacket(f [3]int32) *packet.Packet {
 	p := &packet.Packet{Type: packet.Force}
 	p.SetQuad([4]uint32{uint32(f[0]), uint32(f[1]), uint32(f[2]), 0})
@@ -142,7 +156,7 @@ func TestChannelDeliveryOrderAndLatency(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p := &packet.Packet{ID: uint64(i), Type: packet.Force}
 		p.SetQuad([4]uint32{1, 2, 3, 4})
-		ch.Send(p, func(q *packet.Packet) {
+		send(ch, p, func(q *packet.Packet) {
 			arrivals = append(arrivals, k.Now())
 			ids = append(ids, q.ID)
 		})
@@ -174,7 +188,7 @@ func TestChannelUtilization(t *testing.T) {
 	ch := NewChannel(k, DefaultChannelConfig(0, CompressConfig{}))
 	p := &packet.Packet{Type: packet.Force}
 	p.SetQuad([4]uint32{1, 2, 3, 4})
-	ch.Send(p, nil)
+	send(ch, p, ignore)
 	k.Run()
 	if ch.Carried() != 1 {
 		t.Fatal("carried count wrong")
@@ -199,12 +213,12 @@ func TestCompressorLosslessUnderLoad(t *testing.T) {
 		for id := uint32(0); id < 200; id++ {
 			pos := [3]int32{int32(id)*4096 + step*700, step * 650, -step * 800}
 			inputs = append(inputs, sent{id, pos})
-			ch.Send(posPacket(id, pos), func(q *packet.Packet) {
+			send(ch, posPacket(id, pos), func(q *packet.Packet) {
 				outputs = append(outputs, sent{q.AtomID,
 					[3]int32{int32(q.Payload[0]), int32(q.Payload[1]), int32(q.Payload[2])}})
 			})
 		}
-		ch.Send(&packet.Packet{Type: packet.EndOfStep}, nil)
+		send(ch, &packet.Packet{Type: packet.EndOfStep}, ignore)
 	}
 	k.Run()
 	if len(outputs) != len(inputs) {

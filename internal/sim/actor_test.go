@@ -10,14 +10,14 @@ type recActor struct {
 func (a *recActor) Act() { *a.log = append(*a.log, a.id) }
 
 // TestActorAndClosureEventsInterleaveBySeq pins the determinism contract
-// of the actor variant: AtActor events order against At closures purely by
-// (time, scheduling sequence), exactly as two closures would.
+// of the Func adapter: Func events order against other actors purely by
+// (time, scheduling sequence), exactly as two actors would.
 func TestActorAndClosureEventsInterleaveBySeq(t *testing.T) {
 	k := NewKernel()
 	var log []int
-	k.At(10, func() { log = append(log, 1) })
+	k.AtActor(10, Func(func() { log = append(log, 1) }))
 	k.AtActor(10, &recActor{log: &log, id: 2})
-	k.At(5, func() { log = append(log, 0) })
+	k.AtActor(5, Func(func() { log = append(log, 0) }))
 	k.AtActor(10, &recActor{log: &log, id: 3})
 	k.Run()
 	want := []int{0, 1, 2, 3}
@@ -28,7 +28,7 @@ func TestActorAndClosureEventsInterleaveBySeq(t *testing.T) {
 	}
 }
 
-func TestAtActorZeroAllocsWhenWarm(t *testing.T) {
+func TestAtActorAllocFreeWhenWarm(t *testing.T) {
 	k := NewKernel()
 	a := &recActor{log: new([]int)}
 	fire := func() {

@@ -2,22 +2,22 @@ package sim
 
 import "slices"
 
-// Handler is a callback invoked when an event fires.
-type Handler func()
-
-// Actor is the closure-free event variant: objects that carry their own
+// Actor is the kernel's one event kind: objects that carry their own
 // callback state (e.g. an in-flight packet) implement Act and are scheduled
-// directly with AtActor/AfterActor. The interface value is two words copied
-// into the event pool, so scheduling an existing object allocates nothing —
-// the property the machine's packet hot path is built on.
+// with AtActor/AfterActor. The interface value is two words copied into the
+// event pool, so scheduling an existing object allocates nothing — the
+// property the machine's packet hot path is built on.
 type Actor interface {
 	Act()
 }
 
-type event struct {
-	fn    Handler
-	actor Actor
-}
+// Func adapts a plain function to an Actor, for the few callbacks scheduled
+// off the hot path. A Func is not Lineaged, so same-timestamp Func events
+// order by schedule sequence.
+type Func func()
+
+// Act calls f.
+func (f Func) Act() { f() }
 
 // heapKey is one heap entry's ordering key. Keeping timestamp and schedule
 // sequence adjacent in a single 16-byte struct means a sift comparison
@@ -46,22 +46,19 @@ const heapRoot = 3
 // sequence) ordering keys in a parallel array, so sift comparisons read one
 // flat key array instead of dereferencing the event pool — only lineage
 // tie-breaks (equal timestamps in lineage mode) touch the pool for the
-// actors. The pool itself stores just the two-word callback payload,
-// recycled through a free list, so scheduling is allocation-free once the
-// pool has grown to the simulation's peak queue depth.
+// actors. The pool itself stores just the two-word Actor, recycled through
+// a free list, so scheduling is allocation-free once the pool has grown to
+// the simulation's peak queue depth.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	heap    []int32   // 4-ary min-heap of pool slots, rooted at heapRoot
-	keys    []heapKey // keys[i] is slot heap[i]'s ordering key
-	rootAt  Time      // keys[heapRoot].at, cached; valid while the heap is non-empty
-	pool    []event
-	free    []int32 // recycled pool slots
-	stopped bool
-	fired   uint64
-	lastAt  Time // timestamp of the last executed event (unlike now, never forced forward by RunUntil)
-
-	batch []Batched // DrainAt/StepBatch scratch, reused across batches
+	now    Time
+	seq    uint64
+	heap   []int32   // 4-ary min-heap of pool slots, rooted at heapRoot
+	keys   []heapKey // keys[i] is slot heap[i]'s ordering key
+	rootAt Time      // keys[heapRoot].at, cached; valid while the heap is non-empty
+	pool   []Actor
+	free   []int32 // recycled pool slots
+	fired  uint64
+	lastAt Time // timestamp of the last executed event (unlike now, never forced forward by RunUntil)
 
 	// Staged lane: bulk setup events (e.g. a harness's pre-drawn injection
 	// schedule) live here as a flat (at, seq)-sorted array consumed front to
@@ -201,12 +198,12 @@ func (k *Kernel) tieBefore(slotA int32, qa uint64, slotB int32, qb uint64) bool 
 		// restricted to this shard, which preserves relative order.
 		return qa < qb
 	}
-	la, okA := k.pool[slotA].actor.(Lineaged)
-	lb, okB := k.pool[slotB].actor.(Lineaged)
+	la, okA := k.pool[slotA].(Lineaged)
+	lb, okB := k.pool[slotB].(Lineaged)
 	if !okA || !okB {
-		// Closures or unranked actors at runtime: schedule order is the
-		// best available (deterministic, but only sequential-equivalent
-		// for Lineaged chains).
+		// Funcs or unranked actors at runtime: schedule order is the best
+		// available (deterministic, but only sequential-equivalent for
+		// Lineaged chains).
 		return qa < qb
 	}
 	ha, ia := la.Lineage()
@@ -251,16 +248,10 @@ func (k *Kernel) Reset() {
 	k.free = k.free[:0]
 	k.ladder = k.ladder[:0]
 	k.ladderPos = 0
-	k.stopped = false
 	k.fired = 0
 	k.lineage = false
 	k.setupSeq = 0
 }
-
-// LastFired reports the timestamp of the most recently executed event.
-// Unlike Now, it is never advanced by a RunUntil deadline, so after a
-// windowed run it is the drain time a sequential Run would have returned.
-func (k *Kernel) LastFired() Time { return k.lastAt }
 
 // heap index arithmetic, rooted at heapRoot: children of i sit at
 // 4i-8..4i-5 and the parent of c is c/4+2.
@@ -395,20 +386,11 @@ func (k *Kernel) sinkRootLineage(slot int32, key heapKey) {
 	h[i], ks[i] = slot, key
 }
 
-// At schedules fn to run at absolute time at. Scheduling in the past panics:
+// AtActor schedules a.Act() to run at absolute time at. The two-word
+// interface value is stored in the event pool directly, so the call is
+// allocation-free once the pool has grown. Scheduling in the past panics:
 // it is always a modeling bug.
-func (k *Kernel) At(at Time, fn Handler) {
-	k.push(at, event{fn: fn})
-}
-
-// AtActor schedules a.Act() to run at absolute time at. Unlike At, no
-// closure is involved: the two-word interface value is stored in the event
-// pool directly, so the call is allocation-free once the pool has grown.
 func (k *Kernel) AtActor(at Time, a Actor) {
-	k.push(at, event{actor: a})
-}
-
-func (k *Kernel) push(at Time, e event) {
 	if at < k.now {
 		panic("sim: event scheduled in the past")
 	}
@@ -418,10 +400,10 @@ func (k *Kernel) push(at Time, e event) {
 		idx = k.free[n]
 		k.free = k.free[:n]
 	} else {
-		k.pool = append(k.pool, event{})
+		k.pool = append(k.pool, nil)
 		idx = int32(len(k.pool) - 1)
 	}
-	k.pool[idx] = e
+	k.pool[idx] = a
 	if len(k.heap) == 0 {
 		// Reserve the root padding (see heapRoot).
 		k.heap = append(k.heap, 0, 0, 0)
@@ -433,14 +415,6 @@ func (k *Kernel) push(at Time, e event) {
 	k.rootAt = k.keys[heapRoot].at
 }
 
-// After schedules fn to run delay picoseconds from now.
-func (k *Kernel) After(delay Time, fn Handler) {
-	if delay < 0 {
-		panic("sim: negative delay")
-	}
-	k.At(k.now+delay, fn)
-}
-
 // AfterActor schedules a.Act() delay picoseconds from now (see AtActor).
 func (k *Kernel) AfterActor(delay Time, a Actor) {
 	if delay < 0 {
@@ -449,14 +423,11 @@ func (k *Kernel) AfterActor(delay Time, a Actor) {
 	k.AtActor(k.now+delay, a)
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // pop removes the earliest pending event — merging the heap root with the
 // staged-lane head by (timestamp, schedule sequence) — and returns its
-// callback payload, advancing the clock to its timestamp. It must not be
-// called with no events pending.
-func (k *Kernel) pop() event {
+// actor, advancing the clock to its timestamp. It must not be called with
+// no events pending.
+func (k *Kernel) pop() Actor {
 	if k.ladderPos < len(k.ladder) {
 		le := &k.ladder[k.ladderPos]
 		if len(k.heap) <= heapRoot || le.at < k.rootAt || (le.at == k.rootAt && le.seq < k.keys[heapRoot].seq) {
@@ -470,14 +441,14 @@ func (k *Kernel) pop() event {
 				k.ladder = k.ladder[:0]
 				k.ladderPos = 0
 			}
-			return event{actor: a}
+			return a
 		}
 	}
 	slot := k.heap[heapRoot]
 	at := k.keys[heapRoot].at
-	e := k.pool[slot]
-	// Drop the references so the GC can collect closures and actors.
-	k.pool[slot] = event{}
+	a := k.pool[slot]
+	// Drop the reference so the GC can collect the actor.
+	k.pool[slot] = nil
 	k.free = append(k.free, slot)
 	last := len(k.heap) - 1
 	lslot, lkey := k.heap[last], k.keys[last]
@@ -490,139 +461,26 @@ func (k *Kernel) pop() event {
 	k.now = at
 	k.lastAt = at
 	k.fired++
-	return e
+	return a
 }
 
-// step pops and fires the earliest event. It must not be called on an
-// empty queue.
-func (k *Kernel) step() {
-	e := k.pop()
-	if e.fn != nil {
-		e.fn()
-	} else {
-		e.actor.Act()
-	}
-}
-
-// DrainAt pops every pending event sharing the earliest timestamp, in the
-// exact order repeated step() calls would fire them, appends them to buf
-// without executing anything, and advances the clock to that timestamp.
-// The returned slice aliases buf's storage (pass buf[:0] to reuse a batch
-// buffer across calls). It returns buf unchanged when no events are
-// pending.
-//
-// Events scheduled *while a drained batch executes* at that same timestamp
-// are not part of the batch; they form the next one — which StepBatch (and
-// the Run/RunUntil loops) pick up by re-draining before moving the clock.
-// Under sequence ordering this reproduces step() order exactly: a newly
-// scheduled same-time event has a higher sequence than everything already
-// drained, so step() would fire it last too. Under lineage ordering it is
-// equivalent for every workload that schedules strictly forward in time
-// (all machine latencies are positive); only a zero-delay self-schedule
-// racing an undrained lineage peer could observe the batch boundary.
-func (k *Kernel) DrainAt(buf []Batched) []Batched {
-	t, ok := k.nextAt()
-	if !ok {
-		return buf
-	}
-	for {
-		e := k.pop()
-		buf = append(buf, Batched{Fn: e.fn, Actor: e.actor})
-		if at, ok := k.nextAt(); !ok || at != t {
-			return buf
-		}
-	}
-}
-
-// Batched is one event of a timestamp batch returned by DrainAt: exactly
-// one of Fn or Actor is set.
-type Batched struct {
-	Fn    Handler
-	Actor Actor
-}
-
-// Fire executes the batched event.
-func (b Batched) Fire() {
-	if b.Fn != nil {
-		b.Fn()
-	} else {
-		b.Actor.Act()
-	}
-}
-
-// StepBatch fires every pending event at the earliest timestamp — including
-// events those firings schedule back at the same timestamp — and returns
-// that timestamp with ok=true, or ok=false if nothing was pending. It is
-// equivalent to calling step() until the root timestamp changes (see
-// DrainAt for the exact ordering contract), while paying the batch's
-// bookkeeping once instead of per event.
-func (k *Kernel) StepBatch() (Time, bool) {
-	t, ok := k.nextAt()
-	if !ok {
-		return 0, false
-	}
-	k.runBatchesAt(t)
-	return t, true
-}
-
-// runBatchesAt drains and fires timestamp-t batches until no events at t
-// remain (an executing batch may schedule follow-up work at t).
-func (k *Kernel) runBatchesAt(t Time) {
-	for at, ok := k.nextAt(); ok && at == t; at, ok = k.nextAt() {
-		b := k.DrainAt(k.batch[:0])
-		for i := range b {
-			if b[i].Fn != nil {
-				b[i].Fn()
-			} else {
-				b[i].Actor.Act()
-			}
-			b[i] = Batched{}
-		}
-		k.batch = b[:0]
-	}
-}
-
-// Run executes events until the queue drains or Stop is called. It returns
-// the time of the last executed event.
+// Run executes events until the queue drains. It returns the time of the
+// last executed event.
 func (k *Kernel) Run() Time {
-	k.stopped = false
-	for k.Pending() > 0 && !k.stopped {
-		k.step()
+	for k.Pending() > 0 {
+		k.pop().Act()
 	}
 	return k.now
 }
 
-// RunUntilBatch executes events with timestamps <= deadline like RunUntil,
-// but fires each timestamp's events as drained batches (see StepBatch /
-// DrainAt for the ordering contract): the window loop pays the peek and
-// deadline check once per timestamp instead of once per event. ParallelExec
-// windows run shard kernels through this.
-func (k *Kernel) RunUntilBatch(deadline Time) bool {
-	k.stopped = false
-	for !k.stopped {
-		at, ok := k.nextAt()
-		if !ok {
-			break
-		}
-		if at > deadline {
-			k.now = deadline
-			return false
-		}
-		k.runBatchesAt(at)
-	}
-	if k.now < deadline {
-		k.now = deadline
-	}
-	return k.Pending() == 0
-}
-
-// RunUntil executes events with timestamps <= deadline. Events scheduled
-// beyond the deadline remain queued. It returns true if the queue drained
-// before the deadline. The peek reads the cached root timestamp, so the
-// hot loop touches only the Kernel header — no heap/pool indirection.
+// RunUntil executes events with timestamps <= deadline, one at a time in
+// the same order Run fires them, so chopping a run into windows (as
+// ParallelExec does) never changes what fires when. Events scheduled beyond
+// the deadline remain queued. It returns true if the queue drained before
+// the deadline. The peek reads the cached root timestamp, so the hot loop
+// touches only the Kernel header — no heap/pool indirection.
 func (k *Kernel) RunUntil(deadline Time) bool {
-	k.stopped = false
-	for !k.stopped {
+	for {
 		at, ok := k.nextAt()
 		if !ok {
 			break
@@ -631,7 +489,7 @@ func (k *Kernel) RunUntil(deadline Time) bool {
 			k.now = deadline
 			return false
 		}
-		k.step()
+		k.pop().Act()
 	}
 	if k.now < deadline {
 		k.now = deadline

@@ -12,36 +12,36 @@ func BenchmarkKernelScheduleDrain(b *testing.B) {
 	for i := range times {
 		times[i] = Time(r.Intn(1 << 20))
 	}
-	fn := func() {}
+	fn := Func(func() {})
 	k := NewKernel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base := k.Now()
 		for _, t := range times {
-			k.At(base+t, fn)
+			k.AtActor(base+t, fn)
 		}
 		k.Run()
 	}
 }
 
-// TestKernelScheduleZeroAllocs pins the hot-path guarantee the 4-ary
+// TestKernelScheduleAllocFree pins the hot-path guarantee the 4-ary
 // pool heap exists for: once the pool has grown to the peak queue depth,
-// Schedule (At/After) and Pop (step inside Run) do not allocate.
-func TestKernelScheduleZeroAllocs(t *testing.T) {
+// scheduling (AtActor) and popping (inside Run) do not allocate.
+func TestKernelScheduleAllocFree(t *testing.T) {
 	const depth = 512
 	k := NewKernel()
 	r := NewRand(3)
-	fn := func() {}
+	fn := Func(func() {})
 	// Warm the pool, heap and free list to their peak sizes.
 	for i := 0; i < depth; i++ {
-		k.At(Time(r.Intn(1<<16)), fn)
+		k.AtActor(Time(r.Intn(1<<16)), fn)
 	}
 	k.Run()
 	avg := testing.AllocsPerRun(100, func() {
 		base := k.Now()
 		for i := 0; i < depth; i++ {
-			k.At(base+Time(r.Intn(1<<16)), fn)
+			k.AtActor(base+Time(r.Intn(1<<16)), fn)
 		}
 		// Drain through RunUntil first so the cached-root peek path is
 		// under the same 0-alloc contract, then finish with Run.
@@ -55,13 +55,14 @@ func TestKernelScheduleZeroAllocs(t *testing.T) {
 
 // TestRunUntilPeeksCachedRoot pins the root-timestamp cache: RunUntil must
 // stop exactly at the cached earliest event, and the cache must track
-// schedule/pop churn (including At calls made while paused mid-drain).
+// schedule/pop churn (including AtActor calls made while paused
+// mid-drain).
 func TestRunUntilPeeksCachedRoot(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
-	rec := func() { fired = append(fired, k.Now()) }
+	rec := Func(func() { fired = append(fired, k.Now()) })
 	for _, at := range []Time{50, 10, 30, 70} {
-		k.At(at, rec)
+		k.AtActor(at, rec)
 	}
 	if k.rootAt != 10 {
 		t.Fatalf("rootAt = %v after scheduling, want 10", k.rootAt)
@@ -76,9 +77,9 @@ func TestRunUntilPeeksCachedRoot(t *testing.T) {
 		t.Fatalf("rootAt = %v mid-drain, want 50", k.rootAt)
 	}
 	// A newly scheduled earlier event must refresh the cache.
-	k.At(40, rec)
+	k.AtActor(40, rec)
 	if k.rootAt != 40 {
-		t.Fatalf("rootAt = %v after At(40), want 40", k.rootAt)
+		t.Fatalf("rootAt = %v after AtActor(40), want 40", k.rootAt)
 	}
 	if !k.RunUntil(100) {
 		t.Fatal("queue should have drained")
@@ -93,11 +94,11 @@ func TestRunUntilPeeksCachedRoot(t *testing.T) {
 func TestKernelFreeListBoundsPool(t *testing.T) {
 	const depth = 64
 	k := NewKernel()
-	fn := func() {}
+	fn := Func(func() {})
 	for wave := 0; wave < 50; wave++ {
 		base := k.Now()
 		for i := 0; i < depth; i++ {
-			k.At(base+Time(i), fn)
+			k.AtActor(base+Time(i), fn)
 		}
 		k.Run()
 	}
@@ -113,14 +114,14 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 	const depth = 1024
 	k := NewKernel()
 	r := NewRand(2)
-	var tick Handler
-	tick = func() { k.After(Time(1+r.Intn(997)), tick) }
+	var tick Func
+	tick = func() { k.AfterActor(Time(1+r.Intn(997)), tick) }
 	for i := 0; i < depth; i++ {
-		k.At(Time(r.Intn(997)), tick)
+		k.AtActor(Time(r.Intn(997)), tick)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.step()
+		k.pop().Act()
 	}
 }

@@ -40,9 +40,9 @@ func TestClockInvalid(t *testing.T) {
 func TestKernelOrdering(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.At(30, func() { order = append(order, 3) })
-	k.At(10, func() { order = append(order, 1) })
-	k.At(20, func() { order = append(order, 2) })
+	k.AtActor(30, Func(func() { order = append(order, 3) }))
+	k.AtActor(10, Func(func() { order = append(order, 1) }))
+	k.AtActor(20, Func(func() { order = append(order, 2) }))
 	end := k.Run()
 	if end != 30 {
 		t.Fatalf("final time %d, want 30", end)
@@ -57,7 +57,7 @@ func TestKernelTieBreakFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(5, func() { order = append(order, i) })
+		k.AtActor(5, Func(func() { order = append(order, i) }))
 	}
 	k.Run()
 	for i, v := range order {
@@ -70,15 +70,15 @@ func TestKernelTieBreakFIFO(t *testing.T) {
 func TestKernelNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	hits := 0
-	k.At(10, func() {
+	k.AtActor(10, Func(func() {
 		hits++
-		k.After(5, func() {
+		k.AfterActor(5, Func(func() {
 			hits++
 			if k.Now() != 15 {
 				t.Errorf("nested event at %d, want 15", k.Now())
 			}
-		})
-	})
+		}))
+	}))
 	k.Run()
 	if hits != 2 {
 		t.Fatalf("hits = %d, want 2", hits)
@@ -87,38 +87,23 @@ func TestKernelNestedScheduling(t *testing.T) {
 
 func TestKernelPastPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(10, func() {
+	k.AtActor(10, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.At(5, func() {})
-	})
+		k.AtActor(5, Func(func() {}))
+	}))
 	k.Run()
-}
-
-func TestKernelStop(t *testing.T) {
-	k := NewKernel()
-	ran := 0
-	k.At(1, func() { ran++; k.Stop() })
-	k.At(2, func() { ran++ })
-	k.Run()
-	if ran != 1 {
-		t.Fatalf("Stop did not halt the kernel: ran=%d", ran)
-	}
-	// Run again resumes the remaining event.
-	k.Run()
-	if ran != 2 {
-		t.Fatalf("resume after Stop: ran=%d, want 2", ran)
-	}
 }
 
 func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	ran := 0
-	k.At(10, func() { ran++ })
-	k.At(20, func() { ran++ })
+	inc := Func(func() { ran++ })
+	k.AtActor(10, inc)
+	k.AtActor(20, inc)
 	if drained := k.RunUntil(15); drained {
 		t.Fatal("RunUntil(15) reported drained with an event at 20 pending")
 	}
@@ -136,7 +121,7 @@ func TestKernelRunUntil(t *testing.T) {
 func TestKernelEventsFired(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 100; i++ {
-		k.At(Time(i), func() {})
+		k.AtActor(Time(i), Func(func() {}))
 	}
 	k.Run()
 	if k.EventsFired() != 100 {

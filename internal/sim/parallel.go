@@ -53,9 +53,6 @@ func (o *Outbox) Defer(at Time, a Actor) {
 // count*, same-timestamp execution order must also match the sequential
 // kernel's — that is what Kernel.BeginLineageOrder provides for workloads
 // whose runtime events are Lineaged actors.
-//
-// Stop is not supported on kernels driven by a ParallelExec; Run executes
-// until every kernel drains.
 type ParallelExec struct {
 	ks      []*Kernel
 	look    Time
@@ -93,9 +90,6 @@ func NewParallelExec(ks []*Kernel, lookahead Time) *ParallelExec {
 // Outbox returns the buffer for events shard src emits toward shard dst.
 // Wiring code (the machine) hands it to every cross-shard channel.
 func (x *ParallelExec) Outbox(src, dst int) *Outbox { return &x.out[src][dst] }
-
-// Lookahead reports the configured window length.
-func (x *ParallelExec) Lookahead() Time { return x.look }
 
 // BeginLineageOrder switches every shard kernel to lineage tie ordering
 // (see Kernel.BeginLineageOrder). Call after setup scheduling, before Run.
@@ -137,7 +131,7 @@ func (x *ParallelExec) Run() Time {
 			}
 		}
 		if len(x.act) == 1 {
-			x.ks[x.act[0]].RunUntilBatch(deadline)
+			x.ks[x.act[0]].RunUntil(deadline)
 		} else {
 			if !started {
 				x.startWorkers()
@@ -219,7 +213,7 @@ func (x *ParallelExec) worker(i int) {
 			x.done <- struct{}{}
 			return
 		}
-		k.RunUntilBatch(dl)
+		k.RunUntil(dl)
 		x.done <- struct{}{}
 	}
 }

@@ -121,7 +121,7 @@ func TestKernelLineageTieOrder(t *testing.T) {
 	k := NewKernel()
 	// One setup event at the tied time: must fire before every runtime
 	// event regardless of schedule order below.
-	k.At(50, func() { log = append(log, "setup") })
+	k.AtActor(50, Func(func() { log = append(log, "setup") }))
 	k.BeginLineageOrder()
 
 	// All at t=50, scheduled in an order that disagrees with lineage:
@@ -145,14 +145,14 @@ func TestKernelResetReplaysIdentically(t *testing.T) {
 		var fired []Time
 		for _, at := range []Time{30, 10, 20, 10, 40} {
 			at := at
-			k.At(at, func() { fired = append(fired, k.Now()) })
+			k.AtActor(at, Func(func() { fired = append(fired, k.Now()) }))
 		}
 		k.Run()
 		return fired
 	}
 	first := run()
 	k.Reset()
-	if k.Now() != 0 || k.Pending() != 0 || k.EventsFired() != 0 || k.LastFired() != 0 {
+	if k.Now() != 0 || k.Pending() != 0 || k.EventsFired() != 0 || k.lastAt != 0 {
 		t.Fatal("Reset did not clear kernel state")
 	}
 	second := run()

@@ -32,7 +32,6 @@ func (t Time) String() string { return fmt.Sprintf("%.3fns", t.Nanoseconds()) }
 // The zero Clock is invalid; use NewClock.
 type Clock struct {
 	psPerCycle Time
-	mhz        int64
 }
 
 // NewClock returns a clock running at the given frequency in MHz.
@@ -43,7 +42,7 @@ func NewClock(mhz int64) Clock {
 	if mhz <= 0 {
 		panic("sim: clock frequency must be positive")
 	}
-	return Clock{psPerCycle: Time((1000*1000 + mhz/2) / mhz), mhz: mhz}
+	return Clock{psPerCycle: Time((1000*1000 + mhz/2) / mhz)}
 }
 
 // Cycles converts a cycle count to a duration.
@@ -51,9 +50,6 @@ func (c Clock) Cycles(n int64) Time { return Time(n) * c.psPerCycle }
 
 // Period returns the duration of one cycle.
 func (c Clock) Period() Time { return c.psPerCycle }
-
-// MHz reports the configured frequency.
-func (c Clock) MHz() int64 { return c.mhz }
 
 // ToCycles reports how many full cycles fit in d.
 func (c Clock) ToCycles(d Time) int64 { return int64(d / c.psPerCycle) }

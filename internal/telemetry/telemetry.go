@@ -99,9 +99,6 @@ func NewCollector(n int) *Collector {
 	return &Collector{shards: make([]Shard, n)}
 }
 
-// NumShards returns the shard count the collector was built for.
-func (c *Collector) NumShards() int { return len(c.shards) }
-
 // Shard returns the accumulator block owned by shard i.
 func (c *Collector) Shard(i int) *Shard { return &c.shards[i] }
 
