@@ -13,9 +13,10 @@ test:
 
 # The CI fast lane: reduced-size (not skipped) tests under the race
 # detector, vet and tests of the separate bench module, the allocation
-# gate, plus the netsweep, saturate, faultsweep and MD timestep CLI smokes
-# (each diffs sharded vs sequential output — shard-count invariance end
-# to end; the faultsweep smoke pins a dead-link cell with rerouting live),
+# gate, plus the netsweep, saturate, faultsweep, MD timestep and mdsweep CLI
+# smokes (each diffs sharded vs sequential output — shard-count invariance
+# end to end; the faultsweep smoke pins a dead-link cell with rerouting
+# live, the mdsweep smoke fences inside closed-loop MD steps),
 # the cache smoke (cold, warm and warm-sharded -cache runs byte-identical
 # to uncached, warm run executing zero probes), and the telemetry smoke
 # (-metrics output minus its 'telemetry' lines byte-identical to the
@@ -37,6 +38,9 @@ test-short:
 	$(GO) run ./cmd/anton3 fig12 -atoms 3000 -steps 2 -q > /tmp/anton3-md-seq.txt
 	$(GO) run ./cmd/anton3 fig12 -atoms 3000 -steps 2 -q -shards 2 > /tmp/anton3-md-sh2.txt
 	diff /tmp/anton3-md-seq.txt /tmp/anton3-md-sh2.txt
+	$(GO) run ./cmd/anton3 mdsweep -mdatoms 2000 -mdsteps 1 -q > /tmp/anton3-mds-seq.txt
+	$(GO) run ./cmd/anton3 mdsweep -mdatoms 2000 -mdsteps 1 -q -shards 2 > /tmp/anton3-mds-sh2.txt
+	diff /tmp/anton3-mds-seq.txt /tmp/anton3-mds-sh2.txt
 	@cdir=$$(mktemp -d); \
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -cache -cachedir "$$cdir" -json /tmp/anton3-sat-cold.json > /tmp/anton3-sat-cold.txt && \
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -cache -cachedir "$$cdir" -json /tmp/anton3-sat-warm.json > /tmp/anton3-sat-warm.txt && \

@@ -4,7 +4,7 @@
 //	go test -bench=. -benchmem
 //
 // Each bench executes the experiment once per iteration and logs the rows
-// the paper reports; EXPERIMENTS.md records a captured run.
+// the paper reports.
 package anton3bench
 
 import (

@@ -366,7 +366,8 @@ subcommands:
   fig9b      MD speedup from compression
   fig11      network fence barrier latency vs hops
   fig12      machine activity plots (compression off/on)
-  ablations  design-choice ablations from DESIGN.md
+  ablations  design-choice ablations (predictor order, pcache size, INZ,
+             fence vs pairwise sync, dimension orders)
   netsweep   synthetic-load latency sweep: routing policy x traffic pattern
              x torus shape (incl. 512 nodes; see -shapes/-loads)
   saturate   closed-loop saturation sweep: per-VC ingress queues + credit

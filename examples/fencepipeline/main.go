@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 
-	"anton3/internal/fence"
 	"anton3/internal/machine"
 	"anton3/internal/sim"
 	"anton3/internal/topo"
@@ -51,7 +50,7 @@ func main() {
 	// fences has landed (and, per Section V-E, all remote SRAM writes are
 	// complete: the barrier is also a memory fence).
 	var barrierDone sim.Time
-	id := m.StartFence(fence.GCtoGC, 1, func(n *machine.Node, at sim.Time) {
+	id := m.StartFence(1, func(n *machine.Node, at sim.Time) {
 		if at > barrierDone {
 			barrierDone = at
 		}

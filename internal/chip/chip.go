@@ -98,9 +98,9 @@ func (c ChannelSpec) Opposite() ChannelSpec {
 }
 
 // Latencies collects the calibrated fixed latencies of the path model. All
-// cycle counts are core-clock cycles at Clock; DESIGN.md section 4 explains
-// how they were chosen to reproduce the paper's measured endpoints (55 ns
-// minimum end-to-end, 34.2 ns per hop, 51.5/51.8 ns fence numbers).
+// cycle counts are core-clock cycles at Clock, chosen to reproduce the
+// paper's measured endpoints: 55 ns minimum end-to-end and 34.2 ns per hop
+// (Figures 5 and 6), and the 51.5/51.8 ns fence numbers (Figure 11).
 type Latencies struct {
 	// GCSendCycles covers software issuing the remote write and injection
 	// through the TRTR (no communication library: a handful of cycles).

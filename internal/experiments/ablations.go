@@ -15,7 +15,8 @@ import (
 	"anton3/internal/topo"
 )
 
-// The ablation experiments quantify the design choices DESIGN.md calls out.
+// The ablation experiments quantify the paper's design choices against
+// their obvious alternatives.
 // Each returns measured rows plus a rendering; the root benchmark file
 // exposes one bench per ablation.
 

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each function returns the rows/series the paper reports plus
-// a text rendering; cmd/anton3, the root benchmarks, and EXPERIMENTS.md all
-// drive these same entry points.
+// a text rendering; cmd/anton3 and the root benchmarks both drive these
+// same entry points.
 package experiments
 
 import (

@@ -87,8 +87,8 @@ func TestFixedWrapArithmetic(t *testing.T) {
 
 func TestScalesGiveINZFriendlyMagnitudes(t *testing.T) {
 	// A 50 A home-box-relative position must stay under 2^23; a typical
-	// 20 kcal/mol/A force under 2^18 — the magnitude regimes DESIGN.md
-	// relies on for the compression bands.
+	// 20 kcal/mol/A force under 2^18 — the magnitude regimes the INZ
+	// compression bands rely on.
 	p := PosToFixed(Vec{X: 50})
 	if p.X <= 0 || p.X >= 1<<23 {
 		t.Fatalf("50 A position = %d units", p.X)

@@ -4,8 +4,9 @@ import "math/bits"
 
 // TruncateBytes models the obvious alternative to INZ — per-word sign-fold
 // plus independent leading-zero-byte truncation, with a 2-bit length tag per
-// word — and returns only the wire byte count (the DESIGN.md INZ-interleave
-// ablation compares aggregate byte counts, not wire formats).
+// word — and returns only the wire byte count
+// (experiments.AblationINZInterleave compares aggregate byte counts, not
+// wire formats).
 //
 // Interleaving wins whenever word magnitudes are correlated: four 20-bit
 // values cost 4x3=12 bytes truncated but only ceil((4*20+2)/8)=11 bytes

@@ -207,7 +207,8 @@ func TestTruncateBytesNeverBeatsRawByMuch(t *testing.T) {
 }
 
 func TestInterleaveBeatsTruncateOnCorrelatedMagnitudes(t *testing.T) {
-	// The ablation claim from DESIGN.md: equal-magnitude words favor INZ.
+	// The claim behind the INZ-interleave ablation: equal-magnitude words
+	// favor INZ.
 	quad := [4]uint32{1<<20 - 1, 1<<20 - 3, 1<<20 - 7, 1<<20 - 5}
 	inzBytes := Encode(quad).WireBytes()
 	truncBytes := TruncateBytes(quad)

@@ -187,7 +187,7 @@ func (m *Machine) rerouteParked(n *Node, j int) {
 }
 
 // redispatch re-runs the park-or-depart decision for a packet whose parked
-// channel just died: the mirror of creditArrive's revive path, except the
+// channel just died: like creditArrive it ends in revive, except the
 // output resource is chosen afresh instead of being the parked one.
 func (m *Machine) redispatch(n *Node, q *packet.Packet, now sim.Time) {
 	if sh := n.sh; sh.tele != nil || sh.trec != nil {
@@ -216,22 +216,5 @@ func (m *Machine) redispatch(n *Node, q *packet.Packet, now sim.Time) {
 		m.noteUnpark(n, q, now, fl)
 	}
 	v.credits[vcSlot(n.idx, idx, w)] -= fl
-	if q.In < 0 {
-		// A parked injection: admit it and tell the source.
-		m.acceptHop(q, out, w)
-		q.Out = int8(idx)
-		q.State = packet.WalkTransit
-		m.lineageTouch(q, now)
-		n.sh.k.AfterActor(m.injLat[m.tileIdx(q.SrcCore)*chip.NumChannelSpecs+idx], q)
-		if q.OnAccept != nil {
-			q.OnAccept.Accepted(q)
-		}
-		return
-	}
-	// A parked transit head: it still heads its ingress FIFO — leave it,
-	// return its credits, and let the queue behind it advance.
-	in, invc := int(q.In), int(q.VC)
-	m.popIngress(n, in, invc, q)
-	m.departHop(n, q, chip.ChannelSpecAt(in), out, w, now)
-	m.advanceQueue(n, in, invc)
+	m.revive(n, q, out, w, now)
 }

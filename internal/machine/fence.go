@@ -4,69 +4,64 @@ import (
 	"fmt"
 
 	"anton3/internal/chip"
-	"anton3/internal/fence"
 	"anton3/internal/packet"
+	"anton3/internal/route"
 	"anton3/internal/sim"
 )
 
-// The machine-level fence engine implements the network fence as the
-// node-granularity wavefront described in DESIGN.md: each node merges the
-// fence copies arriving on every inbound channel slice (one per request VC,
-// counted by a fence.MergeUnit per channel) and, once its previous round is
-// complete, relays one merged fence per outbound channel slice per VC.
-// Because fence packets travel through the same ordered channels as data,
-// receipt of the round-r fence guarantees everything any node within r hops
-// sent before its fence has been delivered — the paper's ordering property.
+// The machine-level fence engine implements the network fence of Section V
+// as a node-granularity wavefront: each node merges the fence copies
+// arriving on its inbound channel slices (one per request VC per channel)
+// and, once its previous round is complete, relays one merged fence per
+// outbound channel slice per VC. Because fence packets travel through the
+// same ordered channels as data, receipt of the round-r fence guarantees
+// everything any node within r hops sent before its fence has been
+// delivered — the paper's ordering property.
+//
+// The fence pattern (GC-to-GC or GC-to-ICB, Section V-A) only names which
+// endpoints issue and consume the fence; at node granularity both patterns
+// simulate identically, so the engine does not take one.
 
+// maxFences is the number of network fences the hardware keeps in flight
+// at once (Section V-D): the network adapters' flow control bounds fence
+// injection so the Edge Router needs only 96 counters per input port.
+const maxFences = 14
+
+// fenceRound is one node's merge state for one round of a fence. Merging is
+// a counting reduction: relayFence sends exactly one copy per request VC on
+// every outbound channel, so every inbound channel delivers exactly that
+// many, and the round's last arrival is the one that fills the count.
 type fenceRound struct {
-	merge     *fence.MergeUnit // counts VC copies per inbound channel
-	chansDone int              // channels whose VC copies all arrived
-	prevDone  bool
-	complete  bool
+	arrived  int // copies merged, over all inbound channels and VCs
+	prevDone bool
+	complete bool
 }
 
 type fenceOp struct {
-	id         int
-	pattern    fence.Pattern
 	hops       int
-	rounds     []*fenceRound
+	rounds     []fenceRound
 	onComplete func(n *Node, at sim.Time)
 }
 
-func (n *Node) fenceOpFor(id, hops int, pattern fence.Pattern, onComplete func(*Node, sim.Time)) *fenceOp {
-	if op := n.fences[id]; op != nil {
-		return op
-	}
-	op := &fenceOp{id: id, pattern: pattern, hops: hops, onComplete: onComplete}
-	op.rounds = make([]*fenceRound, hops+1)
-	specs := n.ChannelSpecs()
-	for r := range op.rounds {
-		fr := &fenceRound{merge: fence.NewMergeUnit(fmt.Sprintf("n%v.r%d", n.Coord, r), len(specs)+1)}
-		// Each inbound channel contributes one merged fence per request
-		// VC; the output mask is unused at node granularity.
-		for si := range specs {
-			fr.merge.Configure(si, n.m.policy.RequestVCs(), 1)
-		}
-		op.rounds[r] = fr
-	}
-	return op
-}
-
 // StartFence begins a network fence op across the whole machine: every
-// node's GCs issue fence(pattern, hops) at the current simulation time.
-// onComplete fires once per node when that node's fence completes (after
-// the intra-chip scatter). The returned id must be released by the caller
-// via FinishFence after all nodes complete.
-func (m *Machine) StartFence(pattern fence.Pattern, hops int, onComplete func(n *Node, at sim.Time)) int {
+// node's GCs issue a fence with the given hop count at the current
+// simulation time. onComplete fires once per node when that node's fence
+// completes (after the intra-chip scatter). The returned id must be
+// released by the caller via FinishFence after all nodes complete.
+func (m *Machine) StartFence(hops int, onComplete func(n *Node, at sim.Time)) int {
 	if hops < 0 || hops > m.cfg.Shape.Diameter() {
 		panic(fmt.Sprintf("machine: fence hops %d outside 0..diameter", hops))
 	}
-	id := m.fenceAlloc.Acquire(nil)
-	if id < 0 {
+	id := 0
+	for id < maxFences && m.fenceBusy[id] {
+		id++
+	}
+	if id == maxFences {
 		panic("machine: more than 14 concurrent fences; adapter flow control would block here")
 	}
+	m.fenceBusy[id] = true
 	for _, n := range m.nodes {
-		n.fences[id] = n.fenceOpFor(id, hops, pattern, onComplete)
+		n.fences[id] = &fenceOp{hops: hops, rounds: make([]fenceRound, hops+1), onComplete: onComplete}
 	}
 	gather := m.Geom.GatherLatency()
 	for _, n := range m.nodes {
@@ -78,16 +73,19 @@ func (m *Machine) StartFence(pattern fence.Pattern, hops int, onComplete func(n 
 
 // FinishFence releases the fence ID once every node has completed.
 func (m *Machine) FinishFence(id int) {
+	if id < 0 || id >= maxFences || !m.fenceBusy[id] {
+		panic("machine: finishing a fence ID that is not in use")
+	}
+	m.fenceBusy[id] = false
 	for _, n := range m.nodes {
 		n.fences[id] = nil
 	}
-	m.fenceAlloc.ReleaseID(id)
 }
 
 // fenceRoundComplete marks round r done at n and relays round r+1 fences.
 func (n *Node) fenceRoundComplete(id, r int) {
 	op := n.fences[id]
-	fr := op.rounds[r]
+	fr := &op.rounds[r]
 	if fr.complete {
 		return
 	}
@@ -134,10 +132,7 @@ func (n *Node) relayFence(id, r int) {
 	for _, cs := range n.ChannelSpecs() {
 		ch := n.out[cs.Index()]
 		dstCoord := m.cfg.Shape.Neighbor(n.Coord, cs.Dim, cs.Dir)
-		// The receiver identifies the inbound link by its own CA spec:
-		// the channel pointing back toward us.
-		in := int8(cs.Opposite().Index())
-		for vc := 0; vc < n.m.policy.RequestVCs(); vc++ {
+		for vc := 0; vc < route.NumRequestVCs; vc++ {
 			p := n.sh.pool.Get()
 			p.ID = n.sh.nextPktID()
 			p.Type = packet.Fence
@@ -148,7 +143,6 @@ func (n *Node) relayFence(id, r int) {
 			p.Walker = m
 			p.Cur = dstCoord
 			p.CurIdx = m.neigh[int(n.idx)*chip.NumChannelSpecs+cs.Index()]
-			p.In = in
 			p.State = packet.WalkArrive
 			if m.lineage {
 				p.Hist = append(p.Hist[:0], n.sh.k.Now())
@@ -175,32 +169,21 @@ func (m *Machine) fenceHopArrive(p *packet.Packet) {
 	m.Node(p.Cur).sh.k.AfterActor(lat, p)
 }
 
-// fenceArrive merges one fence copy for round r arriving on channel spec.
-func (n *Node) fenceArrive(id, r int, spec chip.ChannelSpec) {
+// fenceArrive merges one fence copy for round r.
+func (n *Node) fenceArrive(id, r int) {
 	op := n.fences[id]
 	if op == nil {
 		panic("machine: fence arrival for unknown fence op")
 	}
-	fr := op.rounds[r]
-	si := int(n.specPos[spec.Index()])
-	if si < 0 {
-		panic(fmt.Sprintf("machine: unknown channel spec %v", spec))
-	}
-	if fire, _ := fr.merge.Arrive(si); fire {
-		fr.chansDone++
-		n.checkFenceRound(id, r)
-	}
+	op.rounds[r].arrived++
+	n.checkFenceRound(id, r)
 }
 
-// checkFenceRound completes round r once every inbound channel has merged
-// and the node's own previous round is done.
+// checkFenceRound completes round r once every copy from every inbound
+// channel has merged and the node's own previous round is done.
 func (n *Node) checkFenceRound(id, r int) {
-	op := n.fences[id]
-	fr := op.rounds[r]
-	if fr.complete || !fr.prevDone {
-		return
-	}
-	if fr.chansDone < len(n.ChannelSpecs()) {
+	fr := &n.fences[id].rounds[r]
+	if fr.complete || !fr.prevDone || fr.arrived < len(n.ChannelSpecs())*route.NumRequestVCs {
 		return
 	}
 	n.fenceRoundComplete(id, r)
@@ -226,7 +209,7 @@ func (m *Machine) Barrier(hops int) BarrierResult {
 	start := m.K.Now()
 	lasts := make([]sim.Time, len(m.shards))
 	completed := make([]int, len(m.shards))
-	id := m.StartFence(fence.GCtoGC, hops, func(n *Node, at sim.Time) {
+	id := m.StartFence(hops, func(n *Node, at sim.Time) {
 		s := n.sh.id
 		if at > lasts[s] {
 			lasts[s] = at

@@ -3,7 +3,6 @@ package machine
 import (
 	"testing"
 
-	"anton3/internal/fence"
 	"anton3/internal/packet"
 	"anton3/internal/sim"
 	"anton3/internal/topo"
@@ -78,7 +77,7 @@ func runFenceMix(t *testing.T, shape topo.Shape, shards, perNode int) ([]sim.Tim
 	// measured packets, so serialization order between the two is exactly
 	// what fence lineage must pin.
 	fenceDone := make([]sim.Time, nodes)
-	id := m.StartFence(fence.GCtoGC, 2, func(n *Node, at sim.Time) {
+	id := m.StartFence(2, func(n *Node, at sim.Time) {
 		fenceDone[m.Shape().Index(n.Coord)] = at
 	})
 	m.BeginLineageRun()

@@ -1,9 +1,10 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
-	"anton3/internal/fence"
+	"anton3/internal/md"
 	"anton3/internal/serdes"
 	"anton3/internal/sim"
 	"anton3/internal/topo"
@@ -92,7 +93,7 @@ func TestBarrierIsOneWay(t *testing.T) {
 	a := m.GC(topo.Coord{}, 0)
 	b := m.GC(topo.Coord{X: 1}, 0)
 	var writeAt, barrierAt sim.Time
-	id := m.StartFence(fence.GCtoGC, 8, func(n *Node, at sim.Time) {
+	id := m.StartFence(8, func(n *Node, at sim.Time) {
 		if at > barrierAt {
 			barrierAt = at
 		}
@@ -124,7 +125,7 @@ func TestFenceFlushesPriorTraffic(t *testing.T) {
 		a.CountedWrite(b, 9, [4]uint32{uint32(i), 0, 0, 0})
 	}
 	var barrier sim.Time
-	id := m.StartFence(fence.GCtoGC, m.Shape().Diameter(), func(n *Node, at sim.Time) {
+	id := m.StartFence(m.Shape().Diameter(), func(n *Node, at sim.Time) {
 		if at > barrier {
 			barrier = at
 		}
@@ -142,9 +143,9 @@ func TestFenceFlushesPriorTraffic(t *testing.T) {
 func TestConcurrentFenceLimit(t *testing.T) {
 	m := New(DefaultConfig(topo.Shape{X: 2, Y: 2, Z: 2}))
 	done := func(*Node, sim.Time) {}
-	ids := make([]int, 0, fence.MaxConcurrent)
-	for i := 0; i < fence.MaxConcurrent; i++ {
-		ids = append(ids, m.StartFence(fence.GCtoGC, 1, done))
+	ids := make([]int, 0, maxFences)
+	for i := 0; i < maxFences; i++ {
+		ids = append(ids, m.StartFence(1, done))
 	}
 	func() {
 		defer func() {
@@ -152,16 +153,59 @@ func TestConcurrentFenceLimit(t *testing.T) {
 				t.Fatal("15th concurrent fence should hit flow control")
 			}
 		}()
-		m.StartFence(fence.GCtoGC, 1, done)
+		m.StartFence(1, done)
 	}()
 	m.K.Run()
 	for _, id := range ids {
 		m.FinishFence(id)
 	}
-	if got := m.StartFence(fence.GCtoGC, 0, done); got < 0 {
+	if got := m.StartFence(0, done); got < 0 {
 		t.Fatal("IDs not recycled")
 	}
 	m.K.Run()
+}
+
+func TestMaxFencesIsFourteen(t *testing.T) {
+	if maxFences != 14 {
+		t.Fatal("the paper says up to 14 concurrent fences")
+	}
+}
+
+func TestFenceIDLimit(t *testing.T) {
+	// The fence-ID table hands out maxFences distinct IDs, refuses one
+	// more (Section V-D), and reissues an ID once its fence finishes.
+	m := New(DefaultConfig(topo.Shape{X: 2, Y: 2, Z: 2}))
+	done := func(*Node, sim.Time) {}
+	ids := map[int]bool{}
+	for i := 0; i < maxFences; i++ {
+		id := m.StartFence(0, done)
+		if id < 0 || id >= maxFences || ids[id] {
+			t.Fatalf("bad id %d", id)
+		}
+		ids[id] = true
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("15th fence should be refused")
+			}
+		}()
+		m.StartFence(0, done)
+	}()
+	m.FinishFence(3)
+	if id := m.StartFence(0, done); id != 3 {
+		t.Fatalf("ID after finishing 3 = %d, want 3", id)
+	}
+}
+
+func TestFinishFenceReleaseValidation(t *testing.T) {
+	m := New(DefaultConfig(topo.Shape{X: 2, Y: 2, Z: 2}))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("finishing a fence ID that is not in use should panic")
+		}
+	}()
+	m.FinishFence(0)
 }
 
 func TestBarrierDeterministic(t *testing.T) {
@@ -196,5 +240,51 @@ func TestFenceHopsValidation(t *testing.T) {
 			t.Fatal("hops beyond diameter should panic")
 		}
 	}()
-	m.StartFence(fence.GCtoGC, 99, func(*Node, sim.Time) {})
+	m.StartFence(99, func(*Node, sim.Time) {})
+}
+
+// TestFenceTimingGolden pins fence-driven times bit for bit, where the
+// Figure 11 tests above only check +/-10% bands: the barrier latency at
+// every hop count of the 4x4x8 machine, and a 1000-atom MD step (whose
+// GC-to-ICB fence gates the force unload) open loop with compression off
+// and on, and closed loop with 16-flit VC queues. Any change to fence
+// merging, relay order or fence lineage that moves a simulated picosecond
+// fails here.
+func TestFenceTimingGolden(t *testing.T) {
+	barrierPs := [...]sim.Time{51408, 143391, 195390, 247389, 299388, 351387, 403386, 455385, 507384}
+	for h, want := range barrierPs {
+		if got := New(DefaultConfig(shape128)).Barrier(h).Latency; got != want {
+			t.Errorf("Barrier(%d) = %d ps, want %d", h, got, want)
+		}
+	}
+
+	steps := []struct {
+		name     string
+		comp     serdes.CompressConfig
+		vcqFlits int
+		want     StepResult
+		busyBits uint64
+	}{
+		{"open, compression off", serdes.CompressConfig{}, 0,
+			StepResult{Duration: 403465}, 0x3f9a98a2699b6298},
+		{"open, compression on", serdes.CompressConfig{INZ: true, Pcache: true}, 0,
+			StepResult{Duration: 363989}, 0x3f9ce300e53ebf6d},
+		{"closed loop, 16-flit queues", serdes.CompressConfig{}, 16,
+			StepResult{Duration: 3089698, ParkedPositions: 4604, ParkedForces: 5327}, 0x3f7016a0d9c9df22},
+	}
+	for _, c := range steps {
+		cfg := DefaultConfig(topo.Shape{X: 2, Y: 2, Z: 2})
+		cfg.Compress = c.comp
+		cfg.VCQueueFlits = c.vcqFlits
+		e := NewEngine(New(cfg), md.NewWater(1000, 300, sim.NewRand(21)), DefaultTimestepConfig())
+		e.RunStep() // warm step
+		got := e.RunStep()
+		if bits := math.Float64bits(got.PPIMBusyMax); bits != c.busyBits {
+			t.Errorf("%s: PPIMBusyMax bits = %#x, want %#x", c.name, bits, c.busyBits)
+		}
+		got.PPIMBusyMax = 0
+		if got != c.want {
+			t.Errorf("%s: step = %+v, want %+v", c.name, got, c.want)
+		}
+	}
 }

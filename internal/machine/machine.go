@@ -10,7 +10,6 @@ import (
 
 	"anton3/internal/chip"
 	"anton3/internal/fault"
-	"anton3/internal/fence"
 	"anton3/internal/mem"
 	"anton3/internal/packet"
 	"anton3/internal/route"
@@ -28,10 +27,10 @@ type Config struct {
 	Lat      chip.Latencies
 	Compress serdes.CompressConfig
 	Seed     uint64
-	// Policy selects the request routing policy (order selection, per-hop
-	// output choice, VC provisioning). nil means route.Random(), the
+	// Policy selects the request routing policy (order selection and
+	// per-hop output choice). nil means route.Random(), the
 	// paper's randomized minimal oblivious routing; route.XYZ() is the
-	// DESIGN.md fixed-order ablation, route.MinimalAdaptive() the
+	// fixed-order routing ablation, route.MinimalAdaptive() the
 	// load-adaptive alternative the paper argues against.
 	Policy route.Policy
 	// Shards partitions the machine's nodes into that many contiguous
@@ -166,7 +165,8 @@ type Machine struct {
 	// endpoint ops) use it directly after requireSingleShard.
 	pool *packet.Pool
 
-	fenceAlloc fence.Allocator
+	// fenceBusy marks the fence IDs in flight (StartFence to FinishFence).
+	fenceBusy [maxFences]bool
 }
 
 // Node is one ASIC plus its outbound channel slices. The channel, SRAM and
@@ -174,18 +174,14 @@ type Machine struct {
 // index and fence ID respectively — so the per-packet path never touches a
 // map.
 type Node struct {
-	m     *Machine
-	sh    *mshard // the shard that owns this node's events
-	Coord topo.Coord
-	idx   int32                                 // dense node index (topo.Shape.Index of Coord)
-	out   [chip.NumChannelSpecs]*serdes.Channel // nil where the shape has no channel
-	srams []*mem.SRAM                           // per GC index; entries allocated lazily
-	// specPos maps a dense spec index to the spec's position in the
-	// machine's spec list (-1 if absent) — the contiguous numbering the
-	// fence merge units are configured with.
-	specPos [chip.NumChannelSpecs]int8
-	fences  [fence.MaxConcurrent]*fenceOp
-	views   [chip.Slices]nodeLoadView
+	m      *Machine
+	sh     *mshard // the shard that owns this node's events
+	Coord  topo.Coord
+	idx    int32                                 // dense node index (topo.Shape.Index of Coord)
+	out    [chip.NumChannelSpecs]*serdes.Channel // nil where the shape has no channel
+	srams  []*mem.SRAM                           // per GC index; entries allocated lazily
+	fences [maxFences]*fenceOp
+	views  [chip.Slices]nodeLoadView
 	// vcqViews are the per-slice credit-lookahead load views handed to
 	// credit-steered policies; nil unless Config.VCQueueFlits > 0 (the
 	// flow-control state itself lives in the machine's flat vcq arrays).
@@ -300,15 +296,11 @@ func New(cfg Config) *Machine {
 			idx:   int32(i),
 			srams: make([]*mem.SRAM, gcs),
 		}
-		for j := range n.specPos {
-			n.specPos[j] = -1
-		}
-		for pos, cs := range m.specs {
+		for _, cs := range m.specs {
 			j := cs.Index()
 			ch := &m.chanBank[i*chip.NumChannelSpecs+j]
 			ch.Init(n.sh.k, chCfg)
 			n.out[j] = ch
-			n.specPos[j] = int8(pos)
 			nb := cfg.Shape.Neighbor(n.Coord, cs.Dim, cs.Dir)
 			m.neigh[i*chip.NumChannelSpecs+j] = int32(cfg.Shape.Index(nb))
 			m.cross[i*chip.NumChannelSpecs+j] =
@@ -530,7 +522,7 @@ func (m *Machine) Reset(seed uint64) {
 		}
 		n.resetVCQ(m.vcqFlits)
 	}
-	m.fenceAlloc = fence.Allocator{}
+	m.fenceBusy = [maxFences]bool{}
 	if m.tele != nil {
 		m.tele.Reset()
 	}

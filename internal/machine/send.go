@@ -315,9 +315,9 @@ func (m *Machine) OnPacket(p *packet.Packet) {
 		node.sh.pool.Put(p)
 
 	case packet.WalkFenceMerge:
-		id, hops, in := p.FenceID, p.FenceHops, chip.ChannelSpecAt(int(p.In))
+		id, hops := p.FenceID, p.FenceHops
 		node.sh.pool.Put(p)
-		node.fenceArrive(id, hops, in)
+		node.fenceArrive(id, hops)
 
 	default:
 		panic("machine: packet fired in an invalid walk state")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"anton3/internal/chip"
-	"anton3/internal/fence"
 	"anton3/internal/fixp"
 	"anton3/internal/md"
 	"anton3/internal/packet"
@@ -162,7 +161,7 @@ func (e *Engine) RunStep() StepResult {
 
 	// The GC-to-ICB fence flushes the position export; its packets queue
 	// behind the positions just sent on every channel.
-	fenceID := m.StartFence(fence.GCtoICB, e.radius, func(n *Node, at sim.Time) {
+	fenceID := m.StartFence(e.radius, func(n *Node, at sim.Time) {
 		st := &e.states[m.cfg.Shape.Index(n.Coord)]
 		st.fenceDone = true
 		e.maybeUnload(st)

@@ -136,8 +136,9 @@ func TestTimestepResetReuseMatchesFresh(t *testing.T) {
 // warm, the per-atom machinery (position packets, stream phases, PPIM
 // bookings, force returns) runs allocation-free — allocs per step must not
 // scale with the atom count. The per-step residue (the fence wavefront's
-// merge units and completion closures, plus slow-settling lineage slice
-// growth) is independent of system size and budgeted absolutely.
+// per-node round counts and completion closures, plus slow-settling
+// lineage slice growth) is independent of system size and budgeted
+// absolutely.
 // Compression is off: the INZ encoder allocates per packet by design and
 // is gated by its own benchmarks, not here.
 func TestTimestepAllocBudget(t *testing.T) {

@@ -494,22 +494,30 @@ func (m *Machine) creditArrive(n *Node, spec, vc, fl int) {
 		if n.sh.tele != nil || n.sh.trec != nil {
 			m.noteUnpark(n, q, now, need)
 		}
-		if q.In < 0 {
-			// A parked injection: admit it and tell the source.
-			m.acceptHop(q, out, int(q.OutVC))
-			q.State = packet.WalkTransit
-			m.lineageTouch(q, now)
-			n.sh.k.AfterActor(m.injLat[m.tileIdx(q.SrcCore)*chip.NumChannelSpecs+spec], q)
-			if q.OnAccept != nil {
-				q.OnAccept.Accepted(q)
-			}
-			continue
-		}
-		in, invc := int(q.In), int(q.VC)
-		m.popIngress(n, in, invc, q)
-		m.departHop(n, q, chip.ChannelSpecAt(in), out, int(q.OutVC), now)
-		m.advanceQueue(n, in, invc)
+		m.revive(n, q, out, int(q.OutVC), now)
 	}
+}
+
+// revive sends on a parked packet that has just been granted the credits
+// of (out, w). A parked injection is admitted and its source told; a
+// parked transit head still heads its ingress FIFO, so it leaves it,
+// returns its credits upstream, and lets the queue behind it advance.
+func (m *Machine) revive(n *Node, q *packet.Packet, out chip.ChannelSpec, w int, now sim.Time) {
+	if q.In < 0 {
+		m.acceptHop(q, out, w)
+		q.Out = int8(out.Index())
+		q.State = packet.WalkTransit
+		m.lineageTouch(q, now)
+		n.sh.k.AfterActor(m.injLat[m.tileIdx(q.SrcCore)*chip.NumChannelSpecs+out.Index()], q)
+		if q.OnAccept != nil {
+			q.OnAccept.Accepted(q)
+		}
+		return
+	}
+	in, invc := int(q.In), int(q.VC)
+	m.popIngress(n, in, invc, q)
+	m.departHop(n, q, chip.ChannelSpecAt(in), out, w, now)
+	m.advanceQueue(n, in, invc)
 }
 
 // resetVCQ returns a node's flow-control state to its just-built form:

@@ -3,7 +3,7 @@
 // particles at liquid-water molecular density), cell-list range-limited
 // force evaluation, and velocity-Verlet integration.
 //
-// Substitution note (DESIGN.md): the paper's benchmarks run a production
+// Substitution note: the paper's benchmarks run a production
 // water model on the real machine. For network purposes what matters is
 // (a) how many atoms cross each channel per step, (b) how smooth their
 // trajectories are, and (c) the magnitude distribution of positions and

@@ -184,8 +184,6 @@ type Packet struct {
 	// AtomID tags position/force packets (one of the "static fields" the
 	// particle cache replaces with a cache index on hits).
 	AtomID uint32
-	// Threshold is the blocking-read counter threshold for ReadReq.
-	Threshold uint8
 
 	// Payload carries up to four 32-bit words; Words says how many are
 	// meaningful. Packets with Words == 0 are single-flit (header only).

@@ -1,8 +1,6 @@
 package route
 
 import (
-	"fmt"
-
 	"anton3/internal/sim"
 	"anton3/internal/topo"
 )
@@ -45,10 +43,11 @@ type HealthFunc func(dim topo.Dim, dir int) bool
 func (f HealthFunc) Dead(dim topo.Dim, dir int) bool { return f(dim, dir) }
 
 // Policy is a request-packet routing policy: it picks the dimension order
-// recorded on the packet, chooses each hop's output, and sizes the request
-// VC set. Implementations must be stateless (one Policy value is shared
-// by every node of a machine and by concurrently running machines); all
-// randomness comes from the rng the caller passes in.
+// recorded on the packet and chooses each hop's output. Every policy uses
+// the same NumRequestVCs request VCs. Implementations must be stateless
+// (one Policy value is shared by every node of a machine and by
+// concurrently running machines); all randomness comes from the rng the
+// caller passes in.
 //
 // Response packets are outside the Policy's jurisdiction: they always
 // follow the XYZ mesh-restricted route (ResponseRoute) on the dedicated
@@ -75,10 +74,6 @@ type Policy interface {
 	// on hot paths use it to skip building a view (a per-decision
 	// closure) for oblivious policies, which would ignore it anyway.
 	Adaptive() bool
-	// RequestVCs is the number of request VCs the policy provisions. The
-	// fence engine sends one fence copy per request VC, so this threads
-	// through barrier behavior too.
-	RequestVCs() int
 }
 
 // oblivious is the family of dimension-order policies: a fixed order, or
@@ -96,9 +91,9 @@ type oblivious struct {
 func Random() Policy { return oblivious{name: "random"} }
 
 // XYZ returns the deterministic dimension-order policy: every request
-// follows XYZ, concentrating load instead of spreading it (the DESIGN.md
-// routing ablation, formerly the machine.Config.ForceXYZOrder special
-// case).
+// follows XYZ, concentrating load instead of spreading it (the routing
+// ablation of experiments.AblationDimOrders, formerly the
+// machine.Config.ForceXYZOrder special case).
 func XYZ() Policy {
 	o := topo.OrderXYZ
 	return oblivious{name: "xyz", fixed: &o}
@@ -118,8 +113,6 @@ func (p oblivious) Adaptive() bool { return false }
 func (p oblivious) NextStep(s topo.Shape, cur, dst topo.Coord, o topo.DimOrder, plusOnTie bool, _ LoadView, _ HealthView) (topo.Step, bool) {
 	return obliviousNext(s, cur, dst, o, plusOnTie)
 }
-
-func (p oblivious) RequestVCs() int { return NumRequestVCs }
 
 // obliviousNext advances the first dimension in order o that still
 // separates cur from dst, taking the minimal direction around the ring.
@@ -262,8 +255,6 @@ func (adaptive) NextStep(s topo.Shape, cur, dst topo.Coord, _ topo.DimOrder, _ b
 	return best, true
 }
 
-func (adaptive) RequestVCs() int { return NumRequestVCs }
-
 // creditEcho is minimal-adaptive steering on echoed credit state: per hop,
 // take the legal dimension whose downstream per-VC ingress queues have the
 // most free space (CreditSteered makes the machine supply that view). The
@@ -296,16 +287,6 @@ func Policies() []Policy {
 // meaningful.
 func SaturatePolicies() []Policy {
 	return append(Policies(), CreditEcho())
-}
-
-// PolicyByName resolves a policy by its Name, for CLI flags and configs.
-func PolicyByName(name string) (Policy, error) {
-	for _, p := range SaturatePolicies() {
-		if p.Name() == name {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("route: unknown policy %q (have random, xyz, adaptive, credit-echo)", name)
 }
 
 // Walk replays a policy's hop decisions from src to dst without a network:

@@ -109,18 +109,6 @@ func TestAdaptiveAvoidsLoadedDimension(t *testing.T) {
 	}
 }
 
-// TestPolicyVCDeadlockSafety checks that no policy provisions more request
-// VCs than the paper's 5-VC hardware has: the fence engine sends one copy
-// per RequestVCs(), so an oversized set would address VCs that do not
-// exist.
-func TestPolicyVCDeadlockSafety(t *testing.T) {
-	for _, p := range Policies() {
-		if n := p.RequestVCs(); n > NumRequestVCs {
-			t.Fatalf("%s: provisions %d request VCs, hardware has %d", p.Name(), n, NumRequestVCs)
-		}
-	}
-}
-
 func TestPolicyRegistry(t *testing.T) {
 	ps := Policies()
 	if len(ps) < 3 || ps[0].Name() != "random" {
@@ -132,12 +120,5 @@ func TestPolicyRegistry(t *testing.T) {
 			t.Fatalf("duplicate policy name %q", p.Name())
 		}
 		seen[p.Name()] = true
-		got, err := PolicyByName(p.Name())
-		if err != nil || got.Name() != p.Name() {
-			t.Fatalf("PolicyByName(%q) = %v, %v", p.Name(), got, err)
-		}
-	}
-	if _, err := PolicyByName("warped"); err == nil {
-		t.Fatal("unknown policy must error")
 	}
 }

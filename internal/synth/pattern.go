@@ -97,13 +97,3 @@ func Neighbor() Pattern {
 func Patterns() []Pattern {
 	return []Pattern{Uniform(), BitComplement(), Transpose(), Tornado(), HotSpot(), Neighbor()}
 }
-
-// PatternByName resolves a pattern for CLI flags.
-func PatternByName(name string) (Pattern, bool) {
-	for _, p := range Patterns() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Pattern{}, false
-}

@@ -135,13 +135,4 @@ func TestPatternRegistry(t *testing.T) {
 	if len(ps) < 5 {
 		t.Fatalf("want >= 5 patterns, got %d", len(ps))
 	}
-	for _, p := range ps {
-		got, ok := PatternByName(p.Name)
-		if !ok || got.Name != p.Name {
-			t.Fatalf("PatternByName(%q) broken", p.Name)
-		}
-	}
-	if _, ok := PatternByName("warp"); ok {
-		t.Fatal("unknown pattern should not resolve")
-	}
 }

@@ -52,18 +52,6 @@ const (
 	NumCounters
 )
 
-// CounterNames maps registry IDs to stable snake_case names for reports.
-var CounterNames = [NumCounters]string{
-	CtrInjected:        "injected",
-	CtrDelivered:       "delivered",
-	CtrParkEvents:      "park_events",
-	CtrEscapeVCEntries: "escape_vc_entries",
-	CtrFaultReroutes:   "fault_reroutes",
-	CtrParkFlitPs:      "park_flit_ps",
-	CtrCreditStallPs:   "credit_stall_ps",
-	CtrChannelBusyPs:   "channel_busy_ps",
-}
-
 // Shard is one shard's flat accumulator block: the counter array plus
 // injection-to-delivery and park-duration histograms (picosecond
 // samples). It is a comparable value type — tests assert shard-count

@@ -101,15 +101,3 @@ func (cs ChipShape) NearestSide(m MeshCoord) (Side, int) {
 func UVHops(a, b MeshCoord) (uHops, vHops int) {
 	return abs(a.U - b.U), abs(a.V - b.V)
 }
-
-// SideFor returns the chip side whose Edge Network owns the channel for
-// torus direction (d, dir). Anton 3 splits the six directions between the
-// two Edge Networks; we assign +X,+Y,+Z to the Right side and -X,-Y,-Z to
-// the Left, a symmetric split that keeps per-side SERDES counts equal
-// (3 neighbors x 16 lanes = 48 lanes per side).
-func SideFor(d Dim, dir int) Side {
-	if dir > 0 {
-		return Right
-	}
-	return Left
-}

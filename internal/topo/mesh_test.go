@@ -54,14 +54,6 @@ func TestUVHops(t *testing.T) {
 	}
 }
 
-func TestSideFor(t *testing.T) {
-	for _, d := range []Dim{X, Y, Z} {
-		if SideFor(d, 1) != Right || SideFor(d, -1) != Left {
-			t.Fatalf("SideFor(%v) asymmetric assignment broken", d)
-		}
-	}
-}
-
 func TestSerdesConstantsConsistent(t *testing.T) {
 	// 96 lanes spread over 6 neighbors = 16 per neighbor (Section II-B).
 	if SerdesLanes != 6*SerdesPerNeighbor {

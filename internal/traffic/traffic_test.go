@@ -75,9 +75,8 @@ func TestPcacheBenefitShrinksWithAtomCount(t *testing.T) {
 	// larger atom counts because more atoms per node result in a higher
 	// cache miss rate." A channel's working set grows as N^(2/3) (it is a
 	// boundary slab), so test-sized systems exercise the effect with a
-	// proportionally smaller cache; the full-size experiment in
-	// EXPERIMENTS.md uses the hardware 1024 entries with the paper's atom
-	// counts.
+	// proportionally smaller cache; the full-size Fig 9a experiment uses
+	// the hardware 1024 entries with the paper's atom counts.
 	pc := pcache.Config{Entries: 256, Ways: 4, EvictThreshold: 2}
 	small := run(t, sz(4000, 3000), 2, 2, serdes.CompressConfig{INZ: true, Pcache: true, PcacheConfig: pc})
 	large := run(t, sz(24000, 16000), 2, 2, serdes.CompressConfig{INZ: true, Pcache: true, PcacheConfig: pc})
