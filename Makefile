@@ -13,7 +13,8 @@ test:
 
 # The CI fast lane: reduced-size (not skipped) tests under the race
 # detector, vet and tests of the separate bench module, the allocation
-# gate, plus the netsweep, saturate, faultsweep, MD timestep and mdsweep CLI
+# gate, a 10 s fuzz smoke holding inz.Size to the reference encoder,
+# plus the netsweep, saturate, faultsweep, MD timestep and mdsweep CLI
 # smokes (each diffs sharded vs sequential output — shard-count invariance
 # end to end; the faultsweep smoke pins a dead-link cell with rerouting
 # live, the mdsweep smoke fences inside closed-loop MD steps),
@@ -26,6 +27,7 @@ test-short:
 	$(GO) test -short -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) alloc-gate
+	$(GO) test -run '^$$' -fuzz '^FuzzSizeMatchesEncode$$' -fuzztime 10s ./internal/inz
 	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q > /tmp/anton3-ns-seq.txt
 	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -shards 2 > /tmp/anton3-ns-sh2.txt
 	diff /tmp/anton3-ns-seq.txt /tmp/anton3-ns-sh2.txt
@@ -60,12 +62,15 @@ test-short:
 # The allocation gate: testing.AllocsPerRun regression tests pinning the
 # warm sim kernel (scheduling, Run and windowed RunUntil), the
 # steady-state machine.Send (request and response classes), the synth
-# harness inner loop, the closed-loop saturate point and the warm MD force
-# pass and step at 0 allocs/op, plus the MD timestep budget (allocs/step
-# must not scale with atoms). Run without -race: the detector's
-# instrumentation allocates, so the tests skip themselves there.
+# harness inner loop, the closed-loop saturate point, the warm MD force
+# pass and step, and the channel compression path (a warm INZ+pcache
+# Compressor.Transmit and a warm traffic replay in every compression
+# config) at 0 allocs/op, plus the MD timestep budget (allocs/step must
+# not scale with atoms, with compression off and on). Run without -race:
+# the detector's instrumentation allocates, so the tests skip themselves
+# there.
 alloc-gate:
-	$(GO) test -run 'AllocFree|TimestepAllocBudget' -count=1 ./internal/sim ./internal/machine ./internal/synth ./internal/flow ./internal/md
+	$(GO) test -run 'AllocFree|TimestepAllocBudget' -count=1 ./internal/sim ./internal/machine ./internal/synth ./internal/flow ./internal/md ./internal/serdes ./internal/traffic
 
 # The CI bench lane: every paper artifact once, the hot-path micro-bench
 # report (BENCH_hotpath.json: ns/op + allocs/op per PR, gated against the

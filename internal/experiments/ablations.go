@@ -82,7 +82,8 @@ func AblationINZInterleave(atoms int) []AblationRow {
 		pq := d.RelativeFixed(sys.Pos[i], home).Words()
 		fq := fixp.ForceToFixed(sys.Force[i]).Words()
 		for _, q := range [][4]uint32{pq, fq} {
-			inzBytes += inz.Encode(q).WireBytes()
+			n, _ := inz.Size(q)
+			inzBytes += n
 			truncBytes += inz.TruncateBytes(q)
 			rawBytes += inz.RawBytes
 		}

@@ -14,8 +14,12 @@
 //     bits the encoding is abandoned and the original 16 bytes are sent
 //     (the "16 valid bytes" special case).
 //
-// In hardware this is a single-cycle operation at 2.8 GHz; here it is a pair
-// of pure functions with an exact round-trip property.
+// In hardware this is a single-cycle operation at 2.8 GHz. The channel model
+// needs only the byte count it produces, which Size computes in closed form
+// without building the encoding; that is what a compressing channel charges
+// per payload. Encode and Decode are the reference codec: their exact round
+// trip is the proof that the format is lossless, and Encode is the oracle
+// Size is tested against.
 package inz
 
 import "math/bits"
@@ -100,6 +104,37 @@ func deinterleave(hi, lo uint64, m int) []uint32 {
 		words[pos%m] |= 1 << (pos / m)
 	}
 	return words
+}
+
+// Size returns the wire length Encode would produce for quad, and whether
+// it would abandon the encoding, without building it. Interleaving puts bit
+// b of folded word j at position b*m + j (m = k+1 words, k the most
+// significant non-zero word), so the vector's significant width is the
+// largest such position of any word's top set bit, plus one.
+func Size(quad [WordsPerQuad]uint32) (n int, raw bool) {
+	k := WordsPerQuad - 1
+	for k >= 0 && quad[k] == 0 {
+		k--
+	}
+	if k < 0 {
+		return 0, false
+	}
+	m := k + 1
+	sig := 0
+	for j := 0; j <= k; j++ {
+		f := FoldWord(quad[j])
+		if f == 0 {
+			continue
+		}
+		if s := (bits.Len32(f)-1)*m + j + 1; s > sig {
+			sig = s
+		}
+	}
+	total := sig + 2 // the 2-bit k tag at the LSB end
+	if total > 128 {
+		return RawBytes, true
+	}
+	return (total + 7) / 8, false
 }
 
 // Encode compresses a four-word payload.
@@ -197,23 +232,4 @@ func Decode(e Encoded) [WordsPerQuad]uint32 {
 		quad[i] = UnfoldWord(f)
 	}
 	return quad
-}
-
-// EncodeSigned is Encode for signed payloads (positions, forces, charges).
-func EncodeSigned(quad [WordsPerQuad]int32) Encoded {
-	var u [WordsPerQuad]uint32
-	for i, v := range quad {
-		u[i] = uint32(v)
-	}
-	return Encode(u)
-}
-
-// DecodeSigned is Decode returning signed words.
-func DecodeSigned(e Encoded) [WordsPerQuad]int32 {
-	u := Decode(e)
-	var s [WordsPerQuad]int32
-	for i, v := range u {
-		s[i] = int32(v)
-	}
-	return s
 }

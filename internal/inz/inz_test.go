@@ -80,8 +80,8 @@ func TestEncodeRoundTrip(t *testing.T) {
 func TestEncodeRoundTripSmallValues(t *testing.T) {
 	// The common case the encoding optimizes for: small signed values.
 	f := func(a, b, c, d int16) bool {
-		quad := [4]int32{int32(a), int32(b), int32(c), int32(d)}
-		return DecodeSigned(EncodeSigned(quad)) == quad
+		quad := [4]uint32{uint32(a), uint32(b), uint32(c), uint32(d)}
+		return Decode(Encode(quad)) == quad
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestEncodeNeverExceedsRaw(t *testing.T) {
 func TestEncodeSmallValuesCompress(t *testing.T) {
 	// Four values below 2^11 fold below 2^12, interleave into 48 bits,
 	// +2 tag bits = 50 bits -> 7 bytes (vs 16 raw).
-	e := EncodeSigned([4]int32{100, -200, 300, -400})
+	e := Encode([4]uint32{100, ^uint32(199), 300, ^uint32(399)}) // {100, -200, 300, -400}
 	if e.Raw {
 		t.Fatal("small payload must not abandon")
 	}
@@ -114,7 +114,7 @@ func TestEncodePaperExample(t *testing.T) {
 	// compressing so that 5 bytes of leading zeros are eliminated, i.e. the
 	// result occupies 3 bytes. Two words with ~11 significant folded bits
 	// interleave into <=22 bits, +2 = 24 bits = 3 bytes.
-	e := EncodeSigned([4]int32{-321, 654, 0, 0})
+	e := Encode([4]uint32{^uint32(320), 654, 0, 0}) // {-321, 654, 0, 0}
 	if e.Raw || e.WireBytes() != 3 {
 		t.Fatalf("two-small-word payload = %d bytes raw=%v, want 3 bytes", e.WireBytes(), e.Raw)
 	}

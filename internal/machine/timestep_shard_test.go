@@ -138,13 +138,13 @@ func TestTimestepResetReuseMatchesFresh(t *testing.T) {
 // scale with the atom count. The per-step residue (the fence wavefront's
 // per-node round counts and completion closures, plus slow-settling
 // lineage slice growth) is independent of system size and budgeted
-// absolutely.
-// Compression is off: the INZ encoder allocates per packet by design and
-// is gated by its own benchmarks, not here.
+// absolutely. The budgets hold with compression off and with INZ and the
+// particle cache on: channel compression sizes payloads without encoding
+// them and updates its caches in place.
 func TestTimestepAllocBudget(t *testing.T) {
-	perStep := func(atoms int) float64 {
+	perStep := func(cc serdes.CompressConfig, atoms int) float64 {
 		cfg := DefaultConfig(topo.Shape{X: 2, Y: 2, Z: 2})
-		cfg.Compress = serdes.CompressConfig{}
+		cfg.Compress = cc
 		m := New(cfg)
 		sys := md.NewWater(atoms, 300, sim.NewRand(21))
 		e := NewEngine(m, sys, DefaultTimestepConfig())
@@ -153,16 +153,20 @@ func TestTimestepAllocBudget(t *testing.T) {
 		}
 		return testing.AllocsPerRun(5, func() { e.RunStep() })
 	}
-	small := perStep(2000)
-	if small > 1500 {
-		t.Errorf("steady-state timestep allocates %.0f allocs/step, budget 1500", small)
-	}
-	if testing.Short() {
-		return
-	}
-	large := perStep(8000)
-	// 4x the atoms must not mean more than ~1.2x the allocations.
-	if large > 1.2*small+100 {
-		t.Errorf("allocs/step scale with atoms: %.0f at 2000, %.0f at 8000", small, large)
+	for _, cc := range []serdes.CompressConfig{{}, {INZ: true, Pcache: true}} {
+		t.Run(cc.EnabledString(), func(t *testing.T) {
+			small := perStep(cc, 2000)
+			if small > 1500 {
+				t.Errorf("steady-state timestep allocates %.0f allocs/step, budget 1500", small)
+			}
+			if testing.Short() {
+				return
+			}
+			large := perStep(cc, 8000)
+			// 4x the atoms must not mean more than ~1.2x the allocations.
+			if large > 1.2*small+100 {
+				t.Errorf("allocs/step scale with atoms: %.0f at 2000, %.0f at 8000", small, large)
+			}
+		})
 	}
 }

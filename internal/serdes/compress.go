@@ -133,11 +133,11 @@ func (c *Compressor) payloadBits(quad [4]uint32) int {
 	if !c.cfg.INZ {
 		return packet.PayloadBits
 	}
-	e := inz.Encode(quad)
-	if e.Raw {
+	n, raw := inz.Size(quad)
+	if raw {
 		c.stats.RawINZPayloads++
 	}
-	return LengthNibbleBits + 8*e.WireBytes()
+	return LengthNibbleBits + 8*n
 }
 
 // Transmit compresses one packet, accounts its wire cost, and returns the
@@ -198,16 +198,6 @@ func (c *Compressor) Transmit(p *packet.Packet) (out *packet.Packet, wireBits in
 // exported for invariant checks in tests and long simulations).
 func (c *Compressor) InSync() bool {
 	return c.pair == nil || c.pair.InSync()
-}
-
-// FramedBits converts payload bits into serialized channel bits including
-// fixed-frame overhead: compressed payloads and headers pack densely at
-// byte granularity into 64-byte frames of which 60 carry payload.
-func FramedBits(payloadBits uint64) uint64 {
-	payloadBytes := (payloadBits + 7) / 8
-	framePayload := uint64(FrameBytes - FrameOverheadBytes)
-	frames := (payloadBytes + framePayload - 1) / framePayload
-	return frames * FrameBytes * 8
 }
 
 func (c *Compressor) String() string {

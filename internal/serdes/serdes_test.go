@@ -5,6 +5,7 @@ import (
 
 	"anton3/internal/packet"
 	"anton3/internal/sim"
+	"anton3/internal/testutil"
 )
 
 func posPacket(id uint32, pos [3]int32) *packet.Packet {
@@ -124,17 +125,6 @@ func TestReductionAccounting(t *testing.T) {
 	}
 }
 
-func TestFramedBits(t *testing.T) {
-	// 1 payload bit -> one 64-byte frame.
-	if FramedBits(1) != 64*8 {
-		t.Fatalf("FramedBits(1) = %d", FramedBits(1))
-	}
-	// 60 payload bytes fit one frame; 61 need two.
-	if FramedBits(60*8) != 64*8 || FramedBits(61*8) != 128*8 {
-		t.Fatal("frame boundary accounting broken")
-	}
-}
-
 func TestChannelSerializationRate(t *testing.T) {
 	k := sim.NewKernel()
 	ch := NewChannel(k, DefaultChannelConfig(0, CompressConfig{}))
@@ -235,6 +225,44 @@ func TestCompressorLosslessUnderLoad(t *testing.T) {
 	}
 	if !ch.Compressor().InSync() {
 		t.Fatal("caches desynchronized")
+	}
+}
+
+// TestCompressorTransmitAllocFree pins the channel compression path at
+// zero heap allocations: a warm INZ+pcache compressor sizes each payload
+// with inz.Size and updates its cache pair in place, for position packets
+// that hit and miss the particle cache and for force packets.
+func TestCompressorTransmitAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	c := NewCompressor(CompressConfig{INZ: true, Pcache: true})
+	hit := posPacket(7, [3]int32{})
+	miss := posPacket(0, [3]int32{1 << 24, -1 << 22, 1 << 20})
+	force := forcePacket([3]int32{120000, -90000, 45000})
+	eos := &packet.Packet{Type: packet.EndOfStep}
+	var step int32
+	nextID := uint32(1000)
+	send := func() {
+		step++
+		hit.SetQuad([4]uint32{uint32(1<<24 + 1000*step), uint32(-1<<22 - 700*step), uint32(300 * step), 0})
+		c.Transmit(hit)
+		miss.AtomID = nextID // an atom the cache has never seen
+		nextID++
+		c.Transmit(miss)
+		c.Transmit(force)
+		c.Transmit(eos)
+	}
+	for i := 0; i < 4; i++ {
+		send()
+	}
+	before := c.Stats()
+	if n := testing.AllocsPerRun(10, send); n != 0 {
+		t.Fatalf("Transmit allocates %.1f times per round warm, want 0", n)
+	}
+	after := c.Stats()
+	if after.PcacheHits == before.PcacheHits || after.PcacheMisses == before.PcacheMisses {
+		t.Fatalf("measured rounds must both hit and miss: before %+v, after %+v", before, after)
 	}
 }
 

@@ -136,6 +136,35 @@ func TestPositionAndForceBitsBothPresent(t *testing.T) {
 	}
 }
 
+// TestReplayStepAllocFree pins a warm replay at zero heap allocations in
+// every compression config: the replayer's scratch buffers and compressor
+// table are sized by the first steps, and each channel crossing is sized
+// and cached in place. The measured op also advances the system (md.Step
+// is itself held at 0 allocs/op), so atoms move between channels and the
+// particle caches miss as well as hit, as in the Fig 9a replay.
+func TestReplayStepAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	for _, cfg := range []serdes.CompressConfig{
+		{}, {INZ: true}, {Pcache: true}, {INZ: true, Pcache: true},
+	} {
+		t.Run(cfg.EnabledString(), func(t *testing.T) {
+			s := md.NewWater(3000, 300, sim.NewRand(13))
+			r := NewReplayer(shape8, s.Box, cfg)
+			step := func() {
+				r.ReplayStep(s)
+				s.Step()
+			}
+			step()
+			step()
+			if n := testing.AllocsPerRun(2, step); n != 0 {
+				t.Fatalf("ReplayStep+Step allocates %.1f times/op warm, want 0", n)
+			}
+		})
+	}
+}
+
 func TestDeltaArithmetic(t *testing.T) {
 	a := serdes.Stats{Packets: 10, WireBits: 100, BaselineBits: 200}
 	b := serdes.Stats{Packets: 4, WireBits: 40, BaselineBits: 80}
