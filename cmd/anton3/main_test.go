@@ -32,6 +32,7 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{"-steps", []string{"fig12", "-steps", "0"}},
 		{"-mdsteps", []string{"mdsweep", "-mdsteps", "0"}},
 		{"-injq", []string{"saturate", "-injq", "-3"}},
+		{"-faults", []string{"faultsweep", "-faults", "0,0,0:x+:dead@18446744073710us"}},
 	}
 	stderr := os.Stderr
 	defer func() { os.Stderr = stderr }()

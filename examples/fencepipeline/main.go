@@ -55,7 +55,7 @@ func main() {
 			barrierDone = at
 		}
 	})
-	m.K.Run()
+	m.Run()
 	m.FinishFence(id)
 	fmt.Printf("1-hop fence closed the phase at %.1f ns after issue\n",
 		(barrierDone - start).Nanoseconds())

@@ -129,7 +129,7 @@ func AblationFenceVsPairwise(shape topo.Shape) []AblationRow {
 			src.CountedWrite(dst, 40, [4]uint32{1})
 		}
 	}
-	mp.K.Run()
+	mp.Run()
 	if remaining != 0 {
 		panic("experiments: pairwise barrier incomplete")
 	}
@@ -160,7 +160,7 @@ func AblationDimOrders(writesPerNode int) []AblationRow {
 				src.CountedWrite(dst, uint32(w%1024), [4]uint32{uint32(w), 1, 2, 3})
 			}
 		}
-		return m.K.Run().Nanoseconds()
+		return m.Run().Nanoseconds()
 	}
 	return []AblationRow{
 		{"fixed XYZ order", run(route.XYZ()), "ns drain"},

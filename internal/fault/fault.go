@@ -8,6 +8,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -316,7 +317,7 @@ func parseTime(s string) (sim.Time, error) {
 		s, mult = s[:len(s)-2], 1000*1000
 	}
 	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || v < 0 {
+	if err != nil || v < 0 || v > math.MaxInt64/mult {
 		return 0, fmt.Errorf("bad trip time %q (want a non-negative integer with optional ps/ns/us suffix)", s)
 	}
 	return sim.Time(v * mult), nil

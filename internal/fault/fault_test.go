@@ -8,17 +8,19 @@ import (
 	"anton3/internal/topo"
 )
 
+// roundTripCases pairs plan specs with their canonical forms.
+var roundTripCases = []struct {
+	spec, canon string
+}{
+	{"0,0,0:x+:dead", "0,0,0:x+:dead"},
+	{" 1,2,3:y-.0:bw/4@50ns ", "1,2,3:y-.0:bw/4@50000"},
+	{"0,1,0:z+:bw/2,lat*3", "0,1,0:z+:bw/2,lat*3"},
+	{"0,0,1:x-:dead@2us;0,0,0:x+:bw/2", "0,0,0:x+:bw/2;0,0,1:x-:dead@2000000"},
+	{"", ""},
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	cases := []struct {
-		spec, canon string
-	}{
-		{"0,0,0:x+:dead", "0,0,0:x+:dead"},
-		{" 1,2,3:y-.0:bw/4@50ns ", "1,2,3:y-.0:bw/4@50000"},
-		{"0,1,0:z+:bw/2,lat*3", "0,1,0:z+:bw/2,lat*3"},
-		{"0,0,1:x-:dead@2us;0,0,0:x+:bw/2", "0,0,0:x+:bw/2;0,0,1:x-:dead@2000000"},
-		{"", ""},
-	}
-	for _, c := range cases {
+	for _, c := range roundTripCases {
 		p, err := Parse(c.spec)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", c.spec, err)
@@ -48,6 +50,11 @@ func TestParseErrors(t *testing.T) {
 		"0,0,0:x+:slow",      // unknown effect
 		"0,0,0:x+:dead@-5ns", // negative trip
 		"0,0,0:x+",           // missing effects
+
+		// Trip times that overflow int64 picoseconds once scaled: unchecked,
+		// the first would wrap to 448384 ps and the second to -1000000.
+		"0,0,0:x+:dead@18446744073710us",
+		"0,0,0:x+:dead@9223372036854775807us",
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -170,4 +177,31 @@ func TestSeverityGridDeterministic(t *testing.T) {
 	if a[3].Plan.Canon() == c[3].Plan.Canon() && a[1].Plan.Canon() == c[1].Plan.Canon() {
 		t.Error("seeds 1 and 2 drew identical grids")
 	}
+}
+
+// FuzzParseCanon checks that Parse never panics, that every accepted plan's
+// canonical form parses back to the same canonical form, and that
+// validating any accepted plan against a shape never panics.
+func FuzzParseCanon(f *testing.F) {
+	for _, c := range roundTripCases {
+		f.Add(c.spec)
+	}
+	f.Add("0,0,0:x+:dead@18446744073710us")
+	f.Add("0,0,0:x+:dead@9223372036854775807us")
+	shape := topo.Shape{X: 4, Y: 4, Z: 8}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		canon := p.Canon()
+		p2, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its canon %q is rejected: %v", spec, canon, err)
+		}
+		if got := p2.Canon(); got != canon {
+			t.Fatalf("canon of %q is not a fixed point: %q -> %q", spec, canon, got)
+		}
+		_ = p.Validate(shape)
+	})
 }

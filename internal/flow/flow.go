@@ -464,12 +464,6 @@ func (h *Harness) runPoint(pat synth.Pattern, load float64, packets, warmup int,
 		}
 	}
 
-	// Lineage ordering at EVERY shard count (including one): credit
-	// arrivals revive parked packets from foreign events, where lineage
-	// rank and plain schedule order legitimately disagree — so the
-	// single-shard run adopts the content-based order too, and all shard
-	// counts produce identical bytes.
-	h.m.ForceLineageRun()
 	h.lastEnd = h.m.Run()
 
 	if c := h.m.Telemetry(); c != nil {

@@ -80,7 +80,6 @@ func runFenceMix(t *testing.T, shape topo.Shape, shards, perNode int) ([]sim.Tim
 	id := m.StartFence(2, func(n *Node, at sim.Time) {
 		fenceDone[m.Shape().Index(n.Coord)] = at
 	})
-	m.BeginLineageRun()
 	m.Run()
 	m.FinishFence(id)
 

@@ -109,7 +109,7 @@ func (m *Machine) PingPong(a, b *GC, iters int) PingPongResult {
 		})
 	}
 	iter(0)
-	m.K.Run()
+	m.Run()
 
 	total := end - start
 	return PingPongResult{

@@ -105,6 +105,16 @@ func (sh *mshard) nextPktID() uint64 {
 }
 
 // Machine is a simulated Anton 3 machine.
+//
+// The machine picks its own same-timestamp tie order. A sharded machine
+// has no global schedule sequence, so its kernels break ties by event
+// lineage (sim.Lineaged), which reproduces the single-shard schedule order
+// from event content alone. A machine with per-VC queues runs lineage at
+// every shard count, one included: a credit arrival revives parked packets
+// from a foreign event, so a revived packet's lineage rank (its own
+// history) differs from its schedule position, and a single shard in
+// schedule order would not match the sharded runs. A single-shard machine
+// with unbounded buffers keeps plain schedule order and no histories.
 type Machine struct {
 	cfg Config
 	// K is shard 0's kernel — for single-shard machines (the default),
@@ -116,7 +126,7 @@ type Machine struct {
 	nodes    []*Node
 	shards   []*mshard
 	exec     *sim.ParallelExec // nil for single-shard machines
-	lineage  bool              // maintain packet lineage for shard-count-invariant tie order
+	lineage  bool              // sharded or per-VC queues: lineage tie order and histories
 	policy   route.Policy
 	adaptive bool               // policy.Adaptive(), cached for the per-hop path
 	credEcho bool               // policy wants the credit-lookahead load view
@@ -256,6 +266,7 @@ func New(cfg Config) *Machine {
 	}
 	m.K = m.shards[0].k
 	m.pool = &m.shards[0].pool
+	m.lineage = P > 1 || m.vcqFlits > 0
 	if P > 1 {
 		if cfg.Lat.ChannelFixed < 1 {
 			panic("machine: sharding requires a positive channel FixedLatency (the lookahead)")
@@ -450,47 +461,21 @@ func (m *Machine) DrawRoute() (topo.DimOrder, bool) {
 	return o, m.shards[0].rng.Intn(2) == 0
 }
 
-// BeginLineageRun switches a sharded machine's kernels to lineage tie
-// ordering and starts maintaining packet event histories, making
-// same-timestamp execution order — and thus results — independent of the
-// shard count for pre-routed workloads. Call after all setup events are
-// scheduled, immediately before Run. No-op on single-shard machines,
-// whose sequential order is the reference being reproduced.
-func (m *Machine) BeginLineageRun() {
-	if m.exec == nil {
-		return
-	}
-	m.lineage = true
-	m.exec.BeginLineageOrder()
-}
-
-// ForceLineageRun is BeginLineageRun without the single-shard exemption:
-// every kernel, including a lone one, orders same-timestamp ties by
-// lineage. Workloads built on per-VC flow control need this: credit
-// arrivals revive parked packets from *foreign* events, whose lineage
-// rank (the packet's own history) deliberately differs from the kernel's
-// plain schedule order — so instead of reproducing sequential order at
-// higher shard counts, the single-shard run adopts the same content-based
-// order the sharded runs use. Either way the order is a pure function of
-// the seed, and results are byte-identical at every shard count.
-func (m *Machine) ForceLineageRun() {
-	m.lineage = true
-	if m.exec != nil {
-		m.exec.BeginLineageOrder()
-		return
-	}
-	m.K.BeginLineageOrder()
-}
-
 // Run executes the machine to completion: the kernel's event loop on a
 // single-shard machine, the conservative-lookahead window loop across all
-// shard kernels otherwise. It returns the timestamp of the last executed
-// event.
+// shard kernels otherwise. Events scheduled before Run are setup events; on
+// a lineage machine every shard kernel switches to lineage tie order here.
+// It returns the timestamp of the last executed event.
 func (m *Machine) Run() sim.Time {
+	if m.lineage {
+		for _, sh := range m.shards {
+			sh.k.BeginLineageOrder()
+		}
+	}
 	if m.exec != nil {
 		return m.exec.Run()
 	}
-	return m.K.Run()
+	return m.shards[0].k.Run()
 }
 
 // Reset returns the machine to its just-built state on the same topology
@@ -501,7 +486,6 @@ func (m *Machine) Run() sim.Time {
 // the property the netsweep harness's machine reuse rests on.
 func (m *Machine) Reset(seed uint64) {
 	m.cfg.Seed = seed
-	m.lineage = false
 	for s, sh := range m.shards {
 		sh.k.Reset()
 		sh.pktID = 0

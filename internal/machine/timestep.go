@@ -77,9 +77,9 @@ const (
 // bookkeeping event (unload, integration keep-alive) whose effect does not
 // depend on same-timestamp ordering. All randomness is pre-drawn at setup
 // from shard 0's rng in flat atom-major order. Steps therefore produce
-// byte-identical results at every shard count — including one, which runs
-// under ForceLineageRun so the reference order is the same content-based
-// order the sharded runs use.
+// byte-identical results at every shard count: a sharded run's lineage
+// order reproduces the single-shard schedule order, and a machine with
+// per-VC queues runs lineage order at every shard count (see Machine).
 type Engine struct {
 	m   *Machine
 	sys *md.System
@@ -167,10 +167,6 @@ func (e *Engine) RunStep() StepResult {
 		e.maybeUnload(st)
 	})
 
-	// Content-based tie order at every shard count, including one: parked
-	// revivals and cross-shard merges make plain schedule order
-	// shard-dependent, so the sequential run adopts lineage order too.
-	m.ForceLineageRun()
 	m.Run()
 	m.FinishFence(fenceID)
 
@@ -462,9 +458,7 @@ func (e *Engine) edgeApply(node *Node, p *packet.Packet) {
 	a := int(p.AtomID)
 	now := node.sh.k.Now()
 	if s := e.targetStream(a, p.Cur); s != nil {
-		if m.lineage {
-			s.hist = append(s.hist[:0], p.Hist...)
-		}
+		s.hist = append(s.hist[:0], p.Hist...)
 		node.sh.k.AtActor(now, s)
 	}
 	for i := int(e.edgeOff[a]); i < int(e.edgeOff[a+1]); i++ {

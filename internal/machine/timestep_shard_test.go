@@ -10,11 +10,12 @@ import (
 )
 
 // timestepRun executes steps MD timesteps on a fresh machine with the
-// given shard count and flow-control depth (0 = open loop) and returns
-// every step's result.
-func timestepRun(t *testing.T, atoms, steps, shards, vcqFlits int) []StepResult {
+// given channel compression, shard count and flow-control depth (0 = open
+// loop) and returns every step's result.
+func timestepRun(t *testing.T, cc serdes.CompressConfig, atoms, steps, shards, vcqFlits int) []StepResult {
 	t.Helper()
 	cfg := DefaultConfig(topo.Shape{X: 2, Y: 2, Z: 2})
+	cfg.Compress = cc
 	cfg.Shards = shards
 	cfg.VCQueueFlits = vcqFlits
 	m := New(cfg)
@@ -42,16 +43,23 @@ func compareSteps(t *testing.T, label string, ref, got []StepResult, shards int)
 // position multicast, PPIM streams, the GC-to-ICB fence riding the same
 // channels, force returns, integration — produces identical step results
 // at every shard count, over multiple chained steps (each step's start
-// time is the previous step's end).
+// time is the previous step's end). The single-shard open-loop reference
+// runs in schedule order and the sharded runs in lineage order, so this
+// is the check that the two orders agree, with compression off (fig9b's
+// baseline engine) and on.
 func TestTimestepShardInvariant(t *testing.T) {
 	atoms, steps := sz(3000, 2000), sz(3, 2)
 	shardCounts := []int{2, 3, 4}
 	if testing.Short() {
 		shardCounts = shardCounts[:1]
 	}
-	ref := timestepRun(t, atoms, steps, 1, 0)
-	for _, shards := range shardCounts {
-		compareSteps(t, "open-loop", ref, timestepRun(t, atoms, steps, shards, 0), shards)
+	for _, cc := range []serdes.CompressConfig{{}, {INZ: true, Pcache: true}} {
+		t.Run(cc.EnabledString(), func(t *testing.T) {
+			ref := timestepRun(t, cc, atoms, steps, 1, 0)
+			for _, shards := range shardCounts {
+				compareSteps(t, "open-loop", ref, timestepRun(t, cc, atoms, steps, shards, 0), shards)
+			}
+		})
 	}
 }
 
@@ -65,7 +73,8 @@ func TestTimestepClosedLoopShardInvariant(t *testing.T) {
 	if testing.Short() {
 		shardCounts = shardCounts[:1]
 	}
-	ref := timestepRun(t, atoms, steps, 1, 8)
+	cc := serdes.CompressConfig{INZ: true, Pcache: true}
+	ref := timestepRun(t, cc, atoms, steps, 1, 8)
 	var parked int64
 	for _, r := range ref {
 		parked += r.ParkedPositions + r.ParkedForces
@@ -74,7 +83,7 @@ func TestTimestepClosedLoopShardInvariant(t *testing.T) {
 		t.Fatalf("8-flit queues parked nothing; backpressure path not exercised")
 	}
 	for _, shards := range shardCounts {
-		compareSteps(t, "closed-loop", ref, timestepRun(t, atoms, steps, shards, 8), shards)
+		compareSteps(t, "closed-loop", ref, timestepRun(t, cc, atoms, steps, shards, 8), shards)
 	}
 }
 
@@ -136,11 +145,12 @@ func TestTimestepResetReuseMatchesFresh(t *testing.T) {
 // warm, the per-atom machinery (position packets, stream phases, PPIM
 // bookings, force returns) runs allocation-free — allocs per step must not
 // scale with the atom count. The per-step residue (the fence wavefront's
-// per-node round counts and completion closures, plus slow-settling
-// lineage slice growth) is independent of system size and budgeted
-// absolutely. The budgets hold with compression off and with INZ and the
-// particle cache on: channel compression sizes payloads without encoding
-// them and updates its caches in place.
+// per-node round counts and completion closures) is independent of system
+// size and budgeted absolutely. A single-shard open-loop machine keeps no
+// lineage histories, so the budget also catches lineage creeping back onto
+// it. The budgets hold with compression off and with INZ and the particle
+// cache on: channel compression sizes payloads without encoding them and
+// updates its caches in place.
 func TestTimestepAllocBudget(t *testing.T) {
 	perStep := func(cc serdes.CompressConfig, atoms int) float64 {
 		cfg := DefaultConfig(topo.Shape{X: 2, Y: 2, Z: 2})
@@ -156,8 +166,8 @@ func TestTimestepAllocBudget(t *testing.T) {
 	for _, cc := range []serdes.CompressConfig{{}, {INZ: true, Pcache: true}} {
 		t.Run(cc.EnabledString(), func(t *testing.T) {
 			small := perStep(cc, 2000)
-			if small > 1500 {
-				t.Errorf("steady-state timestep allocates %.0f allocs/step, budget 1500", small)
+			if small > 100 {
+				t.Errorf("steady-state timestep allocates %.0f allocs/step, budget 100", small)
 			}
 			if testing.Short() {
 				return

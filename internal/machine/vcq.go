@@ -148,10 +148,8 @@ type creditMsg struct {
 func (c *creditMsg) Act() {
 	n := c.node
 	m := c.m
-	if m.lineage {
-		c.hist = append(c.hist, n.sh.k.Now())
-		n.sh.curHist = c.hist
-	}
+	c.hist = append(c.hist, n.sh.k.Now())
+	n.sh.curHist = c.hist
 	m.creditArrive(n, int(c.spec), int(c.vc), int(c.flits))
 	n.sh.putCredit(c)
 }
@@ -185,10 +183,7 @@ func (sh *mshard) putCredit(c *creditMsg) {
 // event is a no-op (OnPacket already appended now); scheduling from another
 // actor's event — a credit arrival reviving a parked packet, a departing
 // head unblocking the packet behind it — appends the missing link.
-func (m *Machine) lineageTouch(p *packet.Packet, now sim.Time) {
-	if !m.lineage {
-		return
-	}
+func lineageTouch(p *packet.Packet, now sim.Time) {
 	if n := len(p.Hist); n == 0 || p.Hist[n-1] != now {
 		p.PushHist(now)
 	}
@@ -375,7 +370,7 @@ func (m *Machine) advanceQueue(n *Node, in, vc int) {
 		if !ok {
 			m.popIngress(n, in, vc, q)
 			q.State = packet.WalkApply
-			m.lineageTouch(q, now)
+			lineageTouch(q, now)
 			n.sh.k.AfterActor(m.ejLat[m.tileIdx(q.DstCore)*chip.NumChannelSpecs+in], q)
 			continue
 		}
@@ -407,7 +402,7 @@ func (m *Machine) departHop(n *Node, q *packet.Packet, inSpec, out chip.ChannelS
 	m.acceptHop(q, out, w)
 	q.Out = int8(out.Index())
 	q.State = packet.WalkTransit
-	m.lineageTouch(q, now)
+	lineageTouch(q, now)
 	n.sh.k.AfterActor(m.transLat[inSpec.Index()][out.Index()], q)
 }
 
@@ -449,12 +444,10 @@ func (m *Machine) creditReturn(n *Node, in, vc int, fl int32) {
 	msg.inj = creditInjBase +
 		(uint64(n.idx)*chip.NumChannelSpecs+uint64(in))<<24 +
 		uint64(vc)<<20 + uint64(seq&0xfffff)
-	if m.lineage {
-		if cap(msg.hist) == 0 {
-			msg.hist = make([]sim.Time, 0, packet.HistCap)
-		}
-		msg.hist = append(msg.hist[:0], n.sh.curHist...)
+	if cap(msg.hist) == 0 {
+		msg.hist = make([]sim.Time, 0, packet.HistCap)
 	}
+	msg.hist = append(msg.hist[:0], n.sh.curHist...)
 	at := n.sh.k.Now() + n.out[in].FixedLatency()
 	if up.sh == n.sh {
 		n.sh.k.AtActor(at, msg)
@@ -507,7 +500,7 @@ func (m *Machine) revive(n *Node, q *packet.Packet, out chip.ChannelSpec, w int,
 		m.acceptHop(q, out, w)
 		q.Out = int8(out.Index())
 		q.State = packet.WalkTransit
-		m.lineageTouch(q, now)
+		lineageTouch(q, now)
 		n.sh.k.AfterActor(m.injLat[m.tileIdx(q.SrcCore)*chip.NumChannelSpecs+out.Index()], q)
 		if q.OnAccept != nil {
 			q.OnAccept.Accepted(q)

@@ -53,9 +53,7 @@ type Channel struct {
 	psDen int64
 
 	busy     sim.Time
-	carried  uint64 // packets delivered
 	busyTime sim.Time
-	lastIdle sim.Time
 
 	// Fault state (see internal/fault). A dead channel refuses injection —
 	// the flow-control layer above must stop offering it traffic before
@@ -108,12 +106,11 @@ func (ch *Channel) Compressor() *Compressor { return ch.comp }
 func (ch *Channel) SetRemote(d sim.Deferrer) { ch.remote = d }
 
 // Reset returns the channel to its just-built state — serialization
-// horizon, utilization accounting, compression pipeline and fault state —
+// horizon, busy-time accounting, compression pipeline and fault state —
 // so a reused machine's channels start a fresh run with no history. The
 // machine re-applies its fault plan after resetting channels.
 func (ch *Channel) Reset() {
-	ch.busy, ch.busyTime, ch.lastIdle = 0, 0, 0
-	ch.carried = 0
+	ch.busy, ch.busyTime = 0, 0
 	ch.dead, ch.bwDiv, ch.latMult = false, 0, 0
 	ch.comp.Reset()
 }
@@ -149,18 +146,6 @@ func (ch *Channel) FixedLatency() sim.Time { return ch.cfg.FixedLatency }
 
 // Busy reports the current serialization horizon (diagnostics).
 func (ch *Channel) Busy() sim.Time { return ch.busy }
-
-// Utilization returns the fraction of time the channel has been
-// serializing since construction.
-func (ch *Channel) Utilization(now sim.Time) float64 {
-	if now == 0 {
-		return 0
-	}
-	return float64(ch.busyTime) / float64(now)
-}
-
-// Carried reports delivered packet count.
-func (ch *Channel) Carried() uint64 { return ch.carried }
 
 // BusyTime reports total serialization time accumulated since the last
 // Reset — read post-run by the telemetry layer for per-channel busy
@@ -203,7 +188,6 @@ func (ch *Channel) transmit(p *packet.Packet) (*packet.Packet, sim.Time) {
 	ch.busy = start + ser
 	ch.busyTime += ser
 	arrival := ch.busy + lat
-	ch.carried++
 	if ch.OnSend != nil {
 		ch.OnSend(p, start, ch.busy)
 	}

@@ -180,11 +180,9 @@ func TestChannelUtilization(t *testing.T) {
 	p.SetQuad([4]uint32{1, 2, 3, 4})
 	send(ch, p, ignore)
 	k.Run()
-	if ch.Carried() != 1 {
-		t.Fatal("carried count wrong")
-	}
-	if u := ch.Utilization(ch.Busy()); u < 0.99 {
-		t.Fatalf("utilization = %v, want ~1 while draining", u)
+	// An uncompressed force packet is 192 bits on the wire.
+	if got, want := ch.BusyTime(), ch.SerializeTime(192); got != want {
+		t.Fatalf("busy time = %v after one packet, want its serialization time %v", got, want)
 	}
 }
 

@@ -229,8 +229,8 @@ func (k *Kernel) tieBefore(slotA int32, qa uint64, slotB int32, qb uint64) bool 
 // equal timestamps compare by their actors' Lineage instead of schedule
 // sequence. Call it after all setup events have been scheduled and before
 // running; events already queued are treated as setup events. Sharded
-// executions (ParallelExec) use this to make results independent of the
-// shard count, not merely of goroutine interleaving.
+// executions arm it on every shard kernel to make results independent of
+// the shard count, not merely of goroutine interleaving.
 func (k *Kernel) BeginLineageOrder() {
 	k.lineage = true
 	k.setupSeq = k.seq

@@ -91,14 +91,6 @@ func NewParallelExec(ks []*Kernel, lookahead Time) *ParallelExec {
 // Wiring code (the machine) hands it to every cross-shard channel.
 func (x *ParallelExec) Outbox(src, dst int) *Outbox { return &x.out[src][dst] }
 
-// BeginLineageOrder switches every shard kernel to lineage tie ordering
-// (see Kernel.BeginLineageOrder). Call after setup scheduling, before Run.
-func (x *ParallelExec) BeginLineageOrder() {
-	for _, k := range x.ks {
-		k.BeginLineageOrder()
-	}
-}
-
 // Run executes windows until every kernel drains and every outbox is
 // empty, and returns the timestamp of the last executed event across all
 // shards — the value a sequential Kernel.Run over the same event set would

@@ -197,7 +197,6 @@ func (h *Harness) RunPoint(pat Pattern, load float64, packets, warmup int, seed 
 		h.m.ShardKernel(s).SealStage()
 	}
 
-	h.m.BeginLineageRun()
 	drainEnd := h.m.Run()
 
 	if c := h.m.Telemetry(); c != nil {
