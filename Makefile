@@ -14,7 +14,8 @@ test:
 # The CI fast lane: reduced-size (not skipped) tests under the race
 # detector, vet and tests of the separate bench module, the allocation
 # gate, a 10 s fuzz smoke holding inz.Size to the reference encoder, a
-# 10 s fuzz smoke of fault-plan parsing and canonical forms, plus the
+# 10 s fuzz smoke of fault-plan parsing and canonical forms, a 10 s fuzz
+# smoke of the -shapes/-loads grid parsers, plus the
 # netsweep, saturate, faultsweep, MD timestep and mdsweep CLI
 # smokes (each diffs sharded vs sequential output — shard-count invariance
 # end to end; the faultsweep smoke pins a dead-link cell with rerouting
@@ -30,6 +31,7 @@ test-short:
 	$(MAKE) alloc-gate
 	$(GO) test -run '^$$' -fuzz '^FuzzSizeMatchesEncode$$' -fuzztime 10s ./internal/inz
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCanon$$' -fuzztime 10s ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzParseGrid$$' -fuzztime 10s ./cmd/anton3
 	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q > /tmp/anton3-ns-seq.txt
 	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -shards 2 > /tmp/anton3-ns-sh2.txt
 	diff /tmp/anton3-ns-seq.txt /tmp/anton3-ns-sh2.txt

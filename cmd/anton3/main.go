@@ -57,8 +57,8 @@ func run(args []string) int {
 	steps := fs.Int("steps", 3, "timestep count (fig9b, fig12)")
 	warm := fs.Int("warm", 3, "warmup steps (fig9a)")
 	measure := fs.Int("measure", 4, "measured steps (fig9a)")
-	shapes := fs.String("shapes", "4x4x8,8x8x8", "netsweep/saturate torus shapes, comma-separated XxYxZ")
-	loads := fs.String("loads", "0.5,1,2,3,4", "netsweep/saturate offered loads, comma-separated")
+	shapes := fs.String("shapes", "4x4x8,8x8x8", "netsweep/saturate torus shapes, comma-separated XxYxZ, 2 to 4096 nodes each")
+	loads := fs.String("loads", "0.5,1,2,3,4", "netsweep/saturate offered loads, comma-separated, each >= 1e-6")
 	npkts := fs.Int("npkts", 96, "netsweep/saturate measured packets per node (saturate: per unit load)")
 	nwarm := fs.Int("nwarm", 32, "netsweep/saturate warmup packets per node")
 	mdatoms := fs.Int("mdatoms", 8000, "atom count per mdsweep cell")
@@ -318,6 +318,16 @@ func (m *cacheMode) Set(v string) error {
 // IsBoolFlag lets bare `-cache` enable read/write mode.
 func (m *cacheMode) IsBoolFlag() bool { return true }
 
+// Grid input limits. maxShapeNodes bounds every dimension and every
+// shape's node count: 8x the 512-node production machine, so 16x16x16
+// still fits. minLoad is the smallest offered load: its mean injection gap
+// (0.88 ms of simulated time) keeps a 128-packet schedule on a
+// 4096-node grid over 100x inside the schedule's sort-key range.
+const (
+	maxShapeNodes = 4096
+	minLoad       = 1e-6
+)
+
 func parseShapes(s string) ([]topo.Shape, error) {
 	var out []topo.Shape
 	for _, part := range strings.Split(s, ",") {
@@ -331,11 +341,14 @@ func parseShapes(s string) ([]topo.Shape, error) {
 			if err != nil || n < 1 {
 				return nil, fmt.Errorf("bad shape %q (want XxYxZ)", part)
 			}
+			if n > maxShapeNodes {
+				return nil, fmt.Errorf("shape %q has a dimension above %d", part, maxShapeNodes)
+			}
 			v[i] = n
 		}
 		sh := topo.Shape{X: v[0], Y: v[1], Z: v[2]}
-		if sh.Nodes() < 2 {
-			return nil, fmt.Errorf("shape %q has 1 node, want at least 2", part)
+		if n := sh.Nodes(); n < 2 || n > maxShapeNodes {
+			return nil, fmt.Errorf("shape %q has %d nodes, want 2 to %d", part, n, maxShapeNodes)
 		}
 		out = append(out, sh)
 	}
@@ -346,8 +359,8 @@ func parseLoads(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || !(f > 0) || math.IsInf(f, 1) {
-			return nil, fmt.Errorf("bad load %q (want a finite number > 0)", part)
+		if err != nil || !(f >= minLoad) || math.IsInf(f, 1) {
+			return nil, fmt.Errorf("bad load %q (want a finite number >= %g)", part, minLoad)
 		}
 		out = append(out, f)
 	}
@@ -411,7 +424,8 @@ flags (after the subcommand):
   -json P    write the runner report (per-job rows and timings) to P
   -q         suppress the runner summary line on stderr
   -pairs, -atoms, -steps, -warm, -measure   experiment sizes (see -h)
-  -shapes, -loads, -npkts, -nwarm           netsweep/saturate grid (see -h)
+  -shapes, -loads, -npkts, -nwarm           netsweep/saturate grid (see -h);
+             shapes have 2 to 4096 nodes, loads are >= 1e-6
   -vcq N, -injq N                           saturate queue/window depths
   -mdatoms N, -mdsteps N                    mdsweep cell size
   -faults PLAN  faultsweep custom plan: ';'-separated link faults, each

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,34 +10,41 @@ import (
 	"anton3/internal/md"
 )
 
+// badInputs are command lines run must reject before any job is built,
+// each with the flag its message must name.
+var badInputs = []struct {
+	flag string
+	args []string
+}{
+	{"-npkts", []string{"netsweep", "-npkts", "0"}},
+	{"-nwarm", []string{"netsweep", "-nwarm", "-1"}},
+	{"-shapes", []string{"netsweep", "-shapes", "1x1x1"}},
+	{"-shapes", []string{"saturate", "-shapes", "2x2x2,1x1x1"}},
+	{"-shapes", []string{"netsweep", "-shapes", "3037000500x3037000500x1"}}, // X*Y overflows int64
+	{"-shapes", []string{"netsweep", "-shapes", "100000x100000x100000"}},    // 10^15 nodes
+	{"-atoms", []string{"fig12", "-atoms", "194"}},
+	{"-mdatoms", []string{"mdsweep", "-mdatoms", "0"}},
+	{"-loads", []string{"netsweep", "-loads", "NaN"}},
+	{"-loads", []string{"saturate", "-loads", "0.5,Inf"}},
+	{"-loads", []string{"netsweep", "-shapes", "2x2x2", "-loads", "1e-15"}},  // overflows the schedule sort key
+	{"-loads", []string{"netsweep", "-shapes", "2x2x2", "-loads", "1e-300"}}, // every gap clamps to 1 ps
+	{"-pairs", []string{"fig5", "-pairs", "0"}},
+	{"-warm", []string{"fig9a", "-warm", "-1"}},
+	{"-measure", []string{"fig9a", "-measure", "0"}},
+	{"-steps", []string{"fig12", "-steps", "0"}},
+	{"-mdsteps", []string{"mdsweep", "-mdsteps", "0"}},
+	{"-injq", []string{"saturate", "-injq", "-3"}},
+	{"-faults", []string{"faultsweep", "-faults", "0,0,0:x+:dead@18446744073710us"}},
+}
+
 // TestBadInputExitsTwo feeds run each out-of-range flag value and checks
 // that it is rejected before any job is built: exit code 2 and a message
 // on stderr naming the flag, never a panic from inside a harness or the MD
 // model.
 func TestBadInputExitsTwo(t *testing.T) {
-	cases := []struct {
-		flag string
-		args []string
-	}{
-		{"-npkts", []string{"netsweep", "-npkts", "0"}},
-		{"-nwarm", []string{"netsweep", "-nwarm", "-1"}},
-		{"-shapes", []string{"netsweep", "-shapes", "1x1x1"}},
-		{"-shapes", []string{"saturate", "-shapes", "2x2x2,1x1x1"}},
-		{"-atoms", []string{"fig12", "-atoms", "194"}},
-		{"-mdatoms", []string{"mdsweep", "-mdatoms", "0"}},
-		{"-loads", []string{"netsweep", "-loads", "NaN"}},
-		{"-loads", []string{"saturate", "-loads", "0.5,Inf"}},
-		{"-pairs", []string{"fig5", "-pairs", "0"}},
-		{"-warm", []string{"fig9a", "-warm", "-1"}},
-		{"-measure", []string{"fig9a", "-measure", "0"}},
-		{"-steps", []string{"fig12", "-steps", "0"}},
-		{"-mdsteps", []string{"mdsweep", "-mdsteps", "0"}},
-		{"-injq", []string{"saturate", "-injq", "-3"}},
-		{"-faults", []string{"faultsweep", "-faults", "0,0,0:x+:dead@18446744073710us"}},
-	}
 	stderr := os.Stderr
 	defer func() { os.Stderr = stderr }()
-	for _, c := range cases {
+	for _, c := range badInputs {
 		name := strings.Join(c.args, " ")
 		f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
 		if err != nil {
@@ -74,4 +82,37 @@ func TestMinMDAtomsIsSmallestDecomposable(t *testing.T) {
 		t.Fatalf("minMDAtoms = %d, but boxes are %.3f (n-1) and %.3f (n) against 2*cutoff %.1f",
 			minMDAtoms, md.BoxForAtoms(minMDAtoms-1), md.BoxForAtoms(minMDAtoms), 2*md.Cutoff)
 	}
+}
+
+// FuzzParseGrid holds the -shapes and -loads parsers to their contract:
+// they never panic, every accepted shape has 2 to maxShapeNodes nodes, and
+// every accepted load is finite and at least minLoad. The corpus starts
+// from the defaults and every -shapes and -loads value of badInputs.
+func FuzzParseGrid(f *testing.F) {
+	f.Add("4x4x8,8x8x8", "0.5,1,2,3,4")
+	for _, c := range badInputs {
+		v := c.args[len(c.args)-1]
+		switch c.flag {
+		case "-shapes":
+			f.Add(v, "1")
+		case "-loads":
+			f.Add("2x2x2", v)
+		}
+	}
+	f.Fuzz(func(t *testing.T, shapes, loads string) {
+		if got, err := parseShapes(shapes); err == nil {
+			for _, sh := range got {
+				if n := sh.Nodes(); n < 2 || n > maxShapeNodes {
+					t.Fatalf("parseShapes(%q) accepted %v with %d nodes", shapes, sh, n)
+				}
+			}
+		}
+		if got, err := parseLoads(loads); err == nil {
+			for _, l := range got {
+				if math.IsNaN(l) || math.IsInf(l, 0) || l < minLoad {
+					t.Fatalf("parseLoads(%q) accepted load %v", loads, l)
+				}
+			}
+		}
+	})
 }

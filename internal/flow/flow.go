@@ -1,33 +1,29 @@
 // Package flow is the closed-loop network-evaluation subsystem: the
 // classic interconnect saturation methodology (offered vs. accepted
 // throughput under endpoint backpressure, with a located saturation knee)
-// applied to the Anton 3 torus. It complements internal/synth's open-loop
-// netsweep rig: where netsweep times a fixed packet set, flow runs the
-// machine with bounded per-VC ingress queues (machine.Config.VCQueueFlits)
-// and finite source injection windows, so the network can refuse traffic —
-// and the refusal, not just the latency, is the measurement.
+// applied to the Anton 3 torus. It runs internal/synth's measurement rig
+// on a machine with bounded per-VC ingress queues
+// (machine.Config.VCQueueFlits) and finite source injection windows, so
+// the network can refuse traffic — and the refusal, not just the latency,
+// is the measurement.
 //
-// Every random choice is pre-drawn from the cell seed through
-// synth.Schedule (packet.PreRouted), and all runtime actors carry lineage,
-// so a sweep is byte-identical across worker counts, machine reuse, and
-// kernel shard counts — the same guarantee netsweep has.
+// Every random choice is pre-drawn from the cell seed by the rig
+// (packet.PreRouted), and all runtime actors carry lineage, so a sweep is
+// byte-identical across worker counts, machine reuse, and kernel shard
+// counts — the same guarantee netsweep has.
 package flow
 
 import (
 	"math"
-	"sort"
 
 	"anton3/internal/fault"
 	"anton3/internal/machine"
-	"anton3/internal/packet"
 	"anton3/internal/resultstore"
 	"anton3/internal/route"
 	"anton3/internal/serdes"
-	"anton3/internal/sim"
 	"anton3/internal/synth"
 	"anton3/internal/telemetry"
 	"anton3/internal/topo"
-	"anton3/internal/trace"
 )
 
 // Defaults for the closed-loop rig. The per-VC ingress queue is sized to
@@ -73,34 +69,12 @@ type Point struct {
 // Ratio is the accepted/offered fraction, the saturation detector's input.
 func (p Point) Ratio() float64 { return p.Accepted / p.Offered }
 
-// Harness runs closed-loop measurements on one long-lived machine: one
-// (shape, policy, shard count) triple serves any number of (pattern, load,
-// seed) points via RunPoint, allocation-free in steady state like the
-// netsweep harness.
+// Harness runs closed-loop measurements on the synth rig: one (shape,
+// policy, shard count, queue depths, fault plan) machine serves any number
+// of (pattern, load, seed) points via RunPoint, allocation-free in steady
+// state. The embedded rig provides the machine, telemetry and tracing.
 type Harness struct {
-	m     *machine.Machine
-	shape topo.Shape
-	core  packet.CoreID
-	base  sim.Time // serialization time of the reference packet (load unit)
-	injQ  int      // injection-window depth per source, in packets
-
-	total  int
-	warmup int
-	sched  synth.Schedule
-
-	emits []emitter
-	srcs  []source
-
-	// Per-shard measurement state: network entries happen on the source
-	// node's shard, deliveries on the destination node's shard; each shard
-	// writes its own accumulators and the point statistics reduce them with
-	// order-insensitive operations (sum, max, sort).
-	sinks     []sink
-	lats      [][]float64
-	delivered []int64
-	entered   []int64
-	lastEntry []sim.Time
-	all       []float64
+	*synth.Harness
 
 	// PointsRun counts the points this harness actually simulated over
 	// its lifetime — cache hits are excluded — so the knee-search and
@@ -126,17 +100,6 @@ type Harness struct {
 	// fault-carrying key config so faulted results can never collide with
 	// healthy ones — and healthy harnesses keep their PR 8 keys untouched.
 	faultCanon string
-
-	// Telemetry state (EnableMetrics): metrics gates the layer, telAgg
-	// accumulates every point's merged telemetry block over the harness's
-	// lifetime (cache replays included — a hit merges the recorded
-	// block), ptTel holds the most recent point's block, and lastEnd the
-	// most recent run's final event timestamp (the heatmap's busy-time
-	// normalizer). All value types: zero per-point allocations.
-	metrics bool
-	telAgg  telemetry.Shard
-	ptTel   telemetry.Shard
-	lastEnd sim.Time
 }
 
 // telPoint is the cache record of a metrics-enabled point: the Point
@@ -188,11 +151,9 @@ func NewHarness(shape topo.Shape, policy route.Policy, shards, queueFlits, injDe
 }
 
 // NewFaultHarness is NewHarness with a link-fault plan applied to the
-// machine (nil or empty = healthy, identical to NewHarness). The load unit
-// (h.base) is always the healthy serialization time — serdes degradation
-// applies inside transmit, not SerializeTime — so offered loads on a
-// degraded network mean the same thing they mean on a healthy one, and
-// knee shifts are measured in a fixed unit.
+// machine (nil or empty = healthy, identical to NewHarness). Offered loads
+// keep the healthy load unit (see synth.NewHarnessOn), so knee shifts are
+// measured in a fixed unit.
 func NewFaultHarness(shape topo.Shape, policy route.Policy, shards, queueFlits, injDepth int, plan *fault.Plan) *Harness {
 	if queueFlits <= 0 {
 		queueFlits = DefaultQueueFlits
@@ -205,17 +166,7 @@ func NewFaultHarness(shape topo.Shape, policy route.Policy, shards, queueFlits, 
 	mcfg.Policy = policy
 	mcfg.Shards = shards
 	mcfg.VCQueueFlits = queueFlits
-	if !plan.Empty() {
-		mcfg.Faults = plan
-	}
-	m := machine.New(mcfg)
-	refCh := m.Node(shape.CoordOf(0)).ChannelSpecs()[0]
 	h := &Harness{
-		m:     m,
-		shape: shape,
-		core:  m.GC(shape.CoordOf(0), 0).ID,
-		base:  m.Node(shape.CoordOf(0)).Channel(refCh).SerializeTime(synth.RefPacketBits),
-		injQ:  injDepth,
 		keyCfg: pointKeyCfg{
 			Shape:      shape.String(),
 			Policy:     policy.Name(),
@@ -224,134 +175,17 @@ func NewFaultHarness(shape topo.Shape, policy route.Policy, shards, queueFlits, 
 		},
 	}
 	if !plan.Empty() {
+		mcfg.Faults = plan
 		h.faultCanon = plan.Canon()
 	}
-	P := m.NumShards()
-	h.sinks = make([]sink, P)
-	h.lats = make([][]float64, P)
-	h.delivered = make([]int64, P)
-	h.entered = make([]int64, P)
-	h.lastEntry = make([]sim.Time, P)
-	for s := range h.sinks {
-		h.sinks[s] = sink{h: h, shard: int32(s)}
-	}
+	h.Harness = synth.NewHarnessOn(mcfg, injDepth)
 	return h
-}
-
-// EnableMetrics arms the telemetry layer for every subsequent point:
-// the machine gets per-shard counter/histogram blocks, and each point's
-// merged block lands in the harness accumulator (Telemetry). Call right
-// after NewHarness; metrics-on points cache under a distinct key kind.
-func (h *Harness) EnableMetrics() {
-	h.metrics = true
-	h.m.EnableTelemetry()
-}
-
-// AttachTrace arms packet-lifecycle tracing on the harness machine with
-// the given track prefix (DrainTrace collects the spans).
-func (h *Harness) AttachTrace(prefix string) { h.m.AttachPacketTrace(prefix) }
-
-// DrainTrace moves all recorded packet-lifecycle spans into dst.
-func (h *Harness) DrainTrace(dst *trace.Recorder) { h.m.DrainPacketTrace(dst) }
-
-// Telemetry returns the harness-lifetime accumulated telemetry block
-// (zero-valued unless EnableMetrics was called).
-func (h *Harness) Telemetry() *telemetry.Shard { return &h.telAgg }
-
-// source is one node's closed-loop traffic generator. Its injection window
-// holds at most injQ packets that the network has refused (parked at their
-// first-hop channel for lack of credits); when the window is full, the
-// offered process backs up into backlog and drains — in schedule order —
-// as acceptances free slots.
-type source struct {
-	h       *Harness
-	node    int32
-	shard   int32
-	parked  int32 // packets currently refused by the network
-	backlog int32 // offered instants that found the window full
-	sent    int32 // packets emitted so far (next flat = node*total + sent)
-}
-
-// Accepted frees an injection-window slot (packet.Accepter): the parked
-// packet started injecting. Backlogged offered instants drain while the
-// window has room.
-func (s *source) Accepted(p *packet.Packet) {
-	h := s.h
-	h.noteEntry(int(s.shard), h.m.NodeKernel(p.SrcNode).Now())
-	s.parked--
-	for s.backlog > 0 && int(s.parked) < h.injQ {
-		s.backlog--
-		h.emit(s)
-	}
-}
-
-// emitter fires one offered instant of one node's schedule: a
-// setup-scheduled sim.Actor (one per node, scheduled once per instant), so
-// the closed-loop steady state carries no closures and the emission events
-// keep global setup order — the property the shard-invariance of the rig
-// rests on.
-type emitter struct {
-	h    *Harness
-	node int32
-}
-
-// Act offers the node's next packet to its source.
-func (e *emitter) Act() {
-	s := &e.h.srcs[e.node]
-	if int(s.parked) >= e.h.injQ || s.backlog > 0 {
-		s.backlog++
-		return
-	}
-	e.h.emit(s)
-}
-
-// emit builds and sends the source's next scheduled packet. A packet the
-// network accepts immediately is a network entry now; a refused one parks
-// (packet.WalkParked) and enters when its Accepted callback fires.
-func (h *Harness) emit(s *source) {
-	p := h.sched.Packet(h.m, h.shape, h.core, int(s.node)*h.total+int(s.sent))
-	s.sent++
-	p.OnAccept = s
-	src := p.SrcNode
-	h.m.Send(p, &h.sinks[h.m.ShardOf(p.DstNode)])
-	if p.State == packet.WalkParked {
-		s.parked++
-	} else {
-		h.noteEntry(int(s.shard), h.m.NodeKernel(src).Now())
-	}
-}
-
-// noteEntry records one network entry on a shard's accumulators.
-func (h *Harness) noteEntry(shard int, now sim.Time) {
-	h.entered[shard]++
-	if now > h.lastEntry[shard] {
-		h.lastEntry[shard] = now
-	}
-}
-
-// sink records deliveries landing on one shard (packet.Deliverer).
-type sink struct {
-	h     *Harness
-	shard int32
-}
-
-// Deliver records one delivered packet; latency runs from the packet's
-// intended injection instant, so source stalling is charged to it.
-func (s *sink) Deliver(p *packet.Packet) {
-	h := s.h
-	h.delivered[s.shard]++
-	flat := int(p.AtomID)
-	if flat%h.total < h.warmup {
-		return
-	}
-	now := h.m.NodeKernel(p.DstNode).Now()
-	h.lats[s.shard] = append(h.lats[s.shard], (now - h.sched.Times[flat]).Nanoseconds())
 }
 
 // RunPoint offers Pattern traffic at one nominal load through the
 // closed-loop sources and measures what the network accepted. The machine
 // is reset to the seed; every random choice derives from the seed alone
-// (synth.Schedule pre-draw + packet.PreRouted), so results are byte-stable
+// (the rig's pre-draw + packet.PreRouted), so results are byte-stable
 // across hosts, worker counts, machine reuse, and shard counts.
 //
 // packets and warmup are per node at unit load and scale up with the
@@ -367,32 +201,32 @@ func (h *Harness) RunPoint(pat synth.Pattern, load float64, packets, warmup int,
 		panic("flow: load and packet count must be positive")
 	}
 	if h.Cache == nil {
-		return h.runPoint(pat, load, packets, warmup, seed)
+		return closedPoint(h.runPoint(pat, load, packets, warmup, seed))
 	}
 	cfg := h.keyCfg
 	cfg.Pattern = pat.Name
 	cfg.Load = load
 	cfg.Packets, cfg.Warmup = packets, warmup
 	key := h.pointKey(seed, cfg)
-	if h.metrics {
+	if h.Machine().Telemetry() != nil {
 		// Metrics-on points store (Point, telemetry block) under the
 		// "+tel" kind; a hit replays the block into the accumulator so
 		// warm sweeps report identical telemetry.
 		var rec telPoint
 		if h.Cache.Get(key, &rec) {
-			h.ptTel = rec.Tel
-			h.telAgg.Merge(&rec.Tel)
+			h.Telemetry().Merge(&rec.Tel)
 			return rec.P
 		}
-		pt := h.runPoint(pat, load, packets, warmup, seed)
-		h.Cache.Put(key, telPoint{P: pt, Tel: h.ptTel})
+		st := h.runPoint(pat, load, packets, warmup, seed)
+		pt := closedPoint(st)
+		h.Cache.Put(key, telPoint{P: pt, Tel: st.Tel})
 		return pt
 	}
 	var pt Point
 	if h.Cache.Get(key, &pt) {
 		return pt
 	}
-	pt = h.runPoint(pat, load, packets, warmup, seed)
+	pt = closedPoint(h.runPoint(pat, load, packets, warmup, seed))
 	h.Cache.Put(key, pt)
 	return pt
 }
@@ -402,7 +236,7 @@ func (h *Harness) RunPoint(pat synth.Pattern, load float64, packets, warmup int,
 // before fault injection existed), the fault-carrying config otherwise.
 func (h *Harness) pointKey(seed uint64, cfg pointKeyCfg) resultstore.Key {
 	kind := "flow/point"
-	if h.metrics {
+	if h.Machine().Telemetry() != nil {
 		// Metrics-on records carry the telemetry block alongside the
 		// Point; a distinct kind keeps the two namespaces disjoint.
 		kind = "flow/point+tel"
@@ -423,86 +257,25 @@ func (h *Harness) pointKey(seed uint64, cfg pointKeyCfg) resultstore.Key {
 	})
 }
 
-// runPoint is the simulation body of RunPoint (cache misses land here).
-func (h *Harness) runPoint(pat synth.Pattern, load float64, packets, warmup int, seed uint64) Point {
+// runPoint is the simulation body of RunPoint (cache misses land here):
+// it scales the per-node budgets by the load and measures the point.
+func (h *Harness) runPoint(pat synth.Pattern, load float64, packets, warmup int, seed uint64) synth.Sample {
 	h.PointsRun++
 	if scale := math.Max(1, load); scale > 1 {
 		packets = int(math.Ceil(float64(packets) * scale))
 		warmup = int(math.Ceil(float64(warmup) * scale))
 	}
-	h.m.Reset(seed)
-	h.total = warmup + packets
-	h.warmup = warmup
-	nodes := h.shape.Nodes()
-	total := h.total
-	for s := range h.lats {
-		h.lats[s] = h.lats[s][:0]
-		h.delivered[s] = 0
-		h.entered[s] = 0
-		h.lastEntry[s] = 0
-	}
+	return h.Measure(pat, load, packets, warmup, seed)
+}
 
-	intendedEnd := h.sched.Draw(h.m, h.shape, pat, float64(h.base)/load, total, seed)
-
-	if cap(h.srcs) < nodes {
-		h.srcs = make([]source, nodes)
-		h.emits = make([]emitter, nodes)
+// closedPoint reads the closed-loop Point out of a rig sample.
+func closedPoint(st synth.Sample) Point {
+	return Point{
+		Load:        st.Load,
+		Offered:     st.Offered,
+		Accepted:    st.Accepted,
+		AvgNs:       st.AvgNs,
+		P99Ns:       st.P99Ns,
+		Undelivered: st.Undelivered,
 	}
-	h.srcs = h.srcs[:nodes]
-	h.emits = h.emits[:nodes]
-	for i := 0; i < nodes; i++ {
-		h.srcs[i] = source{h: h, node: int32(i), shard: int32(h.m.ShardOf(h.shape.CoordOf(i)))}
-		h.emits[i] = emitter{h: h, node: int32(i)}
-	}
-
-	// Offer the schedule in node-major (setup sequence) order, each
-	// instant on the kernel of the shard owning its source node.
-	for i := 0; i < nodes; i++ {
-		kern := h.m.NodeKernel(h.shape.CoordOf(i))
-		for k := 0; k < total; k++ {
-			kern.AtActor(h.sched.Times[i*total+k], &h.emits[i])
-		}
-	}
-
-	h.lastEnd = h.m.Run()
-
-	if c := h.m.Telemetry(); c != nil {
-		h.m.CollectChannelBusy()
-		h.ptTel = *c.Merged()
-		h.telAgg.Merge(&h.ptTel)
-	}
-
-	var entered, delivered int64
-	var lastEntry sim.Time
-	h.all = h.all[:0]
-	for s := range h.lats {
-		h.all = append(h.all, h.lats[s]...)
-		entered += h.entered[s]
-		delivered += h.delivered[s]
-		if h.lastEntry[s] > lastEntry {
-			lastEntry = h.lastEntry[s]
-		}
-	}
-
-	pt := Point{
-		Load: load,
-		// Realized offered rate over the schedule horizon; the per-node
-		// average, in the netsweep load unit.
-		Offered:     float64(total) * float64(h.base) / float64(intendedEnd),
-		Undelivered: nodes*total - int(delivered),
-	}
-	if lastEntry > 0 {
-		pt.Accepted = float64(entered) / float64(nodes) * float64(h.base) / float64(lastEntry)
-	}
-	lats := h.all
-	if len(lats) > 0 {
-		sort.Float64s(lats)
-		var sum float64
-		for _, l := range lats {
-			sum += l
-		}
-		pt.AvgNs = sum / float64(len(lats))
-		pt.P99Ns = lats[len(lats)*99/100]
-	}
-	return pt
 }

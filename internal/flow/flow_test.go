@@ -75,32 +75,28 @@ func TestAcceptedMonotoneToSaturation(t *testing.T) {
 }
 
 // TestClosedLoopMatchesOpenLoopUncongested cross-validates the credit
-// flow-control layer against the established open-loop model: with ingress
-// queues too deep to ever refuse a packet, the closed-loop rig offers the
+// flow-control layer against the open-loop machine: with ingress queues
+// too deep to ever refuse a packet, the closed-loop harness offers the
 // exact same pre-drawn schedule as the netsweep harness and the per-VC
 // queue machinery must add zero delay — identical packets, identical
-// delivery times, identical latency statistics.
+// delivery times, so every field of the two samples is identical.
 func TestClosedLoopMatchesOpenLoopUncongested(t *testing.T) {
 	shape := topo.Shape{X: 4, Y: 4, Z: 4}
 	pat := synth.Uniform()
 	var seed uint64 = 7
 
-	// RunPoint scales its per-node budget by the load (2x here), so the
+	// runPoint scales its per-node budget by the load (2x here), so the
 	// open-loop reference runs the scaled counts directly.
 	closed := NewHarness(shape, route.Random(), 1, 1<<20, 0). // no queue ever fills
-									RunPoint(pat, 2, 24, 8, seed)
-	open := synth.NewHarness(shape, route.Random(), 1).
-		RunPoint(pat, 2, 48, 16, seed)
+									runPoint(pat, 2, 24, 8, seed)
+	open := synth.NewHarness(shape, route.Random(), 1).Measure(pat, 2, 48, 16, seed)
 
-	if closed.Undelivered != 0 {
-		t.Fatalf("uncongested closed loop left %d packets undelivered", closed.Undelivered)
+	if closed != open {
+		t.Fatalf("closed loop with unbounded queues diverged from open loop:\n  closed %+v\n  open   %+v",
+			closed, open)
 	}
-	if closed.AvgNs != open.AvgNs || closed.P99Ns != open.P99Ns {
-		t.Fatalf("closed loop with unbounded queues diverged from open loop:\n  closed avg %.4f p99 %.4f\n  open   avg %.4f p99 %.4f",
-			closed.AvgNs, closed.P99Ns, open.AvgNs, open.P99Ns)
-	}
-	if closed.Ratio() < 0.999999 {
-		t.Fatalf("uncongested closed loop ratio %.8f, want 1", closed.Ratio())
+	if closed.Undelivered != 0 || closed.Accepted != closed.Offered {
+		t.Fatalf("uncongested point %+v refused or lost packets", closed)
 	}
 }
 

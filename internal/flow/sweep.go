@@ -199,13 +199,12 @@ func kneeHeat(h *Harness, pat synth.Pattern, knee float64, packets, warmup int, 
 	if knee <= 0 {
 		return nil
 	}
-	h.runPoint(pat, knee, packets, warmup, probeSeed(seed, knee))
-	end := h.lastEnd
+	end := h.runPoint(pat, knee, packets, warmup, probeSeed(seed, knee)).End
 	if end <= 0 {
 		return nil
 	}
 	var heats []ChannelHeat
-	h.m.ChannelBusy(func(node topo.Coord, spec chip.ChannelSpec, busy sim.Time) {
+	h.Machine().ChannelBusy(func(node topo.Coord, spec chip.ChannelSpec, busy sim.Time) {
 		if busy > 0 {
 			heats = append(heats, ChannelHeat{
 				Node: node.String(),

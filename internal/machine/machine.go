@@ -633,16 +633,7 @@ func (m *Machine) TotalWireStats() serdes.Stats {
 			if ch == nil {
 				continue
 			}
-			st := ch.Compressor().Stats()
-			total.Packets += st.Packets
-			total.WireBits += st.WireBits
-			total.BaselineBits += st.BaselineBits
-			total.PositionBits += st.PositionBits
-			total.ForceBits += st.ForceBits
-			total.OtherBits += st.OtherBits
-			total.PcacheHits += st.PcacheHits
-			total.PcacheMisses += st.PcacheMisses
-			total.RawINZPayloads += st.RawINZPayloads
+			total.Add(ch.Compressor().Stats())
 		}
 	}
 	return total

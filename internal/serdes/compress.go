@@ -69,6 +69,19 @@ type Stats struct {
 	RawINZPayloads uint64 // payloads where INZ was abandoned
 }
 
+// Add accumulates o's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Packets += o.Packets
+	s.WireBits += o.WireBits
+	s.BaselineBits += o.BaselineBits
+	s.PositionBits += o.PositionBits
+	s.ForceBits += o.ForceBits
+	s.OtherBits += o.OtherBits
+	s.PcacheHits += o.PcacheHits
+	s.PcacheMisses += o.PcacheMisses
+	s.RawINZPayloads += o.RawINZPayloads
+}
+
 // Reduction returns the fractional traffic reduction vs. the uncompressed
 // baseline (the quantity plotted in Figure 9a).
 func (s Stats) Reduction() float64 {

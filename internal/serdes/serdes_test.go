@@ -1,6 +1,7 @@
 package serdes
 
 import (
+	"reflect"
 	"testing"
 
 	"anton3/internal/packet"
@@ -122,6 +123,24 @@ func TestReductionAccounting(t *testing.T) {
 	// vs 192 baseline -> ~40% reduction.
 	if r < 0.35 || r > 0.45 {
 		t.Fatalf("reduction = %v, want ~0.40", r)
+	}
+}
+
+// TestStatsAddCoversEveryCounter holds Stats.Add, the one sum behind
+// every channel aggregate, to every field: a counter added to Stats but
+// not to Add fails here.
+func TestStatsAddCoversEveryCounter(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetUint(uint64(i + 1))
+		vb.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		if got, want := va.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("Add left %s = %d, want %d", va.Type().Field(i).Name, got, want)
+		}
 	}
 }
 

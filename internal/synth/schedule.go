@@ -11,20 +11,18 @@ import (
 	"anton3/internal/topo"
 )
 
-// Schedule is the pre-drawn offered process of one measurement point: for
+// schedule is the pre-drawn offered process of one measurement point: for
 // every injection slot (flat-indexed node-major, node*total+k) the intended
 // injection instant, the destination, and the machine's pre-drawn routing
-// decision. Both network harnesses — the open-loop netsweep rig and the
-// closed-loop saturation rig — draw their traffic through one Schedule, so
-// a given (pattern, load, seed) cell offers byte-identical packets to both,
-// and the pre-draw keeps every random choice a function of the seed alone
-// (packet.PreRouted): results cannot depend on worker counts, machine
-// reuse, or the shard count.
-type Schedule struct {
-	Total  int // packets per node, warmup included
-	Times  []sim.Time
-	Dsts   []int32
-	Orders []topo.DimOrder
+// decision. The pre-draw keeps every random choice a function of the seed
+// alone (packet.PreRouted), so a given (pattern, load, seed) cell offers
+// byte-identical packets on any machine configuration, and results cannot
+// depend on worker counts, machine reuse, or the shard count.
+type schedule struct {
+	total  int // packets per node, warmup included
+	times  []sim.Time
+	dsts   []int32
+	orders []topo.DimOrder
 	keys   []uint64
 	prng   sim.Rand
 }
@@ -37,26 +35,26 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Draw fills the schedule for one point — total packets per node offered
+// draw fills the schedule for one point — total packets per node offered
 // at mean inter-arrival meanGap (picoseconds, Poisson) under pattern pat —
 // and consumes m's routing pre-draw for every inter-node packet. It
 // returns the last intended injection instant across all nodes (the
 // realized offered horizon).
 //
-// The destination/gap streams are per node (seed ^ (i+1)*golden), exactly
-// the scheme the netsweep harness has always used. The routing pre-draw
-// replays the order a sequential run's injections would fire in — a stable
-// sort of the schedule by time over the node-major flat index — so the
-// machine rng stream, and therefore every route, is byte-identical to a
-// run that drew at Send time. Same-node packets never reach Send's draw
-// (the on-chip shortcut returns first), so they are skipped here too.
-func (s *Schedule) Draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanGap float64, total int, seed uint64) sim.Time {
+// The destination/gap streams are per node (seed ^ (i+1)*golden). The
+// routing pre-draw replays the order a sequential run's injections would
+// fire in — a stable sort of the schedule by time over the node-major flat
+// index — so the machine rng stream, and therefore every route, is
+// byte-identical to a run that drew at Send time. Same-node packets never
+// reach Send's draw (the on-chip shortcut returns first), so they are
+// skipped here too.
+func (s *schedule) draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanGap float64, total int, seed uint64) sim.Time {
 	nodes := shape.Nodes()
 	flatN := nodes * total
-	s.Total = total
-	s.Times = grow(s.Times, flatN)
-	s.Dsts = grow(s.Dsts, flatN)
-	s.Orders = grow(s.Orders, flatN)
+	s.total = total
+	s.times = grow(s.times, flatN)
+	s.dsts = grow(s.dsts, flatN)
+	s.orders = grow(s.orders, flatN)
 	s.keys = grow(s.keys, flatN)
 
 	rng := &s.prng
@@ -72,8 +70,8 @@ func (s *Schedule) Draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanG
 			}
 			t += gap
 			flat := i*total + k
-			s.Times[flat] = t
-			s.Dsts[flat] = int32(shape.Index(pat.Dest(shape, src, rng)))
+			s.times[flat] = t
+			s.dsts[flat] = int32(shape.Index(pat.Dest(shape, src, rng)))
 		}
 		if t > end {
 			end = t
@@ -85,7 +83,7 @@ func (s *Schedule) Draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanG
 	// (at, seq) order for setup-scheduled injection events.
 	shift := uint(bits.Len(uint(flatN - 1)))
 	for flat := range s.keys {
-		t := uint64(s.Times[flat])
+		t := uint64(s.times[flat])
 		if t >= 1<<(63-shift) {
 			panic("synth: injection time overflows the sort key")
 		}
@@ -95,32 +93,32 @@ func (s *Schedule) Draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanG
 	mask := uint64(1)<<shift - 1
 	for _, key := range s.keys {
 		flat := key & mask
-		if int(s.Dsts[flat]) == int(flat)/total {
+		if int(s.dsts[flat]) == int(flat)/total {
 			continue
 		}
 		// The tie draw is discarded — Position packets derive theirs from
 		// the atom ID — but DrawRoute still consumed it from the stream,
 		// exactly as Send would have.
-		s.Orders[flat], _ = m.DrawRoute()
+		s.orders[flat], _ = m.DrawRoute()
 	}
 	return end
 }
 
-// Packet builds the pre-routed Position packet of injection slot flat from
-// m's pool: node flat/Total sends it to the drawn destination along the
+// packet builds the pre-routed Position packet of injection slot flat from
+// m's pool: node flat/total sends it to the drawn destination along the
 // drawn dimension order, core is both endpoints' core, and the slot index
 // doubles as atom ID and injection ID.
-func (s *Schedule) Packet(m *machine.Machine, shape topo.Shape, core packet.CoreID, flat int) *packet.Packet {
-	src := shape.CoordOf(flat / s.Total)
+func (s *schedule) packet(m *machine.Machine, shape topo.Shape, core packet.CoreID, flat int) *packet.Packet {
+	src := shape.CoordOf(flat / s.total)
 	p := m.NewPacketAt(src)
 	atom := uint32(flat)
 	p.Type = packet.Position
-	p.SrcNode, p.DstNode = src, shape.CoordOf(int(s.Dsts[flat]))
+	p.SrcNode, p.DstNode = src, shape.CoordOf(int(s.dsts[flat]))
 	p.SrcCore, p.DstCore = core, core
 	p.AtomID = atom
 	p.SetQuad([4]uint32{atom, 0xfeed, 0xbeef, 0xcafe})
 	p.PreRouted = true
-	p.Order = s.Orders[flat]
+	p.Order = s.orders[flat]
 	// Position packets break the even-ring direction tie by atom ID; the
 	// machine's tie draw was still consumed by DrawRoute, exactly as Send
 	// consumes it before overriding.

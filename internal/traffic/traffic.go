@@ -127,16 +127,7 @@ func (r *Replayer) Stats() serdes.Stats {
 		if c == nil {
 			continue
 		}
-		st := c.Stats()
-		t.Packets += st.Packets
-		t.WireBits += st.WireBits
-		t.BaselineBits += st.BaselineBits
-		t.PositionBits += st.PositionBits
-		t.ForceBits += st.ForceBits
-		t.OtherBits += st.OtherBits
-		t.PcacheHits += st.PcacheHits
-		t.PcacheMisses += st.PcacheMisses
-		t.RawINZPayloads += st.RawINZPayloads
+		t.Add(c.Stats())
 	}
 	return t
 }
