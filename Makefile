@@ -65,7 +65,7 @@ test-short:
 
 # The allocation gate: testing.AllocsPerRun regression tests pinning the
 # warm sim kernel (scheduling, Run and windowed RunUntil), the
-# steady-state machine.Send (request and response classes), the synth
+# steady-state machine.Send (oblivious and adaptive routing), the synth
 # harness inner loop, the closed-loop saturate point, the warm MD force
 # pass and step, and the channel compression path (a warm INZ+pcache
 # Compressor.Transmit and a warm traffic replay in every compression
@@ -85,7 +85,7 @@ alloc-gate:
 # gate for diagnosis (and isn't truncated before benchjson reads it).
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
-	$(GO) test -run '^$$' -bench 'SendHotPath|SendResponseHotPath|Netsweep$$' -benchmem -count=1 ./internal/machine ./internal/synth | $(GO) run ./cmd/benchjson -gate BENCH_hotpath.json -gate-bench SendHotPath,Netsweep > BENCH_hotpath.json.tmp
+	$(GO) test -run '^$$' -bench 'SendHotPath|Netsweep$$' -benchmem -count=1 ./internal/machine ./internal/synth | $(GO) run ./cmd/benchjson -gate BENCH_hotpath.json -gate-bench SendHotPath,Netsweep > BENCH_hotpath.json.tmp
 	mv BENCH_hotpath.json.tmp BENCH_hotpath.json
 	$(MAKE) bench-parallel
 	$(MAKE) bench-saturate

@@ -19,14 +19,17 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
 	"anton3/internal/experiments"
 	"anton3/internal/fault"
+	"anton3/internal/flow"
 	"anton3/internal/packet"
 	"anton3/internal/resultstore"
 	"anton3/internal/runner"
+	"anton3/internal/synth"
 	"anton3/internal/telemetry"
 	"anton3/internal/topo"
 )
@@ -221,6 +224,22 @@ func run(args []string) int {
 	if p.NetLoads, err = parseLoads(*loads); err != nil {
 		fmt.Fprintln(os.Stderr, "anton3: -loads:", err)
 		return 2
+	}
+
+	// Reject a grid whose injection schedules could outgrow the sort key
+	// synth draws them into, which would otherwise panic inside a runner
+	// worker. The longest open-loop schedule is the smallest load's;
+	// closed-loop cells also scale their budgets with the load, up to the
+	// top knee probe.
+	grid, _, _ := strings.Cut(cmd, "/")
+	closed := grid == "saturate" || grid == "faultsweep"
+	for _, shape := range p.NetShapes {
+		if !synth.HorizonFits(shape, *npkts+*nwarm, slices.Min(p.NetLoads)) ||
+			closed && !flow.HorizonFits(shape, p.NetLoads, *npkts, *nwarm) {
+			fmt.Fprintf(os.Stderr, "anton3: -npkts %d with -nwarm %d makes injection schedules on %s too long to order at -loads %s; lower -npkts\n",
+				*npkts, *nwarm, shape, *loads)
+			return 2
+		}
 	}
 
 	// Validate a custom fault plan up front, against every selected shape:

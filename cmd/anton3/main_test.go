@@ -26,8 +26,11 @@ var badInputs = []struct {
 	{"-mdatoms", []string{"mdsweep", "-mdatoms", "0"}},
 	{"-loads", []string{"netsweep", "-loads", "NaN"}},
 	{"-loads", []string{"saturate", "-loads", "0.5,Inf"}},
-	{"-loads", []string{"netsweep", "-shapes", "2x2x2", "-loads", "1e-15"}},  // overflows the schedule sort key
-	{"-loads", []string{"netsweep", "-shapes", "2x2x2", "-loads", "1e-300"}}, // every gap clamps to 1 ps
+	{"-loads", []string{"netsweep", "-shapes", "2x2x2", "-loads", "1e-15"}},                    // overflows the schedule sort key
+	{"-loads", []string{"netsweep", "-shapes", "2x2x2", "-loads", "1e-300"}},                   // every gap clamps to 1 ps
+	{"-npkts", []string{"netsweep", "-shapes", "2x2x2", "-loads", "1e-6", "-npkts", "100000"}}, // horizon overflows the sort key
+	{"-npkts", []string{"saturate", "-shapes", "2x2x2", "-loads", "1e-6", "-npkts", "100000"}}, // the same in the closed loop
+	{"-npkts", []string{"netsweep", "-shapes", "2x2x2", "-npkts", "9223372036854775807"}},      // the budget overflows int
 	{"-pairs", []string{"fig5", "-pairs", "0"}},
 	{"-warm", []string{"fig9a", "-warm", "-1"}},
 	{"-measure", []string{"fig9a", "-measure", "0"}},

@@ -148,13 +148,13 @@ func fig5Jobs(p Params) []runner.Job {
 		needs[h] = name
 		jobs = append(jobs, runner.Job{
 			Name: name, Seed: Fig5Seed, Cost: 0.4, Hidden: true,
-			Run: func(*sim.Rand) (runner.Output, error) {
+			Run: func() (runner.Output, error) {
 				return runner.Output{Data: fig5MeasureHop(samples()[h])}, nil
 			}})
 	}
 	jobs = append(jobs, runner.Job{
 		Name: "fig5", Seed: Fig5Seed, Cost: 0.01, Needs: needs,
-		Reduce: func(_ *sim.Rand, in []runner.Result) (runner.Output, error) {
+		Reduce: func(in []runner.Result) (runner.Output, error) {
 			perHop := make([][]float64, len(in))
 			for i, res := range in {
 				if res.Err != "" {
@@ -179,13 +179,13 @@ func fig11Jobs() []runner.Job {
 		needs[h] = name
 		jobs = append(jobs, runner.Job{
 			Name: name, Seed: 5, Cost: 0.12, Hidden: true,
-			Run: func(*sim.Rand) (runner.Output, error) {
+			Run: func() (runner.Output, error) {
 				return runner.Output{Data: fig11MeasureHop(h)}, nil
 			}})
 	}
 	jobs = append(jobs, runner.Job{
 		Name: "fig11", Seed: 5, Cost: 0.01, Needs: needs,
-		Reduce: func(_ *sim.Rand, in []runner.Result) (runner.Output, error) {
+		Reduce: func(in []runner.Result) (runner.Output, error) {
 			ns := make([]float64, len(in))
 			for i, res := range in {
 				if res.Err != "" {
@@ -264,9 +264,9 @@ type faultCellCfg struct {
 // spare cores at dispatch (-autoshard). The simulators guarantee output
 // byte-identical at every shard count, so either path prints the same.
 func shardable(job runner.Job, shards int, run func(shards int) runner.Output) runner.Job {
-	job.Run = func(*sim.Rand) (runner.Output, error) { return run(shards), nil }
+	job.Run = func() (runner.Output, error) { return run(shards), nil }
 	if shards <= 1 {
-		job.ShardRun = func(_ *sim.Rand, n int) (runner.Output, error) { return run(n), nil }
+		job.ShardRun = func(n int) (runner.Output, error) { return run(n), nil }
 	}
 	return job
 }
@@ -428,19 +428,19 @@ func faultSevs(p Params, shape topo.Shape) []fault.Severity {
 func Jobs(p Params) []runner.Job {
 	jobs := []runner.Job{
 		{Name: "tables", Seed: 1, Cost: 0.1,
-			Run: func(*sim.Rand) (runner.Output, error) {
+			Run: func() (runner.Output, error) {
 				return runner.Output{Text: Tables()}, nil
 			}},
 	}
 	jobs = append(jobs, fig5Jobs(p)...)
 	jobs = append(jobs,
 		runner.Job{Name: "fig6", Seed: 2, Cost: 0.1,
-			Run: func(*sim.Rand) (runner.Output, error) {
+			Run: func() (runner.Output, error) {
 				r := Fig6()
 				return runner.Output{Text: r.Render(), Data: r}, nil
 			}},
 		runner.Job{Name: "fig9a", Seed: 3, Cost: 30,
-			Run: func(*sim.Rand) (runner.Output, error) {
+			Run: func() (runner.Output, error) {
 				pts := Fig9a(p.Fig9aSizes, p.Fig9aWarm, p.Fig9aMeasure)
 				return runner.Output{Text: RenderFig9a(pts), Data: pts}, nil
 			}},
@@ -456,7 +456,7 @@ func Jobs(p Params) []runner.Job {
 			return runner.Output{Text: r.Render(), Data: r}
 		}),
 		runner.Job{Name: "ablation-predictor-order", Seed: 7, Cost: 2,
-			Run: func(*sim.Rand) (runner.Output, error) {
+			Run: func() (runner.Output, error) {
 				rows := AblationPredictorOrder(p.AblPredictorAtoms, 3, 3)
 				return runner.Output{
 					Text: RenderAblation(fmt.Sprintf("Ablation: pcache predictor order (%d atoms)", p.AblPredictorAtoms), rows),
@@ -464,7 +464,7 @@ func Jobs(p Params) []runner.Job {
 				}, nil
 			}},
 		runner.Job{Name: "ablation-pcache-size", Seed: 8, Cost: 10,
-			Run: func(*sim.Rand) (runner.Output, error) {
+			Run: func() (runner.Output, error) {
 				rows := AblationPcacheSize(p.AblPcacheAtoms, 2, 2, p.AblPcacheSizes)
 				return runner.Output{
 					Text: RenderAblation(fmt.Sprintf("Ablation: pcache size sweep (%d atoms)", p.AblPcacheAtoms), rows),
@@ -472,7 +472,7 @@ func Jobs(p Params) []runner.Job {
 				}, nil
 			}},
 		runner.Job{Name: "ablation-inz-interleave", Seed: 9, Cost: 0.5,
-			Run: func(*sim.Rand) (runner.Output, error) {
+			Run: func() (runner.Output, error) {
 				rows := AblationINZInterleave(p.AblINZAtoms)
 				return runner.Output{
 					Text: RenderAblation(fmt.Sprintf("Ablation: INZ interleave vs truncation (%d atoms)", p.AblINZAtoms), rows),
@@ -480,7 +480,7 @@ func Jobs(p Params) []runner.Job {
 				}, nil
 			}},
 		runner.Job{Name: "ablation-fence-vs-pairwise", Seed: 10, Cost: 1,
-			Run: func(*sim.Rand) (runner.Output, error) {
+			Run: func() (runner.Output, error) {
 				rows := AblationFenceVsPairwise(topo.Shape{X: 4, Y: 4, Z: 8})
 				return runner.Output{
 					Text: RenderAblation("Ablation: fence vs pairwise barrier (128 nodes)", rows),
@@ -488,7 +488,7 @@ func Jobs(p Params) []runner.Job {
 				}, nil
 			}},
 		runner.Job{Name: "ablation-dim-orders", Seed: 11, Cost: 1.5,
-			Run: func(*sim.Rand) (runner.Output, error) {
+			Run: func() (runner.Output, error) {
 				rows := AblationDimOrders(p.AblDimWrites)
 				return runner.Output{
 					Text: RenderAblation("Ablation: routing policy under uniform-random load", rows),

@@ -15,6 +15,7 @@ package flow
 
 import (
 	"math"
+	"slices"
 
 	"anton3/internal/fault"
 	"anton3/internal/machine"
@@ -261,11 +262,30 @@ func (h *Harness) pointKey(seed uint64, cfg pointKeyCfg) resultstore.Key {
 // it scales the per-node budgets by the load and measures the point.
 func (h *Harness) runPoint(pat synth.Pattern, load float64, packets, warmup int, seed uint64) synth.Sample {
 	h.PointsRun++
-	if scale := math.Max(1, load); scale > 1 {
-		packets = int(math.Ceil(float64(packets) * scale))
-		warmup = int(math.Ceil(float64(warmup) * scale))
-	}
+	packets, warmup = scaleBudget(packets, warmup, load)
 	return h.Measure(pat, load, packets, warmup, seed)
+}
+
+// scaleBudget scales a point's per-node packet budgets by its load, when
+// above 1, so every point measures over about the same simulated horizon.
+func scaleBudget(packets, warmup int, load float64) (int, int) {
+	scale := math.Max(1, load)
+	return int(math.Ceil(float64(packets) * scale)), int(math.Ceil(float64(warmup) * scale))
+}
+
+// HorizonFits reports whether every point a sweep over loads can run on
+// shape keeps its injection schedule inside synth's sort key
+// (synth.HorizonFits): each swept load and every knee probe up to the top
+// of the bracket ladder, with budgets scaled as runPoint scales them.
+func HorizonFits(shape topo.Shape, loads []float64, packets, warmup int) bool {
+	top := math.Ldexp(slices.Max(loads), kneeDoublings)
+	for _, load := range append(slices.Clip(loads), top) {
+		p, w := scaleBudget(packets, warmup, load)
+		if !synth.HorizonFits(shape, p+w, load) {
+			return false
+		}
+	}
+	return true
 }
 
 // closedPoint reads the closed-loop Point out of a rig sample.

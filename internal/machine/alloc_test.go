@@ -13,9 +13,9 @@ import (
 // The allocation regression tests pin the tentpole property of the packet
 // pipeline rewrite: once the pools (packet free list, kernel event pool)
 // have warmed, a steady-state Send — inject, hop across channels, eject,
-// apply, deliver — performs zero heap allocations, for both traffic
-// classes. CI runs these as its allocation gate (without -race; the
-// detector's instrumentation allocates).
+// apply, deliver — performs zero heap allocations, under oblivious and
+// adaptive routing. CI runs these as its allocation gate (without -race;
+// the detector's instrumentation allocates).
 
 // allocMachine is a 128-node machine with compression off — the netsweep
 // hot-path configuration.
@@ -49,34 +49,6 @@ func TestSendRequestSteadyStateAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, send); n != 0 {
 		t.Fatalf("steady-state request Send allocates %.1f times/op, want 0", n)
-	}
-}
-
-func TestSendResponseSteadyStateAllocFree(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("alloc counts are not meaningful under -race")
-	}
-	m := allocMachine()
-	a := m.GC(topo.Coord{}, 0)
-	b := m.GC(topo.Coord{X: 3, Y: 2, Z: 5}, 9)
-	b.SRAM().WriteQuad(100, [4]uint32{0xaa, 0xbb, 0xcc, 0xdd})
-	send := func() {
-		// A read round trip: the ReadReq crosses as a request, the
-		// destination builds a pooled ReadResp that walks the
-		// mesh-restricted response route home.
-		p := m.NewPacket()
-		p.Type = packet.ReadReq
-		p.SrcNode, p.DstNode = a.Node.Coord, b.Node.Coord
-		p.SrcCore, p.DstCore = a.ID, b.ID
-		p.Addr = 100
-		m.Send(p, nil)
-		m.K.Run()
-	}
-	for i := 0; i < 32; i++ {
-		send()
-	}
-	if n := testing.AllocsPerRun(200, send); n != 0 {
-		t.Fatalf("steady-state read/response round trip allocates %.1f times/op, want 0", n)
 	}
 }
 
@@ -127,26 +99,6 @@ func BenchmarkSendHotPath(b *testing.B) {
 		p.SrcCore, p.DstCore = srcID, dstID
 		p.AtomID = uint32(i)
 		p.SetQuad([4]uint32{uint32(i), 2, 3, 4})
-		m.Send(p, nil)
-		m.K.Run()
-	}
-}
-
-// BenchmarkSendResponseHotPath times a full read round trip (request out,
-// pooled response back on the mesh-restricted route).
-func BenchmarkSendResponseHotPath(b *testing.B) {
-	m := allocMachine()
-	a := m.GC(topo.Coord{}, 0)
-	dst := m.GC(topo.Coord{X: 3, Y: 2, Z: 5}, 9)
-	dst.SRAM().WriteQuad(100, [4]uint32{0xaa, 0xbb, 0xcc, 0xdd})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := m.NewPacket()
-		p.Type = packet.ReadReq
-		p.SrcNode, p.DstNode = a.Node.Coord, dst.Node.Coord
-		p.SrcCore, p.DstCore = a.ID, dst.ID
-		p.Addr = 100
 		m.Send(p, nil)
 		m.K.Run()
 	}

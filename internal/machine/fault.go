@@ -35,13 +35,12 @@ import (
 // Model notes. A trip is fail-stop for *new* acceptances only: packets that
 // already hold credits for the link (in an injection or transit latency
 // window, or serializing) drain across it — which is why only static dead
-// faults arm the serdes transmit panic. Responses cannot reroute (their
-// mesh-restricted single-VC XYZ route is fixed by construction), and fence
-// packets are credit-exempt, so dead-link plans are only meaningful for
-// request-class workloads (the flow harness). With multiple dead links a
-// packet's committed detour can itself hit a second dead link; it then
-// parks forever and the run terminates with the packet accounted as
-// undelivered rather than deadlocking the kernel.
+// faults arm the serdes transmit panic. Fence packets are credit-exempt,
+// so dead-link plans are only meaningful for workloads without fences (the
+// flow harness). With multiple dead links a packet's committed detour can
+// itself hit a second dead link; it then parks forever and the run
+// terminates with the packet accounted as undelivered rather than
+// deadlocking the kernel.
 
 // faultInjBase places fault-trip lineage serials in their own region of the
 // injection-order space: packet injections are flat indices, timestep
@@ -149,7 +148,7 @@ func (m *Machine) applyChannelFault(n *Node, j int, eff fault.Effect, static boo
 	if eff.Dead {
 		m.deadCh[int(n.idx)*chip.NumChannelSpecs+j] = true
 		if m.vcq != nil {
-			for vc := 0; vc < route.NumVCs; vc++ {
+			for vc := 0; vc < route.NumRequestVCs; vc++ {
 				m.vcq.credits[vcSlot(n.idx, j, vc)] = 0
 			}
 		}
@@ -167,7 +166,7 @@ func (m *Machine) applyChannelFault(n *Node, j int, eff fault.Effect, static boo
 // before the trip would wait forever on credits that can no longer return.
 func (m *Machine) rerouteParked(n *Node, j int) {
 	v := m.vcq
-	for vc := 0; vc < route.NumVCs; vc++ {
+	for vc := 0; vc < route.NumRequestVCs; vc++ {
 		slot := vcSlot(n.idx, j, vc)
 		for {
 			q := v.pending[slot].pop()

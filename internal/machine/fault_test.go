@@ -64,7 +64,7 @@ func checkDrained(t *testing.T, m *Machine, full int) {
 	for _, n := range m.Nodes() {
 		for _, cs := range n.ChannelSpecs() {
 			dead := m.deadCh != nil && m.deadCh[int(n.idx)*chip.NumChannelSpecs+cs.Index()]
-			for vc := 0; vc < route.NumVCs; vc++ {
+			for vc := 0; vc < route.NumRequestVCs; vc++ {
 				want := full
 				if dead {
 					want = 0

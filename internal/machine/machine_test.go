@@ -54,26 +54,6 @@ func TestCountedAccumSumsRemotely(t *testing.T) {
 	}
 }
 
-func TestReadRequestResponse(t *testing.T) {
-	m := smallMachine(serdes.CompressConfig{})
-	a := m.GC(topo.Coord{}, 0)
-	b := m.GC(topo.Coord{X: 1, Y: 1}, 9)
-	b.SRAM().WriteQuad(100, [4]uint32{0xaa, 0xbb, 0xcc, 0xdd})
-	req := &packet.Packet{
-		Type:    packet.ReadReq,
-		SrcNode: a.Node.Coord, DstNode: b.Node.Coord,
-		SrcCore: a.ID, DstCore: b.ID,
-		Addr: 100,
-	}
-	var got [4]uint32
-	a.BlockingRead(100, 1, func(q [4]uint32) { got = q })
-	m.Send(req, nil)
-	m.K.Run()
-	if got != ([4]uint32{0xaa, 0xbb, 0xcc, 0xdd}) {
-		t.Fatalf("read response = %v", got)
-	}
-}
-
 func TestPingPongZeroHopFaster(t *testing.T) {
 	m := New(DefaultConfig(shape128))
 	a := m.GC(topo.Coord{}, 0)
@@ -158,29 +138,6 @@ func TestCompressionTransparentToEndpoints(t *testing.T) {
 		if err := m.CheckChannelSync(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestResponseAvoidsWraparound(t *testing.T) {
-	// A ReadResp from (3,0,0) to (0,0,0) must take the 3-hop mesh path,
-	// not the 1-hop wraparound; its latency therefore exceeds a request's.
-	m := New(DefaultConfig(shape128))
-	a := m.GC(topo.Coord{}, 0)
-	b := m.GC(topo.Coord{X: 3}, 0)
-	req := &packet.Packet{Type: packet.ReadReq,
-		SrcNode: a.Node.Coord, DstNode: b.Node.Coord,
-		SrcCore: a.ID, DstCore: b.ID, Addr: 50}
-	b.SRAM().WriteQuad(50, [4]uint32{1})
-	var tResp sim.Time
-	a.BlockingRead(50, 1, func([4]uint32) { tResp = m.K.Now() })
-	t0 := m.K.Now()
-	m.Send(req, nil)
-	m.K.Run()
-	rtt := tResp - t0
-	// Round trip: ~1 hop there, 3 hops back = 4 channel crossings plus
-	// endpoint overheads; must exceed 4*34 ns.
-	if rtt.Nanoseconds() < 4*30 {
-		t.Fatalf("read RTT %.1f ns too small for a mesh-restricted response", rtt.Nanoseconds())
 	}
 }
 

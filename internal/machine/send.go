@@ -4,7 +4,6 @@ import (
 	"anton3/internal/chip"
 	"anton3/internal/packet"
 	"anton3/internal/route"
-	"anton3/internal/sim"
 	"anton3/internal/telemetry"
 	"anton3/internal/topo"
 )
@@ -29,20 +28,18 @@ func (m *Machine) sliceFor(p *packet.Packet) int {
 // apply the packet at the destination SRAM. done, if non-nil, runs at the
 // destination node after the SRAM update.
 //
-// Request packets consult the machine's routing policy twice over: at
-// injection for the dimension order, and at every hop for the output
-// choice, with a live load view — so adaptive policies react to congestion
-// as the packet encounters it. Response packets always follow the XYZ
-// mesh-restricted route on the response VC, outside the policy's reach.
-// Pre-routed packets (p.PreRouted) carry their Order and Tie already; the
-// machine draws nothing for them, which is how sharded harnesses keep the
-// rng stream independent of event execution order.
+// Packets consult the machine's routing policy twice over: at injection
+// for the dimension order, and at every hop for the output choice, with a
+// live load view — so adaptive policies react to congestion as the packet
+// encounters it. Pre-routed packets (p.PreRouted) carry their Order and
+// Tie already; the machine draws nothing for them, which is how sharded
+// harnesses keep the rng stream independent of event execution order.
 //
-// For oblivious policies (and all responses) the whole hop sequence is a
-// pure function of (src, dst, order, tie), so Send expands it once into
-// p.Route — dense channel-spec indices the walk consumes one table read
-// per hop — instead of re-deriving torus deltas at every hop. Adaptive
-// policies keep the per-hop decision (they need the live load view).
+// For oblivious policies the whole hop sequence is a pure function of
+// (src, dst, order, tie), so Send expands it once into p.Route — dense
+// channel-spec indices the walk consumes one table read per hop — instead
+// of re-deriving torus deltas at every hop. Adaptive policies keep the
+// per-hop decision (they need the live load view).
 //
 // The walk is iterative, not a chain of scheduled closures: the per-hop
 // state (current node, chosen channel, slice, tie-break) lives in the
@@ -74,8 +71,8 @@ func (m *Machine) Send(p *packet.Packet, done packet.Deliverer) {
 	if m.lineage {
 		// Extend, not reset: pooled packets arrive with an empty history
 		// (Pool.Put clears it), so an injected packet's chain starts here;
-		// a response built in apply carries its request's chain and this
-		// append adds the applying event — the response's true scheduler.
+		// the MD force return arrives carrying its stream's chain and this
+		// append adds the stream event — the force's true scheduler.
 		p.PushHist(sh.k.Now())
 	}
 
@@ -89,7 +86,7 @@ func (m *Machine) Send(p *packet.Packet, done packet.Deliverer) {
 	}
 
 	p.Slice = int8(m.sliceFor(p))
-	if p.Type.Class() != packet.Response && !p.PreRouted {
+	if !p.PreRouted {
 		p.Order = m.policy.Order(sh.rng)
 		// Direction ties (even rings) balance across both physical links;
 		// position/force packets break ties by atom ID so their channel
@@ -126,50 +123,25 @@ func (m *Machine) Send(p *packet.Packet, done packet.Deliverer) {
 }
 
 // planRoute expands p's hop sequence into p.Route when it is a pure
-// function of the packet's injection-time state: responses follow the
-// mesh-restricted XYZ route, oblivious requests the (order, tie) dimension
-// walk — both of which the per-hop replay (route.ResponseNext,
-// obliviousNext) derives from nothing but (cur, dst), so expanding
-// dimension by dimension reproduces the replay exactly. Adaptive-policy
-// requests and routes longer than packet.RouteCap get RouteLen = -1: hops
-// stay per-hop decisions.
+// function of the packet's injection-time state: under an oblivious policy
+// the (order, tie) dimension walk, which the per-hop replay
+// (obliviousNext) derives from nothing but (cur, dst), so expanding
+// dimension by dimension reproduces the replay exactly. Adaptive policies
+// and routes longer than packet.RouteCap get RouteLen = -1: hops stay
+// per-hop decisions.
 func (m *Machine) planRoute(p *packet.Packet) {
 	p.RoutePos = 0
 	p.RouteLen = -1
-	resp := p.Type.Class() == packet.Response
-	if m.adaptive && !resp {
+	if m.adaptive {
 		return
 	}
 	s := m.cfg.Shape
 	ln := 0
 	sl := int(p.Slice)
-	if resp {
-		// Mesh-restricted XYZ: plain coordinate distance, never wrapping.
-		for _, dim := range topo.OrderXYZ {
-			d := p.DstNode.Get(dim) - p.SrcNode.Get(dim)
-			if d == 0 {
-				continue
-			}
-			dir := 1
-			if d < 0 {
-				dir, d = -1, -d
-			}
-			if ln+d > packet.RouteCap {
-				return
-			}
-			spec := int8(chip.ChannelSpec{Dim: dim, Dir: dir, Slice: sl}.Index())
-			for i := 0; i < d; i++ {
-				p.Route[ln] = spec
-				ln++
-			}
-		}
-		p.RouteLen = int8(ln)
-		return
-	}
-	// Oblivious request: minimal per-dimension deltas in the packet's
-	// order, with the even-ring direction tie resolved once per dimension
-	// (after the tie flips the direction, the remaining distance commits
-	// to it — exactly obliviousNext's per-hop behavior).
+	// Minimal per-dimension deltas in the packet's order, with the
+	// even-ring direction tie resolved once per dimension (after the tie
+	// flips the direction, the remaining distance commits to it — exactly
+	// obliviousNext's per-hop behavior).
 	delta := s.Delta(p.SrcNode, p.DstNode)
 	for _, dim := range p.Order {
 		d := delta.Get(dim)
@@ -196,9 +168,8 @@ func (m *Machine) planRoute(p *packet.Packet) {
 }
 
 // nextStep picks p's step out of node cur, or ok=false at the destination.
-// Packets with a precomputed route read their next planned hop; responses
-// re-derive their mesh-restricted XYZ route hop by hop and requests ask
-// the policy, which sees the current channel backlog at cur.
+// Packets with a precomputed route read their next planned hop; the rest
+// ask the policy, which sees the current channel backlog at cur.
 func (m *Machine) nextStep(p *packet.Packet, cur topo.Coord) (topo.Step, bool) {
 	if p.RouteLen >= 0 {
 		if p.RoutePos >= p.RouteLen {
@@ -206,9 +177,6 @@ func (m *Machine) nextStep(p *packet.Packet, cur topo.Coord) (topo.Step, bool) {
 		}
 		cs := chip.ChannelSpecAt(int(p.Route[p.RoutePos]))
 		return topo.Step{Dim: cs.Dim, Dir: cs.Dir}, true
-	}
-	if p.Type.Class() == packet.Response {
-		return route.ResponseNext(cur, p.DstNode)
 	}
 	// Only adaptive policies read the load view; oblivious ones would
 	// ignore it anyway. Credit-steered policies get the one-hop credit
@@ -331,30 +299,6 @@ func (m *Machine) apply(n *Node, p *packet.Packet) {
 		n.sram(p.DstCore).CountedWrite(p.Addr, p.Payload)
 	case packet.CountedAccum:
 		n.sram(p.DstCore).CountedAccum(p.Addr, p.Payload)
-	case packet.ReadReq:
-		data := n.sram(p.DstCore).ReadQuad(p.Addr)
-		resp := n.sh.pool.Get()
-		resp.Type = packet.ReadResp
-		resp.SrcNode, resp.DstNode = p.DstNode, p.SrcNode
-		resp.SrcCore, resp.DstCore = p.DstCore, p.SrcCore
-		resp.Addr = p.Addr
-		resp.SetQuad(data)
-		if m.lineage {
-			// The response continues the request's causal chain: copy it
-			// minus the current (applying) event, which Send re-appends as
-			// the response's parent. Inheriting Inj keeps the lineage
-			// tie-break total for response traffic too.
-			if cap(resp.Hist) == 0 {
-				resp.Hist = make([]sim.Time, 0, packet.HistCap)
-			}
-			resp.Hist = append(resp.Hist[:0], p.Hist[:len(p.Hist)-1]...)
-			resp.Inj = p.Inj
-		}
-		m.Send(resp, nil)
-	case packet.ReadResp:
-		// Read responses land in the requester's SRAM as a counted write
-		// so software can block on them.
-		n.sram(p.DstCore).CountedWrite(p.Addr, p.Payload)
 	case packet.Position, packet.Force, packet.EndOfStep:
 		// Endpoint behavior belongs to the caller's Done deliverer
 		// (the timestep engine counts these into ICB/GC queues).

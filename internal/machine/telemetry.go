@@ -85,9 +85,8 @@ func (m *Machine) noteUnpark(n *Node, q *packet.Packet, now sim.Time, flits int3
 	}
 }
 
-// noteEscapeEntry records a request-class hop accepted onto the escape
-// VC pair: a counter bump and a 1-ps instant slice on the node's escape
-// track.
+// noteEscapeEntry records a hop accepted onto the escape VC pair: a
+// counter bump and a 1-ps instant slice on the node's escape track.
 func (m *Machine) noteEscapeEntry(sh *mshard, p *packet.Packet) {
 	if sh.tele != nil {
 		sh.tele.Ctr[telemetry.CtrEscapeVCEntries]++

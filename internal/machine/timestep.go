@@ -372,6 +372,7 @@ func (e *Engine) edgePacket(a, ei int, parent *packet.Packet) *packet.Packet {
 	p.Walker = e
 	p.Inj = mdPosInjBase + uint64(ei)
 	p.Cur = ed.From
+	p.CurIdx = node.idx
 	p.In = -1
 	p.Out = int8(out.Index())
 	if parent != nil && m.lineage {
@@ -381,31 +382,22 @@ func (e *Engine) edgePacket(a, ei int, parent *packet.Packet) *packet.Packet {
 }
 
 // OnPacket advances one position-multicast packet (packet.Walker): the
-// engine is the walker for the tree's single-hop edge packets. The transit
-// handling mirrors the machine walker's; arrivals fork fresh copies down
-// the remaining tree edges instead of picking a next hop.
+// engine is the walker for the tree's single-hop edge packets. Channel
+// crossings are the machine walker's, which keeps the packet's node index
+// current; arrivals fork fresh copies down the remaining tree edges
+// instead of picking a next hop.
 func (e *Engine) OnPacket(p *packet.Packet) {
 	m := e.m
-	node := m.Node(p.Cur)
+	if p.State == packet.WalkTransit {
+		m.OnPacket(p)
+		return
+	}
+	node := m.nodes[p.CurIdx]
 	if m.lineage {
 		p.Hist = append(p.Hist, node.sh.k.Now())
 		node.sh.curHist = p.Hist
 	}
 	switch p.State {
-	case packet.WalkTransit:
-		out := chip.ChannelSpecAt(int(p.Out))
-		next := m.cfg.Shape.Neighbor(p.Cur, out.Dim, out.Dir)
-		if m.vcqFlits > 0 {
-			if (out.Dir > 0 && next.Get(out.Dim) < p.Cur.Get(out.Dim)) ||
-				(out.Dir < 0 && next.Get(out.Dim) > p.Cur.Get(out.Dim)) {
-				p.Crossed = true
-			}
-		}
-		p.Cur = next
-		p.In = int8(out.Opposite().Index())
-		p.State = packet.WalkArrive
-		node.out[p.Out].SendPacket(p)
-
 	case packet.WalkArrive:
 		if m.vcqFlits > 0 {
 			// Closed loop: join the bounded per-VC ingress FIFO; the eject
@@ -549,7 +541,7 @@ func (s *mdStream) Act() {
 		p.Inj = mdForceInjBase + uint64(s.tgt)
 		if m.lineage {
 			// Continue this stream's chain minus the current event, which
-			// Send re-appends as the force's parent (the response pattern).
+			// Send re-appends as the force's parent.
 			p.Hist = append(p.Hist[:0], s.hist[:len(s.hist)-1]...)
 		}
 		m.Send(p, e)

@@ -1,12 +1,16 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"anton3/internal/md"
+	"anton3/internal/route"
 	"anton3/internal/serdes"
 	"anton3/internal/sim"
+	"anton3/internal/telemetry"
 	"anton3/internal/topo"
+	"anton3/internal/trace"
 )
 
 // timestepRun executes steps MD timesteps on a fresh machine with the
@@ -136,6 +140,57 @@ func TestTimestepResetReuseMatchesFresh(t *testing.T) {
 	for i := range fresh {
 		if reused[i] != fresh[i] {
 			t.Fatalf("step %d after Reset = %+v, fresh machine = %+v", i, reused[i], fresh[i])
+		}
+	}
+}
+
+// TestTimestepObservabilityShardInvariant arms telemetry and packet
+// tracing on a closed-loop, adaptive MD step. Multicast packets cross
+// channels through the engine's walker, and acceptHop files their escape
+// entries under p.CurIdx, so the run must keep CurIdx on the node the
+// packet is at: otherwise every escape entry lands on node 0's track, and
+// on a sharded machine a foreign shard writes into shard 0's recorder.
+// Merged counters and per-node escape counts must match across shard
+// counts, and no node may hold more than twice the mean.
+func TestTimestepObservabilityShardInvariant(t *testing.T) {
+	run := func(shards int) (telemetry.Shard, []int) {
+		cfg := DefaultConfig(topo.Shape{X: 2, Y: 2, Z: 2})
+		cfg.Shards = shards
+		cfg.VCQueueFlits = 4
+		cfg.Policy = route.MinimalAdaptive()
+		m := New(cfg)
+		m.EnableTelemetry()
+		m.AttachPacketTrace("md")
+		e := NewEngine(m, md.NewWater(2000, 300, sim.NewRand(777)), DefaultTimestepConfig())
+		e.RunStep()
+		rec := trace.NewRecorder()
+		m.DrainPacketTrace(rec)
+		esc := make([]int, len(m.Nodes()))
+		for i, n := range m.Nodes() {
+			esc[i] = len(rec.Intervals(fmt.Sprintf("md/%v/escape", n.Coord)))
+		}
+		return *m.Telemetry().Merged(), esc
+	}
+	refTel, refEsc := run(1)
+	if refTel.Ctr[telemetry.CtrEscapeVCEntries] == 0 {
+		t.Fatal("4-flit queues took no escape hop; escape path not exercised")
+	}
+	total := 0
+	for _, c := range refEsc {
+		total += c
+	}
+	for i, c := range refEsc {
+		if c*len(refEsc) > 2*total {
+			t.Fatalf("node %d holds %d of %d escape entries, over twice the per-node mean", i, c, total)
+		}
+	}
+	tel, esc := run(2)
+	if tel != refTel {
+		t.Fatalf("shards 2: telemetry %+v, want %+v", tel.Summary(), refTel.Summary())
+	}
+	for i := range refEsc {
+		if esc[i] != refEsc[i] {
+			t.Fatalf("shards 2: escape entries per node %v, want %v", esc, refEsc)
 		}
 	}
 }

@@ -39,8 +39,7 @@ import (
 // XYZ e-cube hops (route.EscapeNext) with the dateline switch. The escape
 // subnetwork's channel dependency graph is acyclic, so it always drains;
 // a blocked head parks on its escape resource, whose credits therefore
-// always eventually return. Responses keep their dedicated VC — their
-// mesh-restricted XYZ routes are acyclic by construction.
+// always eventually return.
 
 // pktq is a FIFO of packets backed by a reusable ring buffer, so the
 // steady-state enqueue/dequeue path never allocates once the ring has grown
@@ -108,7 +107,7 @@ type vcqState struct {
 
 // newVCQState allocates the flow-control tables for a machine of nNodes.
 func newVCQState(nNodes int) *vcqState {
-	n := nNodes * chip.NumChannelSpecs * route.NumVCs
+	n := nNodes * chip.NumChannelSpecs * route.NumRequestVCs
 	return &vcqState{
 		credits:   make([]int32, n),
 		pendFlits: make([]int32, n),
@@ -121,7 +120,7 @@ func newVCQState(nNodes int) *vcqState {
 
 // vcSlot linearizes (node, channel spec, VC) into the vcqState tables.
 func vcSlot(node int32, spec, vc int) int {
-	return (int(node)*chip.NumChannelSpecs+spec)*route.NumVCs + vc
+	return (int(node)*chip.NumChannelSpecs+spec)*route.NumRequestVCs + vc
 }
 
 // creditInjBase places credit-message lineage serials in their own region
@@ -213,18 +212,13 @@ func (m *Machine) hopVC(p *packet.Packet, out chip.ChannelSpec, base int) int {
 // the free pair when credits allow, the e-cube escape hop on the escape
 // pair otherwise. ok=false means neither resource has credits — out and w
 // then name the escape resource the packet must park on (the one whose
-// credits are guaranteed to eventually return). Responses use their
-// dedicated VC for both roles. On faulty machines the preferred hop is
-// additionally vetoed when its channel is dead or when it conflicts with a
-// ring direction the packet's escape detour has committed to, and the
-// escape hop routes around dead links (route.EscapeNextAvoid).
+// credits are guaranteed to eventually return). On faulty machines the
+// preferred hop is additionally vetoed when its channel is dead or when it
+// conflicts with a ring direction the packet's escape detour has committed
+// to, and the escape hop routes around dead links (route.EscapeNextAvoid).
 func (m *Machine) chooseHop(n *Node, q *packet.Packet, st topo.Step) (chip.ChannelSpec, int, bool) {
 	v := m.vcq
 	fl := int32(q.Flits())
-	if q.Type.Class() == packet.Response {
-		out := chip.ChannelSpec{Dim: st.Dim, Dir: st.Dir, Slice: int(q.Slice)}
-		return out, route.ResponseVC, v.credits[vcSlot(n.idx, out.Index(), route.ResponseVC)] >= fl
-	}
 	out := chip.ChannelSpec{Dim: st.Dim, Dir: st.Dir, Slice: int(q.Slice)}
 	if !m.hopBlocked(n, q, out) {
 		w := m.hopVC(q, out, vcFree)
@@ -307,10 +301,9 @@ func (m *Machine) sendFlow(p *packet.Packet, n *Node, first topo.Step) {
 // hop that differs from its plan falls back to per-hop decisions for the
 // rest of its walk.
 func (m *Machine) acceptHop(p *packet.Packet, out chip.ChannelSpec, w int) {
-	// Request-class VCs in [vcEscape, ResponseVC) are the Duato escape
-	// pair — telemetry counts entries onto them as the deadlock-avoidance
-	// pressure signal. Responses (VC 4) never trip the guard.
-	if w >= vcEscape && w < route.ResponseVC {
+	// VCs from vcEscape up are the Duato escape pair — telemetry counts
+	// entries onto them as the deadlock-avoidance pressure signal.
+	if w >= vcEscape {
 		if sh := m.nodes[p.CurIdx].sh; sh.tele != nil || sh.trec != nil {
 			m.noteEscapeEntry(sh, p)
 		}
@@ -522,7 +515,7 @@ func (n *Node) resetVCQ(queueFlits int) {
 		return
 	}
 	for spec := 0; spec < chip.NumChannelSpecs; spec++ {
-		for vc := 0; vc < route.NumVCs; vc++ {
+		for vc := 0; vc < route.NumRequestVCs; vc++ {
 			slot := vcSlot(n.idx, spec, vc)
 			if n.out[spec] != nil {
 				v.credits[slot] = int32(queueFlits)

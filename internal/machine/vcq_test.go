@@ -11,10 +11,9 @@ import (
 
 // TestVCQUncongestedMatchesLegacy pins the credit layer's timing
 // equivalence: with queues deep enough that no packet ever waits, per-VC
-// flow control must add zero delay to any path — including the
-// request/response round trips of the ping-pong engine, which exercises
-// the response VC. The measurement must equal the legacy (infinite
-// buffer) machine exactly.
+// flow control must add zero delay to any path — here the counted-write
+// round trips of the ping-pong engine, which cross the torus both ways.
+// The measurement must equal the legacy (infinite buffer) machine exactly.
 func TestVCQUncongestedMatchesLegacy(t *testing.T) {
 	shape := topo.Shape{X: 2, Y: 2, Z: 4}
 	legacy := New(DefaultConfig(shape))
@@ -75,7 +74,7 @@ func TestVCQCreditConservation(t *testing.T) {
 	}
 	for _, n := range m.Nodes() {
 		for _, cs := range n.ChannelSpecs() {
-			for vc := 0; vc < route.NumVCs; vc++ {
+			for vc := 0; vc < route.NumRequestVCs; vc++ {
 				if c := n.OutCredits(cs, vc); c != cfg.VCQueueFlits {
 					t.Errorf("node %v %v vc %d: credits %d after drain, want %d",
 						n.Coord, cs, vc, c, cfg.VCQueueFlits)

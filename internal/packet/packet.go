@@ -28,44 +28,22 @@ const (
 // decisions.
 const RouteCap = 24
 
-// Class separates the two protocol traffic classes whose independence
-// avoids request-response deadlock.
-type Class uint8
-
-// Traffic classes.
-const (
-	Request Class = iota
-	Response
-)
-
-func (c Class) String() string {
-	if c == Request {
-		return "request"
-	}
-	return "response"
-}
-
 // Type identifies what a packet carries.
 type Type uint8
 
 // Packet types used by the MD application protocol.
 const (
 	// CountedWrite writes a quad to remote SRAM and increments the quad's
-	// counter (Section III-A). Request class.
+	// counter (Section III-A).
 	CountedWrite Type = iota
 	// CountedAccum is a counted write that accumulates (adds) into the
 	// quad instead of overwriting — the force-summation form.
 	CountedAccum
-	// ReadReq asks a remote SRAM for a quad. Request class.
-	ReadReq
-	// ReadResp returns the quad. Response class.
-	ReadResp
-	// Position carries an atom position (stream-set export). Request class.
+	// Position carries an atom position (stream-set export).
 	Position
-	// Force carries a computed force back to the atom's GC. Request class
-	// (the MD protocol architects almost all traffic as requests).
+	// Force carries a computed force back to the atom's GC.
 	Force
-	// Fence is a network fence packet (Section V). Request class.
+	// Fence is a network fence packet (Section V).
 	Fence
 	// EndOfStep is the special packet software sends down each channel to
 	// advance the particle cache time step counter (Section IV-B1).
@@ -78,10 +56,6 @@ func (t Type) String() string {
 		return "counted-write"
 	case CountedAccum:
 		return "counted-accum"
-	case ReadReq:
-		return "read-req"
-	case ReadResp:
-		return "read-resp"
 	case Position:
 		return "position"
 	case Force:
@@ -92,14 +66,6 @@ func (t Type) String() string {
 		return "end-of-step"
 	}
 	return fmt.Sprintf("Type(%d)", uint8(t))
-}
-
-// Class returns the traffic class for the type.
-func (t Type) Class() Class {
-	if t == ReadResp {
-		return Response
-	}
-	return Request
 }
 
 // Deliverer receives a packet at its destination endpoint, after the SRAM
@@ -179,7 +145,7 @@ type Packet struct {
 	SrcCore CoreID
 	DstCore CoreID
 
-	// Addr is the SRAM quad address for write/read types.
+	// Addr is the SRAM quad address for counted writes.
 	Addr uint32
 	// AtomID tags position/force packets (one of the "static fields" the
 	// particle cache replaces with a cache index on hits).
@@ -190,8 +156,8 @@ type Packet struct {
 	Payload [PayloadWords]uint32
 	Words   int
 
-	// Order is the dimension order assigned at injection (requests get a
-	// random one of the six; responses are always XYZ).
+	// Order is the dimension order assigned at injection: the routing
+	// policy's draw, or the caller's for pre-routed packets.
 	Order topo.DimOrder
 
 	// FenceID and FenceHops parameterize fence packets.
@@ -228,11 +194,11 @@ type Packet struct {
 
 	// Route is the packet's precomputed hop list: dense channel-spec
 	// indices, one per hop, filled at injection for routes that are a pure
-	// function of (src, dst, order, tie) — every oblivious policy and all
-	// responses. RoutePos is the next unconsumed hop; RouteLen is the hop
-	// count, or -1 when hops are decided per hop instead (adaptive
-	// policies, routes longer than RouteCap, or a packet diverted onto an
-	// escape channel by credit flow control).
+	// function of (src, dst, order, tie) — every oblivious policy's.
+	// RoutePos is the next unconsumed hop; RouteLen is the hop count, or
+	// -1 when hops are decided per hop instead (adaptive policies, routes
+	// longer than RouteCap, or a packet diverted onto an escape channel by
+	// credit flow control).
 	Route    [RouteCap]int8
 	RoutePos int8
 	RouteLen int8
@@ -261,8 +227,8 @@ type Packet struct {
 	// channel and is later revived by a credit arrival (see Accepter).
 	OnAccept Accepter
 
-	// PreRouted marks a request packet whose Order and Tie were assigned
-	// by the caller before Send; the machine then skips its own rng draws.
+	// PreRouted marks a packet whose Order and Tie were assigned by the
+	// caller before Send; the machine then skips its own rng draws.
 	// Harnesses that run on sharded machines pre-draw routing decisions in
 	// the sequential kernel's order so that results do not depend on the
 	// shard count.

@@ -30,25 +30,9 @@ func TestFlitCount(t *testing.T) {
 	}
 }
 
-func TestClassAssignment(t *testing.T) {
-	// Only read responses are response class; the MD protocol architects
-	// nearly all traffic as requests (Section III-B2).
-	for _, ty := range []Type{CountedWrite, CountedAccum, ReadReq, Position, Force, Fence, EndOfStep} {
-		if ty.Class() != Request {
-			t.Errorf("%v should be request class", ty)
-		}
-	}
-	if ReadResp.Class() != Response {
-		t.Error("ReadResp should be response class")
-	}
-}
-
 func TestTypeStrings(t *testing.T) {
 	if CountedWrite.String() != "counted-write" || Type(200).String() != "Type(200)" {
 		t.Fatal("Type.String broken")
-	}
-	if Request.String() != "request" || Response.String() != "response" {
-		t.Fatal("Class.String broken")
 	}
 }
 

@@ -48,10 +48,6 @@ func (f HealthFunc) Dead(dim topo.Dim, dir int) bool { return f(dim, dir) }
 // (one Policy value is shared by every node of a machine and by
 // concurrently running machines); all randomness comes from the rng the
 // caller passes in.
-//
-// Response packets are outside the Policy's jurisdiction: they always
-// follow the XYZ mesh-restricted route (ResponseRoute) on the dedicated
-// response VC, which is what lets the paper provision a single response VC.
 type Policy interface {
 	// Name identifies the policy in configs, CLI flags and reports.
 	Name() string

@@ -16,13 +16,14 @@ func cacheableJobs(n int, executed *atomic.Int64) []Job {
 	jobs := make([]Job, n)
 	for i := range jobs {
 		i := i
+		seed := uint64(3000 + i)
 		jobs[i] = Job{
 			Name:     fmt.Sprintf("cell%02d", i),
-			Seed:     uint64(3000 + i),
-			CacheKey: resultstore.KeyFor("test/cell", uint64(3000+i), struct{ N int }{i}),
-			Run: func(rng *sim.Rand) (Output, error) {
+			Seed:     seed,
+			CacheKey: resultstore.KeyFor("test/cell", seed, struct{ N int }{i}),
+			Run: func() (Output, error) {
 				executed.Add(1)
-				return Output{Text: fmt.Sprintf("cell %d drew %d", i, rng.Uint64())}, nil
+				return Output{Text: fmt.Sprintf("cell %d drew %d", i, sim.NewRand(seed).Uint64())}, nil
 			},
 		}
 	}
@@ -101,8 +102,8 @@ func TestCacheIgnoredWithoutStore(t *testing.T) {
 // JSON, so a Reduce job may not be memoized and a memoized job may not
 // feed one.
 func TestCacheKeyRejectedOnReducePaths(t *testing.T) {
-	run := func(*sim.Rand) (Output, error) { return Output{}, nil }
-	red := func(*sim.Rand, []Result) (Output, error) { return Output{}, nil }
+	run := func() (Output, error) { return Output{}, nil }
+	red := func([]Result) (Output, error) { return Output{}, nil }
 	key := resultstore.KeyFor("test/cell", 1, struct{}{})
 	cases := []struct {
 		name string

@@ -6,9 +6,9 @@
 // on separate goroutines — the runner exploits that to use every core while
 // keeping output deterministic:
 //
-//   - each Job carries its own seed, from which the runner derives a fresh
-//     sim.Rand; random streams never depend on which worker runs the job or
-//     in what order jobs finish;
+//   - each Job draws its randomness from its own seed, so random streams
+//     never depend on which worker runs the job or in what order jobs
+//     finish;
 //   - results are collected by job index and rendered in submission order,
 //     so the concatenated output is byte-identical to a sequential run.
 //
@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"anton3/internal/resultstore"
-	"anton3/internal/sim"
 )
 
 // Output is what a job's Run function produces: a rendered table/figure
@@ -42,8 +41,8 @@ type Job struct {
 	// Name identifies the job in reports and artifacts ("fig5", "tables").
 	// Names must be unique within one Run.
 	Name string
-	// Seed derives the job's private RNG. Jobs with the same seed produce
-	// identical streams regardless of worker or completion order.
+	// Seed is reported with the job's result: the seed its experiment
+	// draws from, for experiments that draw at all.
 	Seed uint64
 	// Cost is a relative expected-runtime hint. The pool starts expensive
 	// jobs first so the long pole overlaps the small jobs instead of
@@ -53,16 +52,16 @@ type Job struct {
 	// Text is excluded from RenderAll and caller display — the shape of a
 	// sub-job whose rows a Reduce job folds into one figure.
 	Hidden bool
-	// Run executes the experiment with the job's seeded RNG. Exactly one
-	// of Run and Reduce must be set.
-	Run func(rng *sim.Rand) (Output, error)
+	// Run executes the experiment. Exactly one of Run and Reduce must be
+	// set.
+	Run func() (Output, error)
 	// Needs lists jobs whose Results this job consumes; the pool holds
 	// the job back until all of them have completed, then calls Reduce
 	// with their Results in Needs order. Sharded experiments use this to
 	// split a sweep into per-slice sub-jobs plus one assembling reducer
 	// while keeping output byte-identical at any worker count.
 	Needs  []string
-	Reduce func(rng *sim.Rand, inputs []Result) (Output, error)
+	Reduce func(inputs []Result) (Output, error)
 	// CacheKey, when valid and the pool runs with Options.Cache, lets
 	// the job short-circuit: a stored Output under the key is returned
 	// without calling Run (or ShardRun), and a computed Output is stored
@@ -76,12 +75,12 @@ type Job struct {
 	CacheKey resultstore.Key
 	// ShardRun, when set alongside Run, lets the pool run the job with
 	// extra kernel shards when workers would otherwise idle (see
-	// Options.AutoShard): the pool calls ShardRun(rng, n) instead of Run
+	// Options.AutoShard): the pool calls ShardRun(n) instead of Run
 	// for some n in {2, 4} it budgeted from the spare workers. The job
 	// must produce output byte-identical to Run at any shard count — the
 	// guarantee the sharded simulation harnesses already carry — so the
 	// promotion changes wall time only, never a digit of output.
-	ShardRun func(rng *sim.Rand, shards int) (Output, error)
+	ShardRun func(shards int) (Output, error)
 }
 
 // Options tunes pool scheduling; the zero value is the historical
@@ -236,11 +235,11 @@ func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, erro
 					for i, d := range deps[idx] {
 						inputs[i] = rep.Results[d]
 					}
-					out, err = job.Reduce(sim.NewRand(job.Seed), inputs)
+					out, err = job.Reduce(inputs)
 				case wk.shards > 1:
-					out, err = job.ShardRun(sim.NewRand(job.Seed), wk.shards)
+					out, err = job.ShardRun(wk.shards)
 				default:
-					out, err = job.Run(sim.NewRand(job.Seed))
+					out, err = job.Run()
 				}
 				if memo && !res.Cached && err == nil {
 					opts.Cache.Put(job.CacheKey, cachedOutput{Text: out.Text, Data: out.Data})

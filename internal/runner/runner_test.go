@@ -13,18 +13,20 @@ import (
 )
 
 // noisyJobs builds jobs whose output depends only on their own seed, like
-// every experiment in this repository: each draws from its private RNG and
-// sleeps a pseudo-random amount so completion order scrambles under
-// parallelism.
+// every experiment in this repository: each draws from an RNG built from
+// its seed and sleeps a pseudo-random amount so completion order scrambles
+// under parallelism.
 func noisyJobs(n int) []Job {
 	jobs := make([]Job, n)
 	for i := range jobs {
 		i := i
+		seed := uint64(1000 + i)
 		jobs[i] = Job{
 			Name: fmt.Sprintf("job%02d", i),
-			Seed: uint64(1000 + i),
+			Seed: seed,
 			Cost: float64(i % 3),
-			Run: func(rng *sim.Rand) (Output, error) {
+			Run: func() (Output, error) {
+				rng := sim.NewRand(seed)
 				time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
 				v := rng.Uint64()
 				return Output{
@@ -61,36 +63,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestSeedsIndependentOfWorkerCount(t *testing.T) {
-	// The RNG handed to a job must be a function of the job's seed only.
-	draws := func(workers int) []uint64 {
-		var out [8]uint64
-		jobs := make([]Job, 8)
-		for i := range jobs {
-			i := i
-			jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Seed: uint64(i * 7),
-				Run: func(rng *sim.Rand) (Output, error) {
-					out[i] = rng.Uint64()
-					return Output{}, nil
-				}}
-		}
-		if _, err := Run(jobs, workers, Options{}, nil); err != nil {
-			t.Fatal(err)
-		}
-		return out[:]
-	}
-	a, b := draws(1), draws(4)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("job %d drew %d at 1 worker but %d at 4", i, a[i], b[i])
-		}
-	}
-}
-
 func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("kernel exploded")
 	jobs := noisyJobs(6)
-	jobs[3].Run = func(*sim.Rand) (Output, error) { return Output{}, boom }
+	jobs[3].Run = func() (Output, error) { return Output{}, boom }
 	rep, err := Run(jobs, 4, Options{}, nil)
 	if err == nil {
 		t.Fatal("job error not propagated")
@@ -116,7 +92,7 @@ func TestCostHintOrdersDispatchNotOutput(t *testing.T) {
 	for i := range jobs {
 		i := i
 		jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Cost: float64(i),
-			Run: func(*sim.Rand) (Output, error) {
+			Run: func() (Output, error) {
 				first.CompareAndSwap(nil, i)
 				return Output{Text: fmt.Sprintf("out%d", i)}, nil
 			}}
@@ -203,15 +179,15 @@ func TestEmptyAndOversubscribed(t *testing.T) {
 func TestReduceJobSeesInputsInNeedsOrder(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		jobs := []Job{
-			{Name: "shard-a", Seed: 1, Hidden: true, Run: func(*sim.Rand) (Output, error) {
+			{Name: "shard-a", Seed: 1, Hidden: true, Run: func() (Output, error) {
 				time.Sleep(2 * time.Millisecond) // finish after shard-b under parallelism
 				return Output{Text: "hidden-a", Data: 10}, nil
 			}},
-			{Name: "shard-b", Seed: 2, Hidden: true, Run: func(*sim.Rand) (Output, error) {
+			{Name: "shard-b", Seed: 2, Hidden: true, Run: func() (Output, error) {
 				return Output{Text: "hidden-b", Data: 32}, nil
 			}},
 			{Name: "sum", Seed: 3, Needs: []string{"shard-a", "shard-b"},
-				Reduce: func(_ *sim.Rand, in []Result) (Output, error) {
+				Reduce: func(in []Result) (Output, error) {
 					if len(in) != 2 || in[0].Name != "shard-a" || in[1].Name != "shard-b" {
 						return Output{}, fmt.Errorf("inputs out of order: %v", in)
 					}
@@ -235,17 +211,17 @@ func TestReduceChainsAndEmitOrder(t *testing.T) {
 	// A diamond: two shards -> mid reducer -> final reducer, plus an
 	// independent job. Emission must still be submission order.
 	jobs := []Job{
-		{Name: "s1", Hidden: true, Run: func(*sim.Rand) (Output, error) { return Output{Data: 1}, nil }},
-		{Name: "s2", Hidden: true, Run: func(*sim.Rand) (Output, error) { return Output{Data: 2}, nil }},
+		{Name: "s1", Hidden: true, Run: func() (Output, error) { return Output{Data: 1}, nil }},
+		{Name: "s2", Hidden: true, Run: func() (Output, error) { return Output{Data: 2}, nil }},
 		{Name: "mid", Hidden: true, Needs: []string{"s1", "s2"},
-			Reduce: func(_ *sim.Rand, in []Result) (Output, error) {
+			Reduce: func(in []Result) (Output, error) {
 				return Output{Data: in[0].Data.(int) + in[1].Data.(int)}, nil
 			}},
 		{Name: "final", Needs: []string{"mid"},
-			Reduce: func(_ *sim.Rand, in []Result) (Output, error) {
+			Reduce: func(in []Result) (Output, error) {
 				return Output{Text: fmt.Sprintf("final=%d", in[0].Data.(int))}, nil
 			}},
-		{Name: "solo", Run: func(*sim.Rand) (Output, error) { return Output{Text: "solo"}, nil }},
+		{Name: "solo", Run: func() (Output, error) { return Output{Text: "solo"}, nil }},
 	}
 	var emitted []string
 	rep, err := Run(jobs, 3, Options{}, func(r Result) { emitted = append(emitted, r.Name) })
@@ -267,8 +243,8 @@ func TestReduceChainsAndEmitOrder(t *testing.T) {
 }
 
 func TestDependencyValidation(t *testing.T) {
-	run := func(*sim.Rand) (Output, error) { return Output{}, nil }
-	red := func(*sim.Rand, []Result) (Output, error) { return Output{}, nil }
+	run := func() (Output, error) { return Output{}, nil }
+	red := func([]Result) (Output, error) { return Output{}, nil }
 	cases := []struct {
 		name string
 		jobs []Job
@@ -292,11 +268,11 @@ func TestDependencyValidation(t *testing.T) {
 
 func TestReduceSeesDependencyError(t *testing.T) {
 	jobs := []Job{
-		{Name: "bad", Hidden: true, Run: func(*sim.Rand) (Output, error) {
+		{Name: "bad", Hidden: true, Run: func() (Output, error) {
 			return Output{}, errors.New("shard failed")
 		}},
 		{Name: "agg", Needs: []string{"bad"},
-			Reduce: func(_ *sim.Rand, in []Result) (Output, error) {
+			Reduce: func(in []Result) (Output, error) {
 				if in[0].Err != "" {
 					return Output{}, fmt.Errorf("input %s: %s", in[0].Name, in[0].Err)
 				}
@@ -320,14 +296,14 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 	var mu sync.Mutex
 	granted := map[string]int{}
 	mk := func(name string, cost float64, shardable bool) Job {
-		j := Job{Name: name, Cost: cost, Run: func(*sim.Rand) (Output, error) {
+		j := Job{Name: name, Cost: cost, Run: func() (Output, error) {
 			mu.Lock()
 			granted[name] = 1
 			mu.Unlock()
 			return Output{Text: name}, nil
 		}}
 		if shardable {
-			j.ShardRun = func(_ *sim.Rand, shards int) (Output, error) {
+			j.ShardRun = func(shards int) (Output, error) {
 				mu.Lock()
 				granted[name] = shards
 				mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"anton3/internal/chip"
 	"anton3/internal/machine"
 	"anton3/internal/packet"
 	"anton3/internal/route"
@@ -19,6 +20,16 @@ import (
 // packet (two 96-bit flits), the unit the offered-load normalization is
 // expressed in.
 const refPacketBits = 192
+
+// loadUnit is the rig's load unit: a healthy channel slice's serialization
+// time for refPacketBits, so load 1 offers one reference packet per node
+// per unit. Link degradation applies inside transmit, not SerializeTime,
+// so a load means the same offered rate on a degraded network as on a
+// healthy one.
+var loadUnit = serdes.NewChannel(nil, serdes.ChannelConfig{
+	Lanes:    chip.LanesPerSlice,
+	GbpsLane: topo.SerdesGbps,
+}).SerializeTime(refPacketBits)
 
 // Point is the measured outcome at one offered load.
 type Point struct {
@@ -70,7 +81,6 @@ type Harness struct {
 	m     *machine.Machine
 	shape topo.Shape
 	core  packet.CoreID // GC 0, the endpoint every packet uses
-	base  sim.Time      // serialization time of refPacketBits (load unit)
 	injQ  int           // injection-window depth per source, in packets
 
 	total  int // packets per node including warmup, for the current point
@@ -106,19 +116,13 @@ func NewHarness(shape topo.Shape, policy route.Policy, shards int) *Harness {
 }
 
 // NewHarnessOn builds the rig on a machine of any configuration, with
-// injection windows of injDepth refused packets per source. The load unit
-// is the channel's healthy serialization time — link degradation applies
-// inside transmit, not SerializeTime — so a load means the same offered
-// rate on a degraded network as on a healthy one.
+// injection windows of injDepth refused packets per source.
 func NewHarnessOn(cfg machine.Config, injDepth int) *Harness {
 	m := machine.New(cfg)
-	c0 := cfg.Shape.CoordOf(0)
-	refCh := m.Node(c0).ChannelSpecs()[0]
 	return &Harness{
 		m:     m,
 		shape: cfg.Shape,
-		core:  m.GC(c0, 0).ID,
-		base:  m.Node(c0).Channel(refCh).SerializeTime(refPacketBits),
+		core:  m.GC(cfg.Shape.CoordOf(0), 0).ID,
 		injQ:  injDepth,
 		sinks: make([]sink, m.NumShards()),
 	}
@@ -264,7 +268,7 @@ func (h *Harness) Measure(pat Pattern, load float64, packets, warmup int, seed u
 
 	// Draw the offered process — Poisson schedule, destinations, and the
 	// machine's routing pre-draw in sequential emission order.
-	intendedEnd := h.sched.draw(h.m, h.shape, pat, float64(h.base)/load, total, seed)
+	intendedEnd := h.sched.draw(h.m, h.shape, pat, float64(loadUnit)/load, total, seed)
 
 	// Stage the emissions in node-major (setup sequence) order, each on
 	// the kernel of the shard owning its source node. They go to the
@@ -291,7 +295,7 @@ func (h *Harness) Measure(pat Pattern, load float64, packets, warmup int, seed u
 		Load: load,
 		// Realized offered rate over the schedule horizon; the per-node
 		// average, in the load unit.
-		Offered: float64(total) * float64(h.base) / float64(intendedEnd),
+		Offered: float64(total) * float64(loadUnit) / float64(intendedEnd),
 		TailNs:  (end - intendedEnd).Nanoseconds(),
 		End:     end,
 	}
@@ -314,7 +318,7 @@ func (h *Harness) Measure(pat Pattern, load float64, packets, warmup int, seed u
 	}
 	st.Undelivered = nodes*total - int(delivered)
 	if lastEntry > 0 {
-		st.Accepted = float64(entered) / float64(nodes) * float64(h.base) / float64(lastEntry)
+		st.Accepted = float64(entered) / float64(nodes) * float64(loadUnit) / float64(lastEntry)
 	}
 	if n := len(h.all); n > 0 {
 		lats := h.all

@@ -104,6 +104,23 @@ func (s *schedule) draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanG
 	return end
 }
 
+// HorizonFits reports whether a point offering total packets per node on
+// shape at load keeps its injection schedule inside the sort key draw
+// orders it by. The key packs each intended instant above the slot's flat
+// index, so the last instant must stay below 2^(63-shift) ps with shift =
+// bits.Len(nodes*total-1). The instants are drawn at random, so the check
+// asks for a 4x margin on the mean horizon, total*loadUnit/load. A total
+// below 1 (an overflowed budget), or one whose slot indices alone fill the
+// key, never fits.
+func HorizonFits(shape topo.Shape, total int, load float64) bool {
+	nodes := shape.Nodes()
+	if total < 1 || total > 1<<62/nodes {
+		return false
+	}
+	shift := bits.Len(uint(nodes*total - 1))
+	return 4*float64(total)*float64(loadUnit)/load < math.Ldexp(1, 63-shift)
+}
+
 // packet builds the pre-routed Position packet of injection slot flat from
 // m's pool: node flat/total sends it to the drawn destination along the
 // drawn dimension order, core is both endpoints' core, and the slot index

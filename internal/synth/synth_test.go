@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"anton3/internal/machine"
 	"anton3/internal/route"
 	"anton3/internal/sim"
 	"anton3/internal/topo"
@@ -135,4 +136,29 @@ func TestPatternRegistry(t *testing.T) {
 	if len(ps) < 5 {
 		t.Fatalf("want >= 5 patterns, got %d", len(ps))
 	}
+}
+
+// TestHorizonFitsBoundsTheSortKey draws the longest schedule HorizonFits
+// accepts on the smallest shape at the smallest load the CLI takes, which
+// must not overflow draw's sort key, and checks that twice that budget is
+// rejected.
+func TestHorizonFitsBoundsTheSortKey(t *testing.T) {
+	const load = 1e-6
+	lo, hi := 1, 1<<24
+	if !HorizonFits(testShape, lo, load) || HorizonFits(testShape, hi, load) {
+		t.Fatalf("HorizonFits does not bracket [%d, %d) at load %g", lo, hi, load)
+	}
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; HorizonFits(testShape, mid, load) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	if HorizonFits(testShape, 2*lo, load) {
+		t.Fatalf("HorizonFits accepts %d packets per node, twice the longest fitting budget", 2*lo)
+	}
+	m := machine.New(machine.DefaultConfig(testShape))
+	var s schedule
+	s.draw(m, testShape, Uniform(), float64(loadUnit)/load, lo, 1)
 }

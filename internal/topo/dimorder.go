@@ -5,7 +5,7 @@ import "fmt"
 // DimOrder is a permutation of the three torus dimensions. Request packets on
 // Anton 3 follow a dimension-order route using any of the six possible
 // orders, chosen at random per packet independent of load ("minimal,
-// oblivious routing"); response packets are restricted to XYZ.
+// oblivious routing").
 type DimOrder [3]Dim
 
 // The six dimension orders of Section III-B2.
