@@ -15,7 +15,8 @@ test:
 # detector, vet and tests of the separate bench module, the allocation
 # gate, a 10 s fuzz smoke holding inz.Size to the reference encoder, a
 # 10 s fuzz smoke of fault-plan parsing and canonical forms, a 10 s fuzz
-# smoke of the -shapes/-loads grid parsers, plus the
+# smoke of the -shapes/-loads grid parsers, a 10 s fuzz smoke of the
+# result cache's disk-entry decoder, plus the
 # netsweep, saturate, faultsweep, MD timestep and mdsweep CLI
 # smokes (each diffs sharded vs sequential output — shard-count invariance
 # end to end; the faultsweep smoke pins a dead-link cell with rerouting
@@ -32,6 +33,7 @@ test-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSizeMatchesEncode$$' -fuzztime 10s ./internal/inz
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCanon$$' -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGrid$$' -fuzztime 10s ./cmd/anton3
+	$(GO) test -run '^$$' -fuzz '^FuzzGetEntry$$' -fuzztime 10s ./internal/resultstore
 	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q > /tmp/anton3-ns-seq.txt
 	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -shards 2 > /tmp/anton3-ns-sh2.txt
 	diff /tmp/anton3-ns-seq.txt /tmp/anton3-ns-sh2.txt
@@ -78,14 +80,16 @@ alloc-gate:
 
 # The CI bench lane: every paper artifact once, the hot-path micro-bench
 # report (BENCH_hotpath.json: ns/op + allocs/op per PR, gated against the
-# committed copy — a SendHotPath or Netsweep regression >10% fails the
-# lane), the shard-scaling report, the saturation report, then a full
-# parallel `all` run refreshing BENCH_runner.json. The fresh hotpath JSON
-# lands in a temp file first so the committed baseline survives a failed
-# gate for diagnosis (and isn't truncated before benchjson reads it).
+# committed copy — a SendHotPath, Netsweep or KernelSteadyState regression
+# >10% fails the lane; a bench the committed copy lacks is not gated until
+# a main-branch run adds its row), the shard-scaling report, the
+# saturation report, then a full parallel `all` run refreshing
+# BENCH_runner.json. The fresh hotpath JSON lands in a temp file first so
+# the committed baseline survives a failed gate for diagnosis (and isn't
+# truncated before benchjson reads it).
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
-	$(GO) test -run '^$$' -bench 'SendHotPath|Netsweep$$' -benchmem -count=1 ./internal/machine ./internal/synth | $(GO) run ./cmd/benchjson -gate BENCH_hotpath.json -gate-bench SendHotPath,Netsweep > BENCH_hotpath.json.tmp
+	$(GO) test -run '^$$' -bench 'SendHotPath|Netsweep$$|KernelSteadyState' -benchmem -count=1 ./internal/machine ./internal/synth ./internal/sim | $(GO) run ./cmd/benchjson -gate BENCH_hotpath.json -gate-bench SendHotPath,Netsweep,KernelSteadyState > BENCH_hotpath.json.tmp
 	mv BENCH_hotpath.json.tmp BENCH_hotpath.json
 	$(MAKE) bench-parallel
 	$(MAKE) bench-saturate

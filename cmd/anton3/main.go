@@ -92,6 +92,7 @@ func run(args []string) int {
 		flag   string
 		v, min int
 	}{
+		{"jobs", *jobs, 0},
 		{"shards", *shards, 1},
 		{"pairs", *pairs, 1},
 		{"steps", *steps, 1},

@@ -16,6 +16,7 @@ var badInputs = []struct {
 	flag string
 	args []string
 }{
+	{"-jobs", []string{"netsweep", "-jobs", "-1", "-shards", "2"}}, // read as all cores, skipping the jobs x shards budget
 	{"-npkts", []string{"netsweep", "-npkts", "0"}},
 	{"-nwarm", []string{"netsweep", "-nwarm", "-1"}},
 	{"-shapes", []string{"netsweep", "-shapes", "1x1x1"}},

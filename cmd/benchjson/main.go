@@ -11,10 +11,11 @@
 // writing the fresh JSON) if any baseline bench whose name contains one of
 // the comma-separated -gate-bench substrings got slower than
 // ns_per_op x -gate-factor. CI runs the hot-path lane through this so a
-// SendHotPath or Netsweep regression >10% cannot land with a green build,
-// and the parallel lane gates NetsweepShards the same way:
+// SendHotPath, Netsweep or KernelSteadyState regression >10% cannot land
+// with a green build, and the parallel lane gates NetsweepShards the same
+// way:
 //
-//	... | go run ./cmd/benchjson -gate BENCH_hotpath.json -gate-bench SendHotPath,Netsweep > new.json
+//	... | go run ./cmd/benchjson -gate BENCH_hotpath.json -gate-bench SendHotPath,Netsweep,KernelSteadyState > new.json
 package main
 
 import (

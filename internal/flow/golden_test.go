@@ -57,3 +57,19 @@ func TestPointGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestPointEventsGolden pins the kernel's work for one closed-loop point
+// past the knee, where sources park and credit arrivals revive them: the
+// number of events the point fires. Output can stay bit-identical while a
+// change adds or drops events; this count moves with either.
+func TestPointEventsGolden(t *testing.T) {
+	h := NewHarness(topo.Shape{X: 4, Y: 4, Z: 8}, route.Random(), 1, 0, 0)
+	h.EnableMetrics()
+	h.RunPoint(synth.Tornado(), 3, 32, 8, 7)
+	if parks := h.Telemetry().Summary().ParkEvents; parks == 0 {
+		t.Fatal("no packet parked; the point no longer exercises credit revival")
+	}
+	if got, want := h.Machine().ShardKernel(0).EventsFired(), uint64(261120); got != want {
+		t.Fatalf("point fired %d events, want %d", got, want)
+	}
+}

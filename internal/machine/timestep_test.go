@@ -131,3 +131,20 @@ func TestEngineDeterministic(t *testing.T) {
 		t.Fatal("engine not deterministic")
 	}
 }
+
+// TestRunStepEventsGolden pins the kernel's work for two 2000-atom MD
+// steps with compression off and on: the events fired after the first
+// step and after the second. Output can stay bit-identical while a change
+// adds or drops events (a spare keep-alive, a merged stream firing); this
+// count moves with either.
+func TestRunStepEventsGolden(t *testing.T) {
+	for _, comp := range []serdes.CompressConfig{{}, {INZ: true, Pcache: true}} {
+		e := engineFor(t, 2000, comp)
+		for step, want := range []uint64{104468, 208740} {
+			e.RunStep()
+			if got := e.m.ShardKernel(0).EventsFired(); got != want {
+				t.Errorf("compression %+v: %d events after step %d, want %d", comp, got, step+1, want)
+			}
+		}
+	}
+}

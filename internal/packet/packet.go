@@ -235,11 +235,11 @@ type Packet struct {
 	PreRouted bool
 
 	// Hist and Inj are the packet's event lineage, maintained by the
-	// machine only on sharded runs: the fire times of every past event of
-	// this packet's walk (oldest first), and the global setup order of its
-	// injection event. Shard kernels in lineage mode use them to order
-	// same-timestamp events exactly as a sequential kernel would
-	// (sim.Lineaged).
+	// machine only when it runs lineage tie order (sharded, or with per-VC
+	// queues): the fire times of every past event of this packet's walk
+	// (oldest first), and the global setup order of its injection event.
+	// Kernels in lineage mode use them to order same-timestamp events
+	// exactly as a sequential kernel would (sim.Lineaged).
 	Hist []sim.Time
 	Inj  uint64
 

@@ -168,16 +168,17 @@ func (s *Store) readDisk(k Key) ([]byte, bool) {
 	if nl < 0 {
 		return nil, false
 	}
-	var magic, sum string
-	var version int
-	if _, err := fmt.Sscanf(string(raw[:nl]), "%s v%d %s", &magic, &version, &sum); err != nil {
-		return nil, false
-	}
 	payload := raw[nl+1:]
-	if magic != entryMagic || version != s.version || sum != payloadSum(payload) {
+	if string(raw[:nl]) != s.header(payload) {
 		return nil, false
 	}
 	return payload, true
+}
+
+// header is the first line of the disk entry holding payload. readDisk
+// accepts exactly the line writeDisk writes, byte for byte.
+func (s *Store) header(payload []byte) string {
+	return fmt.Sprintf("%s v%d %s", entryMagic, s.version, payloadSum(payload))
 }
 
 func (s *Store) writeDisk(k Key, payload []byte) {
@@ -186,7 +187,8 @@ func (s *Store) writeDisk(k Key, payload []byte) {
 		return
 	}
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s v%d %s\n", entryMagic, s.version, payloadSum(payload))
+	buf.WriteString(s.header(payload))
+	buf.WriteByte('\n')
 	buf.Write(payload)
 	// Temp file + rename: concurrent readers see the old entry or the
 	// complete new one, never a torn write.

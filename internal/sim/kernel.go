@@ -1,6 +1,9 @@
 package sim
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Actor is the kernel's one event kind: objects that carry their own
 // callback state (e.g. an in-flight packet) implement Act and are scheduled
@@ -31,8 +34,8 @@ type heapKey struct {
 // heapRoot is the array index of the heap's root. Indices 0..2 are unused
 // padding: with the root at 3, the four children of node i sit at
 // 4i-8..4i-5 — a block whose byte offset (16 bytes per key) is a multiple
-// of 64, so every child scan in siftDown touches exactly one cache line
-// once the keys array is cache-line aligned (large allocations are).
+// of 64, so every child block sinkRoot compares touches exactly one cache
+// line once the keys array is cache-line aligned (large allocations are).
 const heapRoot = 3
 
 // Kernel is a discrete-event simulation executive. It is not safe for
@@ -72,7 +75,8 @@ type Kernel struct {
 	ladder    []ladderEvt
 	ladderPos int
 
-	// Lineage tie ordering (sharded execution; see BeginLineageOrder).
+	// Lineage tie ordering (see BeginLineageOrder): armed by machines that
+	// are sharded or have per-VC queues.
 	lineage  bool
 	setupSeq uint64 // highest seq scheduled before BeginLineageOrder
 }
@@ -228,9 +232,11 @@ func (k *Kernel) tieBefore(slotA int32, qa uint64, slotB int32, qb uint64) bool 
 // BeginLineageOrder switches the kernel to lineage tie ordering: events at
 // equal timestamps compare by their actors' Lineage instead of schedule
 // sequence. Call it after all setup events have been scheduled and before
-// running; events already queued are treated as setup events. Sharded
-// executions arm it on every shard kernel to make results independent of
-// the shard count, not merely of goroutine interleaving.
+// running; events already queued are treated as setup events. A sharded
+// machine arms it on every shard kernel to make results independent of
+// the shard count, not merely of goroutine interleaving, and a machine
+// with per-VC queues arms it at one shard too, because credit arrivals
+// revive parked packets from foreign events.
 func (k *Kernel) BeginLineageOrder() {
 	k.lineage = true
 	k.setupSeq = k.seq
@@ -297,6 +303,44 @@ func (k *Kernel) siftUpLineage(i int) {
 	h[i], ks[i] = slot, key
 }
 
+// keyLess reports, as 0 or 1, whether key a orders before key b: the
+// borrow out of the 128-bit subtraction (a.at, a.seq) - (b.at, b.seq).
+// Timestamps are never negative, so their unsigned compare is exact. The
+// borrow is a value rather than a branch condition, which lets sinkRoot
+// select with conditional moves instead of data-dependent jumps.
+func keyLess(a, b heapKey) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
+}
+
+// atLess reports, as 0 or 1, whether timestamp a precedes b, as a borrow
+// like keyLess.
+func atLess(a, b Time) uint64 {
+	_, borrow := bits.Sub64(uint64(a), uint64(b), 0)
+	return borrow
+}
+
+// minOf returns whichever of the entries (i, x) and (j, y) orders first,
+// and (i, x) when the keys are equal.
+func minOf(i int, x heapKey, j int, y heapKey) (int, heapKey) {
+	return pick(keyLess(y, x), i, x, j, y)
+}
+
+// pick returns (j, y) when lt is 1 and (i, x) when it is 0, with no branch:
+// the index by mask arithmetic, and each key word by a conditional move
+// (one if per word, because the compiler turns only a single-value select
+// into a conditional move).
+func pick(lt uint64, i int, x heapKey, j int, y heapKey) (int, heapKey) {
+	if lt != 0 {
+		x.at = y.at
+	}
+	if lt != 0 {
+		x.seq = y.seq
+	}
+	return i ^ (i^j)&-int(lt), x
+}
+
 // sinkRoot refills the root hole left by pop with the carried entry
 // (formerly the heap's last element) using the bottom-up strategy: sink
 // the hole to a leaf along the min-child path with no carried-key
@@ -306,6 +350,16 @@ func (k *Kernel) siftUpLineage(i int) {
 // carried-key compare a top-down sift pays on the way down. The final
 // heap arrangement can differ from a top-down sift's, but pop order is
 // the (timestamp, sequence) total order either way.
+//
+// A full block of four children is resolved by a branch-free tournament:
+// keyLess compares (c, c+1) and (c+2, c+3), then the two winners, and
+// conditional moves carry each winner's index and key. Which child wins
+// is data-dependent and close to random, so the jumps of a
+// compare-and-jump scan are often mispredicted; the tournament has no jump
+// to mispredict, and the next level's load issues as soon as the winner's
+// index is known. Only the bottom level's partial block (fewer than four
+// children) is scanned. The minimum of a strict total order is unique,
+// so the heap arrangement and pop order match a scan's exactly.
 func (k *Kernel) sinkRoot(slot int32, key heapKey) {
 	if k.lineage {
 		k.sinkRootLineage(slot, key)
@@ -316,22 +370,25 @@ func (k *Kernel) sinkRoot(slot int32, key heapKey) {
 	i := heapRoot
 	for {
 		c := 4*i - 8
-		if c >= n {
+		if c+4 > n {
+			if c < n {
+				min, minK := c, ks[c]
+				for j := c + 1; j < n; j++ {
+					if keyLess(ks[j], minK) != 0 {
+						min, minK = j, ks[j]
+					}
+				}
+				h[i], ks[i] = h[min], minK
+				i = min
+			}
 			break
 		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		min, minK := c, ks[c]
-		for j := c + 1; j < end; j++ {
-			jk := ks[j]
-			if jk.at < minK.at || (jk.at == minK.at && jk.seq < minK.seq) {
-				min, minK = j, jk
-			}
-		}
-		h[i], ks[i] = h[min], minK
-		i = min
+		blk := ks[c : c+4 : c+4]
+		a, ka := minOf(c, blk[0], c+1, blk[1])
+		b, kb := minOf(c+2, blk[2], c+3, blk[3])
+		a, ka = minOf(a, ka, b, kb)
+		h[i], ks[i] = h[a], ka
+		i = a
 	}
 	for i > heapRoot {
 		p := i/4 + 2
@@ -346,33 +403,53 @@ func (k *Kernel) sinkRoot(slot int32, key heapKey) {
 }
 
 // sinkRootLineage is sinkRoot's bottom-up refill under lineage tie
-// ordering: min-child selection and the leaf-to-root sift both compare
-// timestamps inline and fall into tieBefore only on exact ties. The
-// bottom-up argument carries over unchanged — pop order is whatever total
-// order the comparator defines, regardless of internal arrangement, and
-// tieBefore is a strict total order on same-timestamp events.
+// ordering. A full child block runs the same tournament, with each
+// compare a timestamp borrow that calls tieBefore only when the two
+// timestamps are equal; the partial last block and the leaf-to-root sift
+// compare timestamps inline and likewise fall into tieBefore only on
+// exact ties. The bottom-up argument carries over unchanged — pop order is
+// whatever total order the comparator defines, regardless of internal
+// arrangement, and tieBefore is a strict total order on same-timestamp
+// events.
 func (k *Kernel) sinkRootLineage(slot int32, key heapKey) {
 	h, ks := k.heap, k.keys
 	n := len(h)
 	i := heapRoot
 	for {
 		c := 4*i - 8
-		if c >= n {
+		if c+4 > n {
+			if c < n {
+				min, minK := c, ks[c]
+				for j := c + 1; j < n; j++ {
+					jk := ks[j]
+					if jk.at < minK.at || (jk.at == minK.at && k.tieBefore(h[j], jk.seq, h[min], minK.seq)) {
+						min, minK = j, jk
+					}
+				}
+				h[i], ks[i] = h[min], minK
+				i = min
+			}
 			break
 		}
-		end := c + 4
-		if end > n {
-			end = n
+		blk := ks[c : c+4 : c+4]
+		hb := h[c : c+4 : c+4]
+		lt := atLess(blk[1].at, blk[0].at)
+		if blk[1].at == blk[0].at && k.tieBefore(hb[1], blk[1].seq, hb[0], blk[0].seq) {
+			lt = 1
 		}
-		min, minK := c, ks[c]
-		for j := c + 1; j < end; j++ {
-			jk := ks[j]
-			if jk.at < minK.at || (jk.at == minK.at && k.tieBefore(h[j], jk.seq, h[min], minK.seq)) {
-				min, minK = j, jk
-			}
+		a, ka := pick(lt, c, blk[0], c+1, blk[1])
+		lt = atLess(blk[3].at, blk[2].at)
+		if blk[3].at == blk[2].at && k.tieBefore(hb[3], blk[3].seq, hb[2], blk[2].seq) {
+			lt = 1
 		}
-		h[i], ks[i] = h[min], minK
-		i = min
+		b, kb := pick(lt, c+2, blk[2], c+3, blk[3])
+		lt = atLess(kb.at, ka.at)
+		if kb.at == ka.at && k.tieBefore(h[b], kb.seq, h[a], ka.seq) {
+			lt = 1
+		}
+		a, ka = pick(lt, a, ka, b, kb)
+		h[i], ks[i] = h[a], ka
+		i = a
 	}
 	for i > heapRoot {
 		p := i/4 + 2

@@ -125,3 +125,39 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 		k.pop().Act()
 	}
 }
+
+// lineagedTicker is BenchmarkKernelSteadyStateLineage's actor: each firing
+// records its fire time in a short history window and reschedules itself.
+type lineagedTicker struct {
+	k    *Kernel
+	r    *Rand
+	hist [4]Time
+	inj  uint64
+}
+
+func (a *lineagedTicker) Act() {
+	copy(a.hist[:], a.hist[1:])
+	a.hist[len(a.hist)-1] = a.k.Now()
+	a.k.AfterActor(Time(8*(1+a.r.Intn(125))), a)
+}
+
+func (a *lineagedTicker) Lineage() ([]Time, uint64) { return a.hist[:], a.inj }
+
+// BenchmarkKernelSteadyStateLineage is BenchmarkKernelSteadyState under
+// lineage tie ordering. Delays are multiples of 8 ps up to 1000 ps, so
+// about eight pending events share each timestamp and the sifts fall into
+// tieBefore often, as they do on the closed-loop network workloads.
+func BenchmarkKernelSteadyStateLineage(b *testing.B) {
+	const depth = 1024
+	k := NewKernel()
+	r := NewRand(2)
+	for i := 0; i < depth; i++ {
+		k.AtActor(Time(8*r.Intn(125)), &lineagedTicker{k: k, r: r, inj: uint64(i)})
+	}
+	k.BeginLineageOrder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.pop().Act()
+	}
+}

@@ -26,3 +26,15 @@ func TestPointGolden(t *testing.T) {
 		t.Fatalf("point %+v: avg/p99/hops/tail bits %#x, want %#x", pt, got, want)
 	}
 }
+
+// TestPointEventsGolden pins the kernel's work for the TestPointGolden
+// point: the number of events one open-loop point fires. Output can stay
+// bit-identical while a change adds or drops events (a spare reschedule,
+// a merged hop); this count moves with either.
+func TestPointEventsGolden(t *testing.T) {
+	h := NewHarness(topo.Shape{X: 4, Y: 4, Z: 4}, route.Random(), 1)
+	h.RunPoint(Uniform(), 2, 16, 4, 7)
+	if got, want := h.Machine().ShardKernel(0).EventsFired(), uint64(10292); got != want {
+		t.Fatalf("point fired %d events, want %d", got, want)
+	}
+}
