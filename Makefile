@@ -159,11 +159,17 @@ bench-md:
 
 # staticcheck runs when installed (CI installs it; the target stays green
 # on machines without it rather than failing or fetching a dependency).
+# Every workflow file must parse as YAML: GitHub runs nothing from a file
+# it cannot parse, and says so only on the Actions page. The check needs
+# PyYAML and is skipped, like staticcheck, where it is missing.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "lint: staticcheck not installed, skipping (CI runs it)"; fi
+	@if python3 -c 'import yaml' >/dev/null 2>&1; then \
+		python3 -c 'import glob, sys, yaml; sys.tracebacklimit = 0; fs = sorted(glob.glob(".github/workflows/*.yml")); [yaml.safe_load(open(f)) for f in fs]; print("lint: workflow YAML parses:", *fs)'; \
+		else echo "lint: PyYAML not installed, skipping the workflow YAML check"; fi
 
 ci: lint build test-short bench

@@ -90,7 +90,10 @@ func TestWarmCacheProbeBudget(t *testing.T) {
 // another invocation already recorded is a hit, not a re-simulation — the
 // store keys on the point config, not on the sweep that asked.
 func TestCacheSharedAcrossLoadsWithinRun(t *testing.T) {
-	store := resultstore.OpenMemory()
+	store, err := resultstore.Open(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sweepThrough(store)
 	first := store.Stats()
 	sweepThrough(store)

@@ -7,8 +7,8 @@
 // the network can refuse traffic — and the refusal, not just the latency,
 // is the measurement.
 //
-// Every random choice is pre-drawn from the cell seed by the rig
-// (packet.PreRouted), and all runtime actors carry lineage, so a sweep is
+// Every random choice, routes included, is pre-drawn from the cell seed by
+// the rig, and all runtime actors carry lineage, so a sweep is
 // byte-identical across worker counts, machine reuse, and kernel shard
 // counts — the same guarantee netsweep has.
 package flow
@@ -186,7 +186,7 @@ func NewFaultHarness(shape topo.Shape, policy route.Policy, shards, queueFlits, 
 // RunPoint offers Pattern traffic at one nominal load through the
 // closed-loop sources and measures what the network accepted. The machine
 // is reset to the seed; every random choice derives from the seed alone
-// (the rig's pre-draw + packet.PreRouted), so results are byte-stable
+// (the rig's pre-draw, routes included), so results are byte-stable
 // across hosts, worker counts, machine reuse, and shard counts.
 //
 // packets and warmup are per node at unit load and scale up with the

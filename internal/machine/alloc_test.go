@@ -39,6 +39,8 @@ func TestSendRequestSteadyStateAllocFree(t *testing.T) {
 		p.SrcNode, p.DstNode = src, dst
 		p.SrcCore, p.DstCore = srcID, dstID
 		p.AtomID = atom
+		p.Order, _ = m.DrawRoute()
+		p.Tie = p.AtomID&2 != 0
 		atom++
 		p.SetQuad([4]uint32{atom, 2, 3, 4})
 		m.Send(p, nil)
@@ -71,6 +73,8 @@ func TestSendAdaptivePolicyAllocFree(t *testing.T) {
 		p.SrcNode, p.DstNode = src, dst
 		p.SrcCore, p.DstCore = srcID, dstID
 		p.AtomID = atom
+		p.Order, _ = m.DrawRoute()
+		p.Tie = p.AtomID&2 != 0
 		atom++
 		m.Send(p, nil)
 		m.K.Run()
@@ -83,9 +87,9 @@ func TestSendAdaptivePolicyAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkSendHotPath times one steady-state request delivery (inject,
-// ~3 hops, eject, apply) end to end, kernel included. Run with -benchmem:
-// allocs/op is the pinned quantity.
+// BenchmarkSendHotPath times one steady-state request delivery (route
+// draw, inject, ~3 hops, eject, apply) end to end, kernel included. Run
+// with -benchmem: allocs/op is the pinned quantity.
 func BenchmarkSendHotPath(b *testing.B) {
 	m := allocMachine()
 	src, dst := topo.Coord{}, topo.Coord{X: 2, Y: 1, Z: 3}
@@ -98,6 +102,8 @@ func BenchmarkSendHotPath(b *testing.B) {
 		p.SrcNode, p.DstNode = src, dst
 		p.SrcCore, p.DstCore = srcID, dstID
 		p.AtomID = uint32(i)
+		p.Order, _ = m.DrawRoute()
+		p.Tie = p.AtomID&2 != 0
 		p.SetQuad([4]uint32{uint32(i), 2, 3, 4})
 		m.Send(p, nil)
 		m.K.Run()

@@ -6,7 +6,6 @@ import (
 	"anton3/internal/packet"
 	"anton3/internal/route"
 	"anton3/internal/sim"
-	"anton3/internal/topo"
 )
 
 // Link-fault injection (Config.Faults) threads the fault plan through three
@@ -46,21 +45,6 @@ import (
 // injection-order space: packet injections are flat indices, timestep
 // engines use 1<<59..1<<61, credits 1<<62, fences 3<<62 — 2<<62 is free.
 const faultInjBase = uint64(2) << 62
-
-// healthView implements route.HealthView for one (node, slice) over the
-// machine's flat deadCh table; nodes own one instance per slice (allocated
-// only on faulty machines) so handing one to a routing decision allocates
-// nothing.
-type healthView struct {
-	n     *Node
-	slice int
-}
-
-// Dead implements route.HealthView.
-func (v *healthView) Dead(dim topo.Dim, dir int) bool {
-	cs := chip.ChannelSpec{Dim: dim, Dir: dir, Slice: v.slice}
-	return v.n.m.deadCh[int(v.n.idx)*chip.NumChannelSpecs+cs.Index()]
-}
 
 // faultTrip is one scheduled fault firing at a simulated timestamp: a
 // sim.Actor on the upstream node's shard kernel. Trips are built once in
@@ -187,33 +171,23 @@ func (m *Machine) rerouteParked(n *Node, j int) {
 
 // redispatch re-runs the park-or-depart decision for a packet whose parked
 // channel just died: like creditArrive it ends in revive, except the
-// output resource is chosen afresh instead of being the parked one.
+// output resource is chosen afresh instead of being the parked one. A
+// packet the new resource cannot take either parks again through admit,
+// keeping its original ParkedAt.
 func (m *Machine) redispatch(n *Node, q *packet.Packet, now sim.Time) {
 	if sh := n.sh; sh.tele != nil || sh.trec != nil {
 		m.noteFaultReroute(n, q, now)
 	}
-	st, ok := m.nextStep(q, q.Cur)
+	st, ok := m.nextStep(q)
 	if !ok {
 		panic("machine: parked packet with no remaining hops")
 	}
-	out, w, ok := m.chooseHop(n, q, st)
-	idx := out.Index()
-	fl := int32(q.Flits())
-	v := m.vcq
+	out, w, ok := m.admit(n, q, st)
 	if !ok {
-		slot := vcSlot(n.idx, idx, w)
-		q.Out = int8(idx)
-		q.OutVC = int8(w)
-		q.State = packet.WalkParked
-		// ParkedAt is deliberately NOT reset: the stall began at the
-		// original park, the trip merely re-routed the waiting packet.
-		v.pending[slot].push(q)
-		v.pendFlits[slot] += fl
 		return
 	}
 	if sh := n.sh; sh.tele != nil || sh.trec != nil {
-		m.noteUnpark(n, q, now, fl)
+		m.noteUnpark(n, q, now, int32(q.Flits()))
 	}
-	v.credits[vcSlot(n.idx, idx, w)] -= fl
-	m.revive(n, q, out, w, now)
+	m.revive(n, q, out, w)
 }

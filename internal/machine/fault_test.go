@@ -43,7 +43,6 @@ func TestDeadLinkDelivery(t *testing.T) {
 				Type:    packet.Position,
 				SrcNode: topo.Coord{}, DstNode: topo.Coord{X: 1},
 				SrcCore: core, DstCore: core,
-				PreRouted: true,
 			}
 			p.Order, p.Tie = m.DrawRoute()
 			inj := fenceMixInj{m: m, p: p, done: sink}
@@ -98,9 +97,8 @@ func runFaultTraffic(m *Machine, perNode int) int {
 				Type:    packet.Position,
 				SrcNode: shape.CoordOf(i), DstNode: shape.CoordOf((i + nodes/2 + k) % nodes),
 				SrcCore: core, DstCore: core,
-				AtomID:    uint32(flat),
-				PreRouted: true,
-				Inj:       uint64(flat),
+				AtomID: uint32(flat),
+				Inj:    uint64(flat),
 			}
 			if p.SrcNode != p.DstNode {
 				p.Order, p.Tie = m.DrawRoute()

@@ -53,16 +53,15 @@ func runFenceMix(t *testing.T, shape topo.Shape, shards, perNode int) ([]sim.Tim
 				Type:    packet.Position,
 				SrcNode: src, DstNode: dst,
 				SrcCore: core, DstCore: core,
-				AtomID:    uint32(flat),
-				PreRouted: true,
-				Inj:       uint64(flat),
+				AtomID: uint32(flat),
+				Inj:    uint64(flat),
 			}
 			p.SetQuad([4]uint32{uint32(flat), 1, 2, 3})
 			injs[flat] = fenceMixInj{m: m, p: p, done: sink}
 		}
 	}
 	// Pre-draw routing decisions in firing (= flat) order; same-node
-	// packets consume no draws, matching Send's on-chip shortcut.
+	// packets take Send's on-chip shortcut and need no route.
 	for flat := range injs {
 		p := injs[flat].p
 		if p.SrcNode != p.DstNode {

@@ -48,6 +48,9 @@ func (g *GC) send(t packet.Type, dst *GC, addr uint32, quad [4]uint32) {
 	p.SrcCore, p.DstCore = g.ID, dst.ID
 	p.Addr = addr
 	p.SetQuad(quad)
+	if p.SrcNode != p.DstNode {
+		p.Order, p.Tie = g.m.DrawRoute()
+	}
 	g.m.Send(p, nil)
 }
 

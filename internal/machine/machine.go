@@ -34,7 +34,7 @@ type Config struct {
 	// load-adaptive alternative the paper argues against.
 	Policy route.Policy
 	// Shards partitions the machine's nodes into that many contiguous
-	// shards, each with its own kernel, packet pool and rng, driven
+	// shards, each with its own kernel and packet pool, driven
 	// concurrently by a conservative-lookahead window loop (Machine.Run).
 	// The lookahead is Lat.ChannelFixed — the latency floor every
 	// inter-node packet pays — so cross-shard arrivals can always be
@@ -74,14 +74,13 @@ func DefaultConfig(shape topo.Shape) Config {
 	}
 }
 
-// mshard is one shard's execution context: a kernel, a packet free list
-// and an rng of its own, so shard goroutines share no mutable state while
-// a window executes. Node indices [lo, hi) belong to this shard.
+// mshard is one shard's execution context: a kernel and a packet free
+// list of its own, so shard goroutines share no mutable state while a
+// window executes. Node indices [lo, hi) belong to this shard.
 type mshard struct {
 	id     int
 	k      *sim.Kernel
 	pool   packet.Pool
-	rng    *sim.Rand
 	pktID  uint64
 	lo, hi int
 
@@ -129,9 +128,13 @@ type Machine struct {
 	lineage  bool              // sharded or per-VC queues: lineage tie order and histories
 	policy   route.Policy
 	adaptive bool               // policy.Adaptive(), cached for the per-hop path
-	credEcho bool               // policy wants the credit-lookahead load view
+	credEcho bool               // credit-steered policy with per-VC queues: Load reads credits
 	vcqFlits int                // Config.VCQueueFlits, cached for the per-hop path
 	specs    []chip.ChannelSpec // the shape's channel specs, in dense-index order
+
+	// rng is the machine's one routing rng, seeded with Config.Seed and
+	// reseeded by Reset; DrawRoute is its only reader.
+	rng *sim.Rand
 
 	// Flat hot-path tables (structure-of-arrays over the dense node index x
 	// dense channel-spec index): neigh holds each hop's destination node
@@ -191,27 +194,7 @@ type Node struct {
 	out    [chip.NumChannelSpecs]*serdes.Channel // nil where the shape has no channel
 	srams  []*mem.SRAM                           // per GC index; entries allocated lazily
 	fences [maxFences]*fenceOp
-	views  [chip.Slices]nodeLoadView
-	// vcqViews are the per-slice credit-lookahead load views handed to
-	// credit-steered policies; nil unless Config.VCQueueFlits > 0 (the
-	// flow-control state itself lives in the machine's flat vcq arrays).
-	vcqViews *[chip.Slices]creditLoadView
-	// healths are the per-slice link-health views handed to fault-aware
-	// routing; nil unless the machine has an active fault plan.
-	healths *[chip.Slices]healthView
-}
-
-// shardSeed derives shard s's rng seed. Shard 0 uses the configured seed
-// unchanged, so a single-shard machine's stream is exactly the historical
-// machine rng. The tag constant domain-separates these streams from other
-// seed-derivation schemes in the tree (the synth harness's per-node
-// schedule rngs use seed ^ (i+1)*goldenGamma), so a shard's routing draws
-// can never replay another component's stream.
-func shardSeed(seed uint64, s int) uint64 {
-	if s == 0 {
-		return seed
-	}
-	return seed ^ 0x6d736861726400a5 ^ uint64(s)*0x9e3779b97f4a7c15
+	links  [chip.Slices]linkView
 }
 
 // New builds a machine; all nodes and channels are wired immediately, GC
@@ -232,6 +215,7 @@ func New(cfg Config) *Machine {
 		cfg:    cfg,
 		Clock:  sim.NewClock(cfg.ClockMHz),
 		policy: cfg.Policy,
+		rng:    sim.NewRand(cfg.Seed),
 	}
 	if m.policy == nil {
 		m.policy = route.Random()
@@ -241,7 +225,8 @@ func New(cfg Config) *Machine {
 	if m.vcqFlits > 0 && m.vcqFlits < packet.MaxFlitsPerPkt {
 		panic(fmt.Sprintf("machine: VCQueueFlits %d cannot hold a %d-flit packet", m.vcqFlits, packet.MaxFlitsPerPkt))
 	}
-	_, m.credEcho = m.policy.(route.CreditSteered)
+	_, credSteered := m.policy.(route.CreditSteered)
+	m.credEcho = credSteered && m.vcqFlits > 0
 	if !cfg.Faults.Empty() {
 		if err := cfg.Faults.Validate(cfg.Shape); err != nil {
 			panic("machine: " + err.Error())
@@ -257,11 +242,10 @@ func New(cfg Config) *Machine {
 	m.shards = make([]*mshard, P)
 	for s := range m.shards {
 		m.shards[s] = &mshard{
-			id:  s,
-			k:   sim.NewKernel(),
-			rng: sim.NewRand(shardSeed(cfg.Seed, s)),
-			lo:  s * nNodes / P,
-			hi:  (s + 1) * nNodes / P,
+			id: s,
+			k:  sim.NewKernel(),
+			lo: s * nNodes / P,
+			hi: (s + 1) * nNodes / P,
 		}
 	}
 	m.K = m.shards[0].k
@@ -318,22 +302,10 @@ func New(cfg Config) *Machine {
 				(cs.Dir > 0 && nb.Get(cs.Dim) < n.Coord.Get(cs.Dim)) ||
 					(cs.Dir < 0 && nb.Get(cs.Dim) > n.Coord.Get(cs.Dim))
 		}
-		for sl := range n.views {
-			n.views[sl] = nodeLoadView{n: n, slice: sl}
+		for sl := range n.links {
+			n.links[sl] = linkView{n: n, slice: sl}
 		}
-		if m.vcqFlits > 0 {
-			n.vcqViews = new([chip.Slices]creditLoadView)
-			for sl := range n.vcqViews {
-				n.vcqViews[sl] = creditLoadView{n: n, slice: sl}
-			}
-			n.resetVCQ(m.vcqFlits)
-		}
-		if m.faulty {
-			n.healths = new([chip.Slices]healthView)
-			for sl := range n.healths {
-				n.healths[sl] = healthView{n: n, slice: sl}
-			}
-		}
+		n.resetVCQ(m.vcqFlits)
 		m.nodes[i] = n
 	}
 	m.buildLatencyTables()
@@ -434,9 +406,6 @@ func (m *Machine) NodeKernel(c topo.Coord) *sim.Kernel { return m.Node(c).sh.k }
 // via Kernel.StageActor seal every shard's staged lane through this.
 func (m *Machine) ShardKernel(s int) *sim.Kernel { return m.shards[s].k }
 
-// nextPktID hands out packet IDs for single-shard engine paths.
-func (m *Machine) nextPktID() uint64 { return m.shards[0].nextPktID() }
-
 // NewPacket returns a zeroed packet from the machine's free list (shard
 // 0's, on a sharded machine). Packets sent through Send (or the fence
 // engine) are recycled automatically after delivery; harness code that
@@ -449,16 +418,18 @@ func (m *Machine) NewPacket() *packet.Packet { return m.pool.Get() }
 // callback) must use it so pools are never touched across shards.
 func (m *Machine) NewPacketAt(c topo.Coord) *packet.Packet { return m.Node(c).sh.pool.Get() }
 
-// DrawRoute consumes one request routing decision — the dimension order
-// and the even-ring direction tie — from the machine's injection rng,
-// exactly as Send draws for a request packet. Harnesses that pre-route
-// packets (packet.Packet.PreRouted) call it once per packet in the order a
-// sequential run's injections would fire, which keeps the stream — and
-// therefore every route — byte-identical to the non-pre-routed run at any
-// shard count.
+// DrawRoute draws one request routing decision from the machine's rng:
+// the policy's dimension order, then the even-ring direction tie. Every
+// inter-node packet handed to Send carries one (Send draws nothing).
+// Callers draw once per packet in the order a sequential run's injections
+// would fire — the synth rig's time-sorted schedule, the timestep engine's
+// atom-major setup loop, a GC endpoint op at issue — which keeps the
+// stream, and therefore every route, byte-identical at any shard count.
+// Callers whose packets break ties by atom ID still take the tie draw, so
+// each route consumes the same two draws.
 func (m *Machine) DrawRoute() (topo.DimOrder, bool) {
-	o := m.policy.Order(m.shards[0].rng)
-	return o, m.shards[0].rng.Intn(2) == 0
+	o := m.policy.Order(m.rng)
+	return o, m.rng.Intn(2) == 0
 }
 
 // Run executes the machine to completion: the kernel's event loop on a
@@ -479,17 +450,17 @@ func (m *Machine) Run() sim.Time {
 }
 
 // Reset returns the machine to its just-built state on the same topology
-// with a new seed: kernels, channels, rngs, packet IDs, SRAMs and fence
+// with a new seed: kernels, channels, the rng, packet IDs, SRAMs and fence
 // state all start fresh, while the event pools, packet free lists and
 // channel objects keep their capacity. A reset machine produces output
 // byte-identical to a newly built Machine with the same Config and seed —
 // the property the netsweep harness's machine reuse rests on.
 func (m *Machine) Reset(seed uint64) {
 	m.cfg.Seed = seed
-	for s, sh := range m.shards {
+	m.rng.Reseed(seed)
+	for _, sh := range m.shards {
 		sh.k.Reset()
 		sh.pktID = 0
-		sh.rng.Reseed(shardSeed(seed, s))
 		sh.curHist = nil
 	}
 	for _, n := range m.nodes {
@@ -523,52 +494,42 @@ func (m *Machine) Reset(seed uint64) {
 // every run while another hoards idle capacity. Reset levels them so a
 // reused sharded machine stays allocation-free in steady state.
 func (m *Machine) rebalanceFreeLists() {
-	ns := len(m.shards)
-	if ns < 2 {
+	if len(m.shards) < 2 {
 		return
 	}
+	m.level(func(sh *mshard) int { return sh.pool.Size() },
+		func(src, dst *mshard, k int) { src.pool.MoveTo(&dst.pool, k) })
+	m.level(func(sh *mshard) int { return len(sh.creds) },
+		func(src, dst *mshard, k int) {
+			i := len(src.creds) - k
+			dst.creds = append(dst.creds, src.creds[i:]...)
+			clear(src.creds[i:])
+			src.creds = src.creds[:i]
+		})
+}
+
+// level evens one kind of per-shard free list: size reports a shard's
+// list length and move shifts k entries from src's list to dst's. Shards
+// above the mean give their surplus, in shard order, to the first shards
+// below it.
+func (m *Machine) level(size func(*mshard) int, move func(src, dst *mshard, k int)) {
+	ns := len(m.shards)
 	total := 0
 	for _, sh := range m.shards {
-		total += sh.pool.Size()
+		total += size(sh)
 	}
 	target := total / ns
 	d := 0
 	for _, src := range m.shards {
-		for src.pool.Size() > target {
-			for d < ns && m.shards[d].pool.Size() >= target {
-				d++
-			}
-			if d == ns {
-				break
-			}
-			dst := m.shards[d]
-			src.pool.MoveTo(&dst.pool, min(src.pool.Size()-target, target-dst.pool.Size()))
-		}
-		if d == ns {
-			break
-		}
-	}
-	total = 0
-	for _, sh := range m.shards {
-		total += len(sh.creds)
-	}
-	target = total / ns
-	d = 0
-	for _, src := range m.shards {
-		for len(src.creds) > target {
-			for d < ns && len(m.shards[d].creds) >= target {
+		for size(src) > target {
+			for d < ns && size(m.shards[d]) >= target {
 				d++
 			}
 			if d == ns {
 				return
 			}
 			dst := m.shards[d]
-			for len(src.creds) > target && len(dst.creds) < target {
-				i := len(src.creds) - 1
-				dst.creds = append(dst.creds, src.creds[i])
-				src.creds[i] = nil
-				src.creds = src.creds[:i]
-			}
+			move(src, dst, min(size(src)-target, target-size(dst)))
 		}
 	}
 }
@@ -601,27 +562,48 @@ func (n *Node) sram(core packet.CoreID) *mem.SRAM {
 	return s
 }
 
-// nodeLoadView reports, to an adaptive policy deciding at node n, the
-// serialization backlog (in picoseconds) of each outbound channel on one
-// slice. This is the full-machine analog of router credit occupancy: a
-// channel whose busy horizon runs far past now is a channel whose
-// downstream credits would be exhausted. Each node owns one instance per
-// slice, so handing a view to a routing decision allocates nothing. All
-// state read is owned by the node's shard, so the view is safe during
-// sharded windows.
-type nodeLoadView struct {
+// linkView answers the routing policy's two questions about the outbound
+// links of one (node, slice): how loaded is the link along (dim, dir), and
+// is it dead. Each node owns one view per slice, so handing one to a
+// routing decision allocates nothing, and every field it reads belongs to
+// the node's shard, so it is safe inside sharded windows.
+type linkView struct {
 	n     *Node
 	slice int
 }
 
-// Load implements route.LoadView over the dense channel table.
-func (v *nodeLoadView) Load(dim topo.Dim, dir int) int64 {
-	cs := chip.ChannelSpec{Dim: dim, Dir: dir, Slice: v.slice}
-	backlog := v.n.out[cs.Index()].Busy() - v.n.sh.k.Now()
+// Load implements route.LoadView. For a credit-steered policy on a machine
+// with per-VC queues it is the one-hop credit lookahead ("credit echo"):
+// the downstream ingress flits the node's credit counters say are occupied
+// across the request VCs, plus the flits already parked here for that
+// channel, which sees head-of-line blocking one hop ahead. Otherwise it is
+// the channel's serialization backlog in picoseconds, the full-machine
+// analog of router credit occupancy: a channel whose busy horizon runs far
+// past now is one whose downstream credits would be exhausted.
+func (v *linkView) Load(dim topo.Dim, dir int) int64 {
+	j := chip.ChannelSpec{Dim: dim, Dir: dir, Slice: v.slice}.Index()
+	m := v.n.m
+	if m.credEcho {
+		base := vcSlot(v.n.idx, j, 0)
+		full := int32(m.vcqFlits)
+		var load int64
+		for vc := 0; vc < route.NumRequestVCs; vc++ {
+			load += int64(full - m.vcq.credits[base+vc] + m.vcq.pendFlits[base+vc])
+		}
+		return load
+	}
+	backlog := v.n.out[j].Busy() - v.n.sh.k.Now()
 	if backlog < 0 {
 		return 0
 	}
 	return int64(backlog)
+}
+
+// Dead implements route.HealthView over the machine's deadCh table. Only
+// machines with a fault plan hand the view out as a HealthView.
+func (v *linkView) Dead(dim topo.Dim, dir int) bool {
+	j := chip.ChannelSpec{Dim: dim, Dir: dir, Slice: v.slice}.Index()
+	return v.n.m.deadCh[int(v.n.idx)*chip.NumChannelSpecs+j]
 }
 
 // TotalWireStats sums compression statistics over every channel in the

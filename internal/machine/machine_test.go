@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"anton3/internal/chip"
@@ -24,6 +25,27 @@ func edgeCore(m *Machine) packet.CoreID {
 	cs := chip.ChannelSpec{Dim: topo.X, Dir: -1, Slice: 0}
 	row := m.Geom.EdgeRowFor(cs)
 	return packet.CoreID{Tile: topo.MeshCoord{U: 0, V: row}}
+}
+
+// TestSendUnroutedPanics pins the routing contract: Send draws no route,
+// so an inter-node packet whose caller never drew one — the zero Order,
+// which would walk X three times — stops at Send with a message naming
+// DrawRoute instead of silently misrouting.
+func TestSendUnroutedPanics(t *testing.T) {
+	m := smallMachine(serdes.CompressConfig{})
+	core := m.GC(topo.Coord{}, 0).ID
+	p := m.NewPacket()
+	p.Type = packet.CountedWrite
+	p.SrcNode, p.DstNode = topo.Coord{}, topo.Coord{X: 1, Y: 1}
+	p.SrcCore, p.DstCore = core, core
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "DrawRoute") {
+			t.Fatalf("Send of an unrouted packet recovered %q, want a panic naming DrawRoute", msg)
+		}
+	}()
+	m.Send(p, nil)
+	m.Run()
 }
 
 func TestCountedWriteArrives(t *testing.T) {

@@ -28,12 +28,12 @@ func (m *Machine) sliceFor(p *packet.Packet) int {
 // apply the packet at the destination SRAM. done, if non-nil, runs at the
 // destination node after the SRAM update.
 //
-// Packets consult the machine's routing policy twice over: at injection
-// for the dimension order, and at every hop for the output choice, with a
-// live load view — so adaptive policies react to congestion as the packet
-// encounters it. Pre-routed packets (p.PreRouted) carry their Order and
-// Tie already; the machine draws nothing for them, which is how sharded
-// harnesses keep the rng stream independent of event execution order.
+// Every inter-node packet arrives routed: its caller drew p.Order and
+// p.Tie through DrawRoute, and Send draws nothing, so the rng stream never
+// depends on event execution order. A packet with the zero Order panics
+// rather than walking X three times. At every hop the policy chooses the
+// output with the node's live link view, so adaptive policies react to
+// congestion as the packet encounters it.
 //
 // For oblivious policies the whole hop sequence is a pure function of
 // (src, dst, order, tie), so Send expands it once into p.Route — dense
@@ -85,24 +85,15 @@ func (m *Machine) Send(p *packet.Packet, done packet.Deliverer) {
 		return
 	}
 
-	p.Slice = int8(m.sliceFor(p))
-	if !p.PreRouted {
-		p.Order = m.policy.Order(sh.rng)
-		// Direction ties (even rings) balance across both physical links;
-		// position/force packets break ties by atom ID so their channel
-		// (and particle cache) stays stable step to step.
-		tie := sh.rng.Intn(2) == 0
-		if p.Type == packet.Position || p.Type == packet.Force {
-			tie = p.AtomID&2 != 0
-		}
-		p.Tie = tie
+	if p.Order == (topo.DimOrder{}) {
+		panic("machine: Send of an inter-node packet with no route (draw its Order and Tie with DrawRoute)")
 	}
-
+	p.Slice = int8(m.sliceFor(p))
 	p.Cur = p.SrcNode
 	p.CurIdx = int32(srcIdx)
 	p.In = -1
 	m.planRoute(p)
-	first, ok := m.nextStep(p, p.SrcNode)
+	first, ok := m.nextStep(p)
 	if !ok {
 		panic("machine: inter-node packet with no first hop")
 	}
@@ -167,10 +158,11 @@ func (m *Machine) planRoute(p *packet.Packet) {
 	p.RouteLen = int8(ln)
 }
 
-// nextStep picks p's step out of node cur, or ok=false at the destination.
-// Packets with a precomputed route read their next planned hop; the rest
-// ask the policy, which sees the current channel backlog at cur.
-func (m *Machine) nextStep(p *packet.Packet, cur topo.Coord) (topo.Step, bool) {
+// nextStep picks p's step out of its current node p.Cur, or ok=false at
+// the destination. Packets with a precomputed route read their next
+// planned hop; the rest ask the policy, handing it the node's link view as
+// the load view and, on machines with a fault plan, as the health view.
+func (m *Machine) nextStep(p *packet.Packet) (topo.Step, bool) {
 	if p.RouteLen >= 0 {
 		if p.RoutePos >= p.RouteLen {
 			return topo.Step{}, false
@@ -178,26 +170,12 @@ func (m *Machine) nextStep(p *packet.Packet, cur topo.Coord) (topo.Step, bool) {
 		cs := chip.ChannelSpecAt(int(p.Route[p.RoutePos]))
 		return topo.Step{Dim: cs.Dim, Dir: cs.Dir}, true
 	}
-	// Only adaptive policies read the load view; oblivious ones would
-	// ignore it anyway. Credit-steered policies get the one-hop credit
-	// lookahead when per-VC queues are modeled, the backlog view otherwise.
-	// The health view exists only on machines with an active fault plan.
-	var view route.LoadView
+	v := &m.nodes[p.CurIdx].links[p.Slice]
 	var health route.HealthView
-	if m.adaptive || m.faulty {
-		n := m.Node(cur)
-		if m.adaptive {
-			if m.credEcho && m.vcqFlits > 0 {
-				view = &n.vcqViews[p.Slice]
-			} else {
-				view = &n.views[p.Slice]
-			}
-		}
-		if m.faulty {
-			health = &n.healths[p.Slice]
-		}
+	if m.faulty {
+		health = v
 	}
-	return m.policy.NextStep(m.cfg.Shape, cur, p.DstNode, p.Order, p.Tie, view, health)
+	return m.policy.NextStep(m.cfg.Shape, p.Cur, p.DstNode, p.Order, p.Tie, v, health)
 }
 
 // OnPacket advances an in-flight packet one walk step (packet.Walker); the
@@ -260,7 +238,7 @@ func (m *Machine) OnPacket(p *packet.Packet) {
 			node.sh.k.AfterActor(m.transLat[in][out], p)
 			return
 		}
-		st, ok := m.nextStep(p, p.Cur)
+		st, ok := m.nextStep(p)
 		if !ok {
 			p.State = packet.WalkApply
 			node.sh.k.AfterActor(m.ejLat[m.tileIdx(p.DstCore)*chip.NumChannelSpecs+in], p)

@@ -76,7 +76,7 @@ const (
 // same-timestamp order is a pure function of its content, or an order-pure
 // bookkeeping event (unload, integration keep-alive) whose effect does not
 // depend on same-timestamp ordering. All randomness is pre-drawn at setup
-// from shard 0's rng in flat atom-major order. Steps therefore produce
+// from the machine's rng in flat atom-major order. Steps therefore produce
 // byte-identical results at every shard count: a sharded run's lineage
 // order reproduces the single-shard schedule order, and a machine with
 // per-VC queues runs lineage order at every shard count (see Machine).
@@ -206,7 +206,7 @@ func (e *Engine) RunStep() StepResult {
 // setup rebuilds the flat per-step plan and schedules phase 1 (position
 // export): home copies stream after the on-chip latency, exported copies
 // launch down their multicast trees. All routing randomness is pre-drawn
-// here, in flat atom-major order from shard 0's rng — the only rng the
+// here, in flat atom-major order through DrawRoute — the only rng the
 // engine ever touches — so the stream is a pure function of the seed.
 func (e *Engine) setup(t0 sim.Time) {
 	m := e.m
@@ -293,8 +293,7 @@ func (e *Engine) setup(t0 sim.Time) {
 
 	// Pre-draw the force-return routing decisions, one per export target.
 	// The tie draw is discarded — Force packets derive theirs from the
-	// atom ID — but DrawRoute still consumed it from the stream, exactly
-	// as Send would have.
+	// atom ID — but DrawRoute consumes it anyway, two draws per route.
 	if cap(e.orders) < len(e.targets) {
 		e.orders = make([]topo.DimOrder, len(e.targets))
 	}
@@ -367,7 +366,6 @@ func (e *Engine) edgePacket(a, ei int, parent *packet.Packet) *packet.Packet {
 	p.SetQuad(e.rels[a].Words())
 	p.Order = topo.OrderXYZ
 	p.Tie = a&2 != 0
-	p.PreRouted = true
 	p.Slice = int8(slice)
 	p.Walker = e
 	p.Inj = mdPosInjBase + uint64(ei)
@@ -535,7 +533,6 @@ func (s *mdStream) Act() {
 		p.DstNode = m.cfg.Shape.CoordOf(int(e.homes[s.atom]))
 		p.DstCore = m.Geom.CoreIDByIndex(int(s.atom) % m.Geom.GCs())
 		p.SetQuad(ff.Words())
-		p.PreRouted = true
 		p.Order = e.orders[s.tgt]
 		p.Tie = s.atom&2 != 0
 		p.Inj = mdForceInjBase + uint64(s.tgt)

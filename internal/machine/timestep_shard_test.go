@@ -92,10 +92,10 @@ func TestTimestepClosedLoopShardInvariant(t *testing.T) {
 }
 
 // TestTimestepRngDrawOrderShardInvariant pins the engine's rng discipline:
-// all routing randomness is pre-drawn at setup from shard 0's rng in flat
-// atom-major order, so after any number of steps the machine rng stream
-// sits at the same position regardless of shard count — the next draw is
-// identical.
+// all routing randomness is pre-drawn at setup from the machine's rng in
+// flat atom-major order, so after any number of steps the machine rng
+// stream sits at the same position regardless of shard count — the next
+// draw is identical.
 func TestTimestepRngDrawOrderShardInvariant(t *testing.T) {
 	next := func(shards int) (topo.DimOrder, bool) {
 		cfg := DefaultConfig(topo.Shape{X: 2, Y: 2, Z: 2})

@@ -264,35 +264,56 @@ func (m *Machine) escapeStep(n *Node, q *packet.Packet) (topo.Step, bool) {
 	if !m.faulty {
 		return route.EscapeNext(m.cfg.Shape, q.Cur, q.DstNode, q.Tie)
 	}
-	return route.EscapeNextAvoid(m.cfg.Shape, q.Cur, q.DstNode, q.Tie, &n.healths[q.Slice], &q.EscDirs)
+	return route.EscapeNextAvoid(m.cfg.Shape, q.Cur, q.DstNode, q.Tie, &n.links[q.Slice], &q.EscDirs)
 }
 
-// sendFlow is Send's first-hop admission under per-VC flow control: deduct
-// credits and start injecting, or park the packet at the chosen channel
-// until a credit arrival revives it (the backpressure closed-loop sources
-// stall on).
+// sendFlow is Send's first-hop admission under per-VC flow control: take
+// the credits and start injecting, or park the packet at the chosen
+// channel until a credit arrival revives it (the backpressure closed-loop
+// sources stall on).
 func (m *Machine) sendFlow(p *packet.Packet, n *Node, first topo.Step) {
-	out, w, ok := m.chooseHop(n, p, first)
-	idx := out.Index()
-	fl := int32(p.Flits())
+	if out, w, ok := m.admit(n, p, first); ok {
+		m.injectHop(n, p, out, w)
+	}
+}
+
+// admit is the one credit-admission step of the flow-control layer.
+// chooseHop names q's next resource out of node n for the policy's step
+// st; admit takes that (channel, VC)'s credits and returns ok=true, or
+// parks q on it until a credit arrival revives it and returns ok=false. A
+// packet that was already parked — a fault re-park — keeps its ParkedAt
+// and counts no new park event: the stall began at the original park, the
+// trip merely re-routed the waiting packet.
+func (m *Machine) admit(n *Node, q *packet.Packet, st topo.Step) (chip.ChannelSpec, int, bool) {
+	out, w, ok := m.chooseHop(n, q, st)
 	v := m.vcq
-	p.Out = int8(idx)
-	if !ok {
-		slot := vcSlot(n.idx, idx, w)
-		p.OutVC = int8(w)
-		p.State = packet.WalkParked
-		p.ParkedAt = n.sh.k.Now()
+	slot := vcSlot(n.idx, out.Index(), w)
+	fl := int32(q.Flits())
+	if ok {
+		v.credits[slot] -= fl
+		return out, w, true
+	}
+	q.Out = int8(out.Index())
+	q.OutVC = int8(w)
+	if q.State != packet.WalkParked {
+		q.State = packet.WalkParked
+		q.ParkedAt = n.sh.k.Now()
 		if n.sh.tele != nil {
 			n.sh.tele.Ctr[telemetry.CtrParkEvents]++
 		}
-		v.pending[slot].push(p)
-		v.pendFlits[slot] += fl
-		return
 	}
-	v.credits[vcSlot(n.idx, idx, w)] -= fl
+	v.pending[slot].push(q)
+	v.pendFlits[slot] += fl
+	return out, w, false
+}
+
+// injectHop starts p's first hop over channel out on VC w, whose credits
+// it holds: the inject latency to the chip edge, then the crossing.
+func (m *Machine) injectHop(n *Node, p *packet.Packet, out chip.ChannelSpec, w int) {
 	m.acceptHop(p, out, w)
+	p.Out = int8(out.Index())
 	p.State = packet.WalkTransit
-	n.sh.k.AfterActor(m.injLat[m.tileIdx(p.SrcCore)*chip.NumChannelSpecs+idx], p)
+	n.sh.k.AfterActor(m.injLat[m.tileIdx(p.SrcCore)*chip.NumChannelSpecs+out.Index()], p)
 }
 
 // acceptHop commits p to channel out on VC w: record the VC whose credits
@@ -350,53 +371,38 @@ func (m *Machine) vcqArrive(n *Node, p *packet.Packet) {
 // chosen output has credits, and a credit-starved head parks — blocking
 // the whole FIFO behind it (head-of-line blocking).
 func (m *Machine) advanceQueue(n *Node, in, vc int) {
-	v := m.vcq
-	inSpec := chip.ChannelSpecAt(in)
-	inqSlot := vcSlot(n.idx, in, vc)
+	inq := &m.vcq.inq[vcSlot(n.idx, in, vc)]
 	for {
-		q := v.inq[inqSlot].peek()
+		q := inq.peek()
 		if q == nil {
 			return
 		}
-		now := n.sh.k.Now()
-		st, ok := m.nextStep(q, q.Cur)
+		st, ok := m.nextStep(q)
 		if !ok {
 			m.popIngress(n, in, vc, q)
 			q.State = packet.WalkApply
-			lineageTouch(q, now)
+			lineageTouch(q, n.sh.k.Now())
 			n.sh.k.AfterActor(m.ejLat[m.tileIdx(q.DstCore)*chip.NumChannelSpecs+in], q)
 			continue
 		}
-		out, w, ok := m.chooseHop(n, q, st)
-		idx := out.Index()
-		fl := int32(q.Flits())
+		out, w, ok := m.admit(n, q, st)
 		if !ok {
-			slot := vcSlot(n.idx, idx, w)
-			q.Out = int8(idx)
-			q.OutVC = int8(w)
-			q.State = packet.WalkParked
-			q.ParkedAt = now
-			if n.sh.tele != nil {
-				n.sh.tele.Ctr[telemetry.CtrParkEvents]++
-			}
-			v.pending[slot].push(q)
-			v.pendFlits[slot] += fl
 			return
 		}
-		v.credits[vcSlot(n.idx, idx, w)] -= fl
 		m.popIngress(n, in, vc, q)
-		m.departHop(n, q, inSpec, out, w, now)
+		m.departHop(n, q, in, out, w)
 	}
 }
 
-// departHop schedules q's transit toward channel out after it has been
-// accepted (credits already deducted) and has left its ingress queue.
-func (m *Machine) departHop(n *Node, q *packet.Packet, inSpec, out chip.ChannelSpec, w int, now sim.Time) {
+// departHop schedules q's transit from inbound channel in toward channel
+// out after it has been accepted (credits already held) and has left its
+// ingress queue.
+func (m *Machine) departHop(n *Node, q *packet.Packet, in int, out chip.ChannelSpec, w int) {
 	m.acceptHop(q, out, w)
 	q.Out = int8(out.Index())
 	q.State = packet.WalkTransit
-	lineageTouch(q, now)
-	n.sh.k.AfterActor(m.transLat[inSpec.Index()][out.Index()], q)
+	lineageTouch(q, n.sh.k.Now())
+	n.sh.k.AfterActor(m.transLat[in][out.Index()], q)
 }
 
 // popIngress removes q (the head) from its ingress FIFO and sends the
@@ -480,21 +486,20 @@ func (m *Machine) creditArrive(n *Node, spec, vc, fl int) {
 		if n.sh.tele != nil || n.sh.trec != nil {
 			m.noteUnpark(n, q, now, need)
 		}
-		m.revive(n, q, out, int(q.OutVC), now)
+		m.revive(n, q, out, int(q.OutVC))
 	}
 }
 
 // revive sends on a parked packet that has just been granted the credits
-// of (out, w). A parked injection is admitted and its source told; a
-// parked transit head still heads its ingress FIFO, so it leaves it,
-// returns its credits upstream, and lets the queue behind it advance.
-func (m *Machine) revive(n *Node, q *packet.Packet, out chip.ChannelSpec, w int, now sim.Time) {
+// of (out, w). A parked injection takes sendFlow's accept path and its
+// source is told; a parked transit head still heads its ingress FIFO, so
+// it leaves it, returns its credits upstream, and lets the queue behind it
+// advance. The revival runs inside another actor's event, so the packet's
+// lineage chain gains that event before it is scheduled.
+func (m *Machine) revive(n *Node, q *packet.Packet, out chip.ChannelSpec, w int) {
 	if q.In < 0 {
-		m.acceptHop(q, out, w)
-		q.Out = int8(out.Index())
-		q.State = packet.WalkTransit
-		lineageTouch(q, now)
-		n.sh.k.AfterActor(m.injLat[m.tileIdx(q.SrcCore)*chip.NumChannelSpecs+out.Index()], q)
+		lineageTouch(q, n.sh.k.Now())
+		m.injectHop(n, q, out, w)
 		if q.OnAccept != nil {
 			q.OnAccept.Accepted(q)
 		}
@@ -502,7 +507,7 @@ func (m *Machine) revive(n *Node, q *packet.Packet, out chip.ChannelSpec, w int,
 	}
 	in, invc := int(q.In), int(q.VC)
 	m.popIngress(n, in, invc, q)
-	m.departHop(n, q, chip.ChannelSpecAt(in), out, w, now)
+	m.departHop(n, q, in, out, w)
 	m.advanceQueue(n, in, invc)
 }
 
@@ -576,28 +581,4 @@ func (n *Node) ParkedFlits(out chip.ChannelSpec, vc int) int {
 		return 0
 	}
 	return int(n.m.vcq.pendFlits[vcSlot(n.idx, out.Index(), vc)])
-}
-
-// creditLoadView reports, to a credit-steered adaptive policy deciding at
-// node n, the one-hop-lookahead congestion of each outbound channel on one
-// slice: the downstream ingress flits the node's credit counters say are
-// occupied across the request VCs, plus any flits already parked here
-// waiting for that channel. This is the "credit echo" signal — unlike the
-// serialization-backlog view, it sees head-of-line blocking one hop ahead.
-type creditLoadView struct {
-	n     *Node
-	slice int
-}
-
-// Load implements route.LoadView.
-func (v *creditLoadView) Load(dim topo.Dim, dir int) int64 {
-	cs := chip.ChannelSpec{Dim: dim, Dir: dir, Slice: v.slice}
-	vq := v.n.m.vcq
-	base := vcSlot(v.n.idx, cs.Index(), 0)
-	full := int32(v.n.m.vcqFlits)
-	var load int64
-	for vc := 0; vc < route.NumRequestVCs; vc++ {
-		load += int64(full - vq.credits[base+vc] + vq.pendFlits[base+vc])
-	}
-	return load
 }

@@ -56,9 +56,8 @@ func TestVCQCreditConservation(t *testing.T) {
 				Type:    packet.Position,
 				SrcNode: shape.CoordOf(i), DstNode: shape.CoordOf((i + nodes/2 + k) % nodes),
 				SrcCore: core, DstCore: core,
-				AtomID:    uint32(flat),
-				PreRouted: true,
-				Inj:       uint64(flat),
+				AtomID: uint32(flat),
+				Inj:    uint64(flat),
 			}
 			if p.SrcNode != p.DstNode {
 				p.Order, p.Tie = m.DrawRoute()

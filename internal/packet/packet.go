@@ -156,8 +156,9 @@ type Packet struct {
 	Payload [PayloadWords]uint32
 	Words   int
 
-	// Order is the dimension order assigned at injection: the routing
-	// policy's draw, or the caller's for pre-routed packets.
+	// Order is the dimension order the caller assigned before injection,
+	// normally drawn through machine.Machine.DrawRoute. The zero value is
+	// no route: Send refuses an inter-node packet that carries it.
 	Order topo.DimOrder
 
 	// FenceID and FenceHops parameterize fence packets.
@@ -226,13 +227,6 @@ type Packet struct {
 	// OnAccept, when set, is notified if this packet parks at its first-hop
 	// channel and is later revived by a credit arrival (see Accepter).
 	OnAccept Accepter
-
-	// PreRouted marks a packet whose Order and Tie were assigned by the
-	// caller before Send; the machine then skips its own rng draws.
-	// Harnesses that run on sharded machines pre-draw routing decisions in
-	// the sequential kernel's order so that results do not depend on the
-	// shard count.
-	PreRouted bool
 
 	// Hist and Inj are the packet's event lineage, maintained by the
 	// machine only when it runs lineage tie order (sharded, or with per-VC

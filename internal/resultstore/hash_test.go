@@ -111,7 +111,10 @@ func TestZeroKeyInvalid(t *testing.T) {
 	if k.Valid() {
 		t.Fatal("zero Key reports Valid")
 	}
-	s := OpenMemory()
+	s, err := Open(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.Put(k, 42)
 	var out int
 	if s.Get(k, &out) {

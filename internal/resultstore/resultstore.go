@@ -2,8 +2,8 @@
 // sweep experiments: every experiment in this repository is a pure
 // function of (configuration, seed), so its result can be stored once
 // and replayed forever. A Store memoizes JSON-serializable results under
-// canonical Keys (see KeyFor) in two tiers — an in-process map, and an
-// optional on-disk index shared across invocations — and turns repeated
+// canonical Keys (see KeyFor) in two tiers — an in-process map in front of
+// an on-disk index shared across invocations — and turns repeated
 // sweep work (knee-search probes re-visiting a load rung, a re-run of an
 // identical grid) into cache hits.
 //
@@ -44,9 +44,9 @@ type Stats struct {
 }
 
 // Store is a two-tier content-addressed result cache. The zero value is
-// not usable; Open or OpenMemory construct one.
+// not usable; Open constructs one.
 type Store struct {
-	dir      string // versioned root ("<cachedir>/v1"); "" = memory-only
+	dir      string // versioned root ("<cachedir>/v1")
 	readonly bool
 	version  int
 
@@ -81,13 +81,6 @@ func openVersion(dir string, readonly bool, version int) (*Store, error) {
 	return &Store{dir: root, readonly: readonly, version: version, mem: make(map[string][]byte)}, nil
 }
 
-// OpenMemory returns a store with no disk tier: entries live for the
-// process only. Tests and future daemon workers use it; the CLI always
-// opens a directory.
-func OpenMemory() *Store {
-	return &Store{version: SchemaVersion, mem: make(map[string][]byte)}
-}
-
 // Stats snapshots the store's traffic counters.
 func (s *Store) Stats() Stats {
 	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Stored: s.stored.Load()}
@@ -106,7 +99,7 @@ func (s *Store) Get(k Key, out any) bool {
 	s.mu.RLock()
 	payload, ok := s.mem[id]
 	s.mu.RUnlock()
-	if !ok && s.dir != "" {
+	if !ok {
 		payload, ok = s.readDisk(k)
 		if ok && !s.readonly {
 			s.mu.Lock()
@@ -141,9 +134,7 @@ func (s *Store) Put(k Key, v any) {
 	s.mem[id] = payload
 	s.mu.Unlock()
 	s.stored.Add(1)
-	if s.dir != "" {
-		s.writeDisk(k, payload)
-	}
+	s.writeDisk(k, payload)
 }
 
 // entryHeader begins every disk entry: a format marker, the entry's

@@ -19,7 +19,10 @@ func refPoint() point {
 }
 
 func TestMemoryRoundTrip(t *testing.T) {
-	s := OpenMemory()
+	s, err := Open(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	k := KeyFor("flow/point", 7, refCfg())
 	var out point
 	if s.Get(k, &out) {
@@ -237,7 +240,10 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestDistinctKindsDistinctEntries(t *testing.T) {
-	s := OpenMemory()
+	s, err := Open(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 4; i++ {
 		s.Put(KeyFor(fmt.Sprintf("kind%d", i), 1, refCfg()), i)
 	}

@@ -66,9 +66,9 @@ type Policy interface {
 	// when every minimal hop is dead) — the flow-control layer then
 	// diverts the packet onto the fault-avoiding escape path instead.
 	NextStep(s topo.Shape, cur, dst topo.Coord, o topo.DimOrder, plusOnTie bool, view LoadView, health HealthView) (topo.Step, bool)
-	// Adaptive reports whether NextStep consults the load view. Callers
-	// on hot paths use it to skip building a view (a per-decision
-	// closure) for oblivious policies, which would ignore it anyway.
+	// Adaptive reports whether NextStep consults the load view. An
+	// oblivious policy's hops depend only on (src, dst, order, tie), so
+	// callers may expand its whole route once at injection.
 	Adaptive() bool
 }
 

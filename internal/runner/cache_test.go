@@ -35,7 +35,10 @@ func cacheableJobs(n int, executed *atomic.Int64) []Job {
 // result Cached, reports the traffic in Report.Cache, and renders output
 // byte-identical to the first (uncached-path) run.
 func TestCacheShortCircuitsJobs(t *testing.T) {
-	store := resultstore.OpenMemory()
+	store, err := resultstore.Open(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var executed atomic.Int64
 
 	first, err := Run(cacheableJobs(8, &executed), 4, Options{Cache: store}, nil)

@@ -23,8 +23,8 @@ func (s *latSink) Deliver(p *packet.Packet) {
 }
 
 // TestSynthInnerLoopAllocFree pins the harness's steady-state inner loop —
-// pooled packet out of the machine, Send, walk, delivery into the
-// pre-sized latency buffer — at zero heap allocations. This is the loop a
+// pooled packet out of the machine, route draw, Send, walk, delivery into
+// the pre-sized latency buffer — at zero heap allocations. This is the loop a
 // netsweep cell runs nodes x (warmup+packets) times.
 func TestSynthInnerLoopAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -45,6 +45,8 @@ func TestSynthInnerLoopAllocFree(t *testing.T) {
 		p.SrcNode, p.DstNode = src, dst
 		p.SrcCore, p.DstCore = srcID, dstID
 		p.AtomID = atom
+		p.Order, _ = m.DrawRoute()
+		p.Tie = atom&2 != 0
 		p.SetQuad([4]uint32{atom, 0xfeed, 0xbeef, 0xcafe})
 		m.Send(p, sk)
 		atom++

@@ -246,13 +246,13 @@ func (s *sink) Deliver(p *packet.Packet) {
 // derives from seed alone — so results are byte-stable across hosts,
 // worker counts, machine reuse, and shard counts.
 //
-// Routing randomness is pre-drawn at setup: emission events fire in
-// (time, schedule-sequence) order, schedule sequence is node-major, so a
-// stable sort of the schedule by time reproduces the exact order in which
-// a sequential run's Sends would have consumed the machine rng. Each
-// packet then carries its decisions (packet.PreRouted), which is what
-// detaches the rng stream — and with lineage ordering, all of the output —
-// from shard execution order.
+// Routing randomness is drawn at setup through the machine's DrawRoute, in
+// the order a sequential run's emissions fire: emission events fire in
+// (time, schedule-sequence) order and schedule sequence is node-major, so
+// a stable sort of the schedule by time gives that order. Each packet then
+// carries its route into Send, which draws nothing — that detaches the rng
+// stream, and with lineage ordering all of the output, from shard
+// execution order.
 func (h *Harness) Measure(pat Pattern, load float64, packets, warmup int, seed uint64) Sample {
 	if load <= 0 || packets <= 0 {
 		panic("synth: load and packet count must be positive")

@@ -15,9 +15,9 @@ import (
 // every injection slot (flat-indexed node-major, node*total+k) the intended
 // injection instant, the destination, and the machine's pre-drawn routing
 // decision. The pre-draw keeps every random choice a function of the seed
-// alone (packet.PreRouted), so a given (pattern, load, seed) cell offers
-// byte-identical packets on any machine configuration, and results cannot
-// depend on worker counts, machine reuse, or the shard count.
+// alone, so a given (pattern, load, seed) cell offers byte-identical
+// packets on any machine configuration, and results cannot depend on
+// worker counts, machine reuse, or the shard count.
 type schedule struct {
 	total  int // packets per node, warmup included
 	times  []sim.Time
@@ -37,17 +37,16 @@ func grow[T any](s []T, n int) []T {
 
 // draw fills the schedule for one point — total packets per node offered
 // at mean inter-arrival meanGap (picoseconds, Poisson) under pattern pat —
-// and consumes m's routing pre-draw for every inter-node packet. It
-// returns the last intended injection instant across all nodes (the
-// realized offered horizon).
+// and draws m's route for every inter-node packet. It returns the last
+// intended injection instant across all nodes (the realized offered
+// horizon).
 //
 // The destination/gap streams are per node (seed ^ (i+1)*golden). The
-// routing pre-draw replays the order a sequential run's injections would
-// fire in — a stable sort of the schedule by time over the node-major flat
-// index — so the machine rng stream, and therefore every route, is
-// byte-identical to a run that drew at Send time. Same-node packets never
-// reach Send's draw (the on-chip shortcut returns first), so they are
-// skipped here too.
+// routing pre-draw follows the order a sequential run's injections fire
+// in — a stable sort of the schedule by time over the node-major flat
+// index — so the machine rng stream, and therefore every route, is a
+// function of the seed alone. Same-node packets take Send's on-chip
+// shortcut and need no route, so they draw nothing.
 func (s *schedule) draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanGap float64, total int, seed uint64) sim.Time {
 	nodes := shape.Nodes()
 	flatN := nodes * total
@@ -97,8 +96,8 @@ func (s *schedule) draw(m *machine.Machine, shape topo.Shape, pat Pattern, meanG
 			continue
 		}
 		// The tie draw is discarded — Position packets derive theirs from
-		// the atom ID — but DrawRoute still consumed it from the stream,
-		// exactly as Send would have.
+		// the atom ID — but DrawRoute consumes it anyway, two draws per
+		// route.
 		s.orders[flat], _ = m.DrawRoute()
 	}
 	return end
@@ -121,7 +120,7 @@ func HorizonFits(shape topo.Shape, total int, load float64) bool {
 	return 4*float64(total)*float64(loadUnit)/load < math.Ldexp(1, 63-shift)
 }
 
-// packet builds the pre-routed Position packet of injection slot flat from
+// packet builds the routed Position packet of injection slot flat from
 // m's pool: node flat/total sends it to the drawn destination along the
 // drawn dimension order, core is both endpoints' core, and the slot index
 // doubles as atom ID and injection ID.
@@ -134,11 +133,10 @@ func (s *schedule) packet(m *machine.Machine, shape topo.Shape, core packet.Core
 	p.SrcCore, p.DstCore = core, core
 	p.AtomID = atom
 	p.SetQuad([4]uint32{atom, 0xfeed, 0xbeef, 0xcafe})
-	p.PreRouted = true
 	p.Order = s.orders[flat]
-	// Position packets break the even-ring direction tie by atom ID; the
-	// machine's tie draw was still consumed by DrawRoute, exactly as Send
-	// consumes it before overriding.
+	// Position packets break the even-ring direction tie by atom ID, so an
+	// atom's channel (and particle cache) stays stable; DrawRoute's tie
+	// draw goes unused.
 	p.Tie = atom&2 != 0
 	p.Inj = uint64(flat)
 	return p
