@@ -20,7 +20,8 @@ test:
 # netsweep, saturate, faultsweep, MD timestep and mdsweep CLI
 # smokes (each diffs sharded vs sequential output — shard-count invariance
 # end to end; the faultsweep smoke pins a dead-link cell with rerouting
-# live, the mdsweep smoke fences inside closed-loop MD steps),
+# live, the mdsweep smoke fences inside closed-loop MD steps), the fig9a
+# smoke (its per-size sub-jobs and reducer at -jobs 1 vs -jobs 2),
 # the cache smoke (cold, warm and warm-sharded -cache runs byte-identical
 # to uncached, warm run executing zero probes), and the telemetry smoke
 # (-metrics output minus its 'telemetry' lines byte-identical to the
@@ -49,6 +50,9 @@ test-short:
 	$(GO) run ./cmd/anton3 mdsweep -mdatoms 2000 -mdsteps 1 -q > /tmp/anton3-mds-seq.txt
 	$(GO) run ./cmd/anton3 mdsweep -mdatoms 2000 -mdsteps 1 -q -shards 2 > /tmp/anton3-mds-sh2.txt
 	diff /tmp/anton3-mds-seq.txt /tmp/anton3-mds-sh2.txt
+	$(GO) run ./cmd/anton3 fig9a -warm 0 -measure 1 -q -jobs 1 > /tmp/anton3-f9a-j1.txt
+	$(GO) run ./cmd/anton3 fig9a -warm 0 -measure 1 -q -jobs 2 > /tmp/anton3-f9a-j2.txt
+	diff /tmp/anton3-f9a-j1.txt /tmp/anton3-f9a-j2.txt
 	@cdir=$$(mktemp -d); \
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -cache -cachedir "$$cdir" -json /tmp/anton3-sat-cold.json > /tmp/anton3-sat-cold.txt && \
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -cache -cachedir "$$cdir" -json /tmp/anton3-sat-warm.json > /tmp/anton3-sat-warm.txt && \

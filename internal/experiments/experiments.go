@@ -228,22 +228,27 @@ type Fig9aPoint struct {
 func Fig9a(sizes []int, warm, measure int) []Fig9aPoint {
 	var out []Fig9aPoint
 	for _, n := range sizes {
-		rs, st := replayTrajectory(n, 1234, warm, measure, []serdes.CompressConfig{
-			{INZ: true},
-			{INZ: true, Pcache: true},
-		})
-		out = append(out, Fig9aPoint{
-			Atoms:         n,
-			INZOnly:       st[0].Reduction(),
-			INZPlusPcache: st[1].Reduction(),
-			PcacheHitRate: rs[1].CacheStats().HitRate(),
-			PaperINZLo:    0.32,
-			PaperINZHi:    0.40,
-			PaperBothLo:   0.45,
-			PaperBothHi:   0.62,
-		})
+		out = append(out, fig9aPoint(n, warm, measure))
 	}
 	return out
+}
+
+// fig9aPoint measures one atom count of Figure 9a.
+func fig9aPoint(n, warm, measure int) Fig9aPoint {
+	rs, st := replayTrajectory(n, 1234, warm, measure, []serdes.CompressConfig{
+		{INZ: true},
+		{INZ: true, Pcache: true},
+	})
+	return Fig9aPoint{
+		Atoms:         n,
+		INZOnly:       st[0].Reduction(),
+		INZPlusPcache: st[1].Reduction(),
+		PcacheHitRate: rs[1].CacheStats().HitRate(),
+		PaperINZLo:    0.32,
+		PaperINZHi:    0.40,
+		PaperBothLo:   0.45,
+		PaperBothHi:   0.62,
+	}
 }
 
 // replayTrajectory integrates one water trajectory of the given size and

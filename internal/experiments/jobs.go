@@ -199,6 +199,42 @@ func fig11Jobs() []runner.Job {
 	return jobs
 }
 
+// fig9aJobs shards the Figure 9a sweep the same way, one hidden sub-job
+// per atom count: each integrates and replays its own trajectory, and the
+// reducer lists the points in size order. Costs split the figure's
+// historical 30 by atom count, the replay and force work's scale.
+func fig9aJobs(p Params) []runner.Job {
+	total := 0
+	for _, n := range p.Fig9aSizes {
+		total += n
+	}
+	jobs := make([]runner.Job, 0, len(p.Fig9aSizes)+1)
+	needs := make([]string, len(p.Fig9aSizes))
+	for i, n := range p.Fig9aSizes {
+		n := n
+		name := fmt.Sprintf("fig9a/%d", n)
+		needs[i] = name
+		jobs = append(jobs, runner.Job{
+			Name: name, Seed: 3, Cost: 30 * float64(n) / float64(total), Hidden: true,
+			Run: func() (runner.Output, error) {
+				return runner.Output{Data: fig9aPoint(n, p.Fig9aWarm, p.Fig9aMeasure)}, nil
+			}})
+	}
+	jobs = append(jobs, runner.Job{
+		Name: "fig9a", Seed: 3, Cost: 0.01, Needs: needs,
+		Reduce: func(in []runner.Result) (runner.Output, error) {
+			pts := make([]Fig9aPoint, len(in))
+			for i, res := range in {
+				if res.Err != "" {
+					return runner.Output{}, fmt.Errorf("%s: %s", res.Name, res.Err)
+				}
+				pts[i] = res.Data.(Fig9aPoint)
+			}
+			return runner.Output{Text: RenderFig9a(pts), Data: pts}, nil
+		}})
+	return jobs
+}
+
 // cellKey builds a grid cell's cache key under the observability gates:
 // metrics-on cells move to a "+tel" kind (payload and stdout then carry
 // telemetry), and traced cells don't cache at all — a cell hit would
@@ -433,22 +469,16 @@ func Jobs(p Params) []runner.Job {
 			}},
 	}
 	jobs = append(jobs, fig5Jobs(p)...)
-	jobs = append(jobs,
-		runner.Job{Name: "fig6", Seed: 2, Cost: 0.1,
-			Run: func() (runner.Output, error) {
-				r := Fig6()
-				return runner.Output{Text: r.Render(), Data: r}, nil
-			}},
-		runner.Job{Name: "fig9a", Seed: 3, Cost: 30,
-			Run: func() (runner.Output, error) {
-				pts := Fig9a(p.Fig9aSizes, p.Fig9aWarm, p.Fig9aMeasure)
-				return runner.Output{Text: RenderFig9a(pts), Data: pts}, nil
-			}},
-		shardable(runner.Job{Name: "fig9b", Seed: 4, Cost: 20}, p.Shards, func(shards int) runner.Output {
-			pts := Fig9b(p.Fig9bSizes, p.Fig9bSteps, shards)
-			return runner.Output{Text: RenderFig9b(pts), Data: pts}
-		}),
-	)
+	jobs = append(jobs, runner.Job{Name: "fig6", Seed: 2, Cost: 0.1,
+		Run: func() (runner.Output, error) {
+			r := Fig6()
+			return runner.Output{Text: r.Render(), Data: r}, nil
+		}})
+	jobs = append(jobs, fig9aJobs(p)...)
+	jobs = append(jobs, shardable(runner.Job{Name: "fig9b", Seed: 4, Cost: 20}, p.Shards, func(shards int) runner.Output {
+		pts := Fig9b(p.Fig9bSizes, p.Fig9bSteps, shards)
+		return runner.Output{Text: RenderFig9b(pts), Data: pts}
+	}))
 	jobs = append(jobs, fig11Jobs()...)
 	jobs = append(jobs,
 		shardable(runner.Job{Name: "fig12", Seed: 6, Cost: 15}, p.Shards, func(shards int) runner.Output {

@@ -110,9 +110,6 @@ type Engine struct {
 	edgeOff []int32
 	streams []mdStream
 
-	scratchT []topo.Coord
-	scratchE []md.ChannelEdge
-
 	// Per-shard counters of injection-refused (parked) packets under
 	// closed-loop flow control, reduced into StepResult after Run.
 	parkedPos []int64
@@ -242,7 +239,8 @@ func (e *Engine) setup(t0 sim.Time) {
 		}
 	}
 
-	// Classify every atom: home node, export targets, multicast tree.
+	// Classify every atom: home node, then export targets and multicast
+	// tree from its class's memoized plan.
 	e.homes = e.homes[:0]
 	e.rels = e.rels[:0]
 	e.targets = e.targets[:0]
@@ -251,26 +249,24 @@ func (e *Engine) setup(t0 sim.Time) {
 	e.edgeOff = append(e.edgeOff[:0], 0)
 	e.radius = 1
 	for i := 0; i < N; i++ {
-		home := e.d.HomeNode(e.sys.Pos[i])
+		pos := e.sys.Pos[i]
+		home := e.d.HomeNode(pos)
 		homeIdx := shape.Index(home)
 		e.homes = append(e.homes, int32(homeIdx))
-		e.rels = append(e.rels, e.d.RelativeFixed(e.sys.Pos[i], home))
-		e.scratchT = e.d.ExportTargets(e.sys.Pos[i], home, e.scratchT)
+		e.rels = append(e.rels, e.d.RelativeFixed(pos, home))
+		pl := e.d.Plan(pos, home, i&2 != 0)
 		hs := &e.states[homeIdx]
 		hs.homeAtoms++
-		hs.forcesExpected += int32(len(e.scratchT))
+		hs.forcesExpected += int32(len(pl.Targets))
 		hs.streamsExpected++ // the home atom streams locally too
-		for _, tgt := range e.scratchT {
-			e.targets = append(e.targets, int32(shape.Index(tgt)))
-			e.states[shape.Index(tgt)].streamsExpected++
-			if h := shape.HopDist(home, tgt); h > e.radius {
-				e.radius = h
-			}
+		for _, tgt := range pl.Targets {
+			t := shape.Index(tgt)
+			e.targets = append(e.targets, int32(t))
+			e.states[t].streamsExpected++
 		}
+		e.radius = max(e.radius, pl.Radius)
 		e.tgtOff = append(e.tgtOff, int32(len(e.targets)))
-		ed := md.MulticastEdges(shape, home, e.scratchT, i&2 != 0, e.scratchE)
-		e.edges = append(e.edges, ed...)
-		e.scratchE = ed[:0]
+		e.edges = append(e.edges, pl.Edges...)
 		e.edgeOff = append(e.edgeOff, int32(len(e.edges)))
 	}
 

@@ -1,6 +1,10 @@
 package md
 
-import "anton3/internal/fixp"
+import (
+	"math"
+
+	"anton3/internal/fixp"
+)
 
 // cellList is a standard cell neighbor structure: the box is divided into
 // cells no smaller than the cutoff, so all interacting pairs lie in the
@@ -17,7 +21,10 @@ type cellList struct {
 	minImage bool
 	start    []int32 // cell c holds atom[start[c]:start[c+1]]
 	atom     []int32 // atom index per slot, descending within a cell
-	pairs    []cellPair
+	// lo and hi bound each cell's atom positions per axis; an empty cell
+	// has lo +Inf and hi -Inf, and a NaN coordinate makes both NaN.
+	lo, hi []fixp.Vec
+	pairs  []cellPair
 }
 
 // cellPair is one half-shell scan entry: cells a and b (a == b for the
@@ -34,11 +41,14 @@ func newCellList(box, cutoff float64) *cellList {
 	if perSide < 1 {
 		perSide = 1
 	}
+	cells := perSide * perSide * perSide
 	c := &cellList{
 		perSide:  perSide,
 		cellSize: box / float64(perSide),
 		minImage: perSide < 3,
-		start:    make([]int32, perSide*perSide*perSide+1),
+		start:    make([]int32, cells+1),
+		lo:       make([]fixp.Vec, cells),
+		hi:       make([]fixp.Vec, cells),
 	}
 	c.buildPairs()
 	return c
@@ -111,9 +121,9 @@ func (c *cellList) cellOf(p fixp.Vec) int {
 	return ix + c.perSide*(iy+c.perSide*iz)
 }
 
-// build (re)assigns all atoms to cells with a counting sort. Filling each
-// cell from its end while walking atoms upward leaves every cell in
-// descending atom order.
+// build (re)assigns all atoms to cells with a counting sort and bounds
+// each cell's positions. Filling each cell from its end while walking
+// atoms upward leaves every cell in descending atom order.
 func (c *cellList) build(pos []fixp.Vec) {
 	if len(c.atom) < len(pos) {
 		c.atom = make([]int32, len(pos))
@@ -126,11 +136,20 @@ func (c *cellList) build(pos []fixp.Vec) {
 	for i := 1; i < cells; i++ {
 		c.start[i] += c.start[i-1]
 	}
+	inf := math.Inf(1)
+	for i := range c.lo {
+		c.lo[i] = fixp.Vec{X: inf, Y: inf, Z: inf}
+		c.hi[i] = fixp.Vec{X: -inf, Y: -inf, Z: -inf}
+	}
 	// start[cell] is now one past the cell's last slot.
 	for i, p := range pos {
 		cell := c.cellOf(p)
 		c.start[cell]--
 		c.atom[c.start[cell]] = int32(i)
+		// The min and max builtins carry a NaN through.
+		lo, hi := &c.lo[cell], &c.hi[cell]
+		lo.X, lo.Y, lo.Z = min(lo.X, p.X), min(lo.Y, p.Y), min(lo.Z, p.Z)
+		hi.X, hi.Y, hi.Z = max(hi.X, p.X), max(hi.Y, p.Y), max(hi.Z, p.Z)
 	}
 	c.start[cells] = int32(len(pos))
 }

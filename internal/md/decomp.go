@@ -1,6 +1,8 @@
 package md
 
 import (
+	"strconv"
+
 	"anton3/internal/fixp"
 	"anton3/internal/topo"
 )
@@ -12,10 +14,21 @@ import (
 // (Section II-C). This expanded-box import region guarantees every
 // in-cutoff pair is computable on a node holding at least one of the two
 // atoms in its home box.
+//
+// A Decomposition memoizes the multicast plan of every atom class it has
+// seen (Plan), so it is not safe for concurrent use: each traffic replayer
+// and timestep engine builds its own.
 type Decomposition struct {
 	Shape topo.Shape
 	Box   float64
 	w     [3]float64 // slab width per dimension
+
+	// The plan memo, filled by Plan: the number of plans built, the plan
+	// per (home node, tie bit, neighbour-slab mask) slot, and the classes
+	// no mask expresses, keyed by their slab lists.
+	plans int
+	table []*Plan
+	wide  map[string]*Plan
 }
 
 // NewDecomposition builds the partition. It panics if any slab is thinner
@@ -109,6 +122,12 @@ func (d *Decomposition) ExportTargets(p fixp.Vec, home topo.Coord, scratch []top
 	xs := d.dimTargets(p.X, 0, d.Shape.X, bufX[:0])
 	ys := d.dimTargets(p.Y, 1, d.Shape.Y, bufY[:0])
 	zs := d.dimTargets(p.Z, 2, d.Shape.Z, bufZ[:0])
+	return exportTargets(xs, ys, zs, home, scratch)
+}
+
+// exportTargets lists the nodes of the slab product xs x ys x zs other
+// than home, x-major.
+func exportTargets(xs, ys, zs []int, home topo.Coord, scratch []topo.Coord) []topo.Coord {
 	out := scratch[:0]
 	for _, x := range xs {
 		for _, y := range ys {
@@ -121,6 +140,112 @@ func (d *Decomposition) ExportTargets(p fixp.Vec, home topo.Coord, scratch []top
 		}
 	}
 	return out
+}
+
+// Plan is the multicast plan of one atom class. An atom's export targets
+// and multicast tree depend only on its home node, the slabs its import
+// region reaches per dimension and its ring tie bit, so one plan serves
+// every atom of the class on every step.
+type Plan struct {
+	// ID numbers the plans of one Decomposition densely from 0, in order
+	// of first use, so consumers keep per-plan data in slices.
+	ID int
+	// Targets holds the export targets in ExportTargets order.
+	Targets []topo.Coord
+	// Edges holds the multicast tree in MulticastEdges order.
+	Edges []ChannelEdge
+	// Radius is the largest home-to-target hop count, 0 without targets.
+	Radius int
+}
+
+// Plan returns the plan of the class of an atom at p with home node home
+// (which must be HomeNode(p)) and ring tie bit plusOnTie, building it on
+// the class's first use. The class key is dimTargets' own output, read
+// back as which neighbour slabs of home each dimension reaches, so
+// positions with the same home and tie bit share a plan exactly when
+// ExportTargets returns the same targets for them. Plan is not safe for
+// concurrent use.
+func (d *Decomposition) Plan(p fixp.Vec, home topo.Coord, plusOnTie bool) *Plan {
+	var bufX, bufY, bufZ [8]int
+	xs := d.dimTargets(p.X, 0, d.Shape.X, bufX[:0])
+	ys := d.dimTargets(p.Y, 1, d.Shape.Y, bufY[:0])
+	zs := d.dimTargets(p.Z, 2, d.Shape.Z, bufZ[:0])
+	mx, okX := neighbourMask(xs, home.X, d.Shape.X)
+	my, okY := neighbourMask(ys, home.Y, d.Shape.Y)
+	mz, okZ := neighbourMask(zs, home.Z, d.Shape.Z)
+	if !okX || !okY || !okZ {
+		// A slab exactly one cutoff wide lets a boundary atom reach the
+		// slab two over; such classes key on their slab lists.
+		key := wideKey(d.Shape.Index(home), plusOnTie, xs, ys, zs)
+		pl := d.wide[key]
+		if pl == nil {
+			if d.wide == nil {
+				d.wide = make(map[string]*Plan)
+			}
+			pl = d.newPlan(home, plusOnTie, xs, ys, zs)
+			d.wide[key] = pl
+		}
+		return pl
+	}
+	slot := d.Shape.Index(home)<<7 | mx | my<<2 | mz<<4
+	if plusOnTie {
+		slot |= 1 << 6
+	}
+	if d.table == nil {
+		d.table = make([]*Plan, d.Shape.Nodes()<<7)
+	}
+	pl := d.table[slot]
+	if pl == nil {
+		pl = d.newPlan(home, plusOnTie, xs, ys, zs)
+		d.table[slot] = pl
+	}
+	return pl
+}
+
+// neighbourMask reads one dimension's dimTargets output back relative to
+// home slab h of n: bit 0 marks slab h+1, bit 1 slab h-1 (on a 2-slab
+// ring the other slab is h+1). ok is set only when the output is h plus
+// some of those neighbours, which the mask then expresses exactly.
+func neighbourMask(slabs []int, h, n int) (mask int, ok bool) {
+	for _, k := range slabs {
+		off := k - h
+		if off < 0 {
+			off += n
+		}
+		switch off {
+		case 0:
+			ok = true
+		case 1:
+			mask |= 1
+		case n - 1:
+			mask |= 2
+		default:
+			return 0, false
+		}
+	}
+	return mask, ok
+}
+
+// wideKey spells a class out as its home index, tie bit and slab lists.
+func wideKey(home int, plusOnTie bool, xs, ys, zs []int) string {
+	b := strconv.AppendBool(strconv.AppendInt(nil, int64(home), 10), plusOnTie)
+	for _, slabs := range [][]int{xs, ys, zs} {
+		b = append(b, '/')
+		for _, k := range slabs {
+			b = strconv.AppendInt(append(b, ' '), int64(k), 10)
+		}
+	}
+	return string(b)
+}
+
+func (d *Decomposition) newPlan(home topo.Coord, plusOnTie bool, xs, ys, zs []int) *Plan {
+	pl := &Plan{ID: d.plans, Targets: exportTargets(xs, ys, zs, home, nil)}
+	pl.Edges = MulticastEdges(d.Shape, home, pl.Targets, plusOnTie, nil)
+	for _, t := range pl.Targets {
+		pl.Radius = max(pl.Radius, d.Shape.HopDist(home, t))
+	}
+	d.plans++
+	return pl
 }
 
 // Assign buckets atom indices by home node (indexed by Shape.Index).

@@ -25,6 +25,11 @@ func (s *System) ComputeForces() {
 
 func pow6(x float64) float64 { return x * x * x }
 
+// pruneMargin is how far past rc2 a row's distance bound must lie before
+// pairForce skips the row. It dwarfs the rounding of the bound and of r2,
+// which is of order 1e-11 A^2 for coordinates under a few hundred A.
+const pruneMargin = 1e-6
+
 // pairForce accumulates the interactions of every atom pair in one cell
 // pair into s.Force, s.Potential and s.pairCount. Pairs are visited in
 // slot order, and the running potential carries over from the previous
@@ -37,6 +42,15 @@ func pow6(x float64) float64 { return x * x * x }
 // cell pair's image, and subtracting box*k (exact for k in {-1, 0, +1})
 // gives the same displacement bit for bit. Smaller boxes take MinImage
 // per pair.
+//
+// On that image path, a row (atom i of cell a against the atoms of a
+// different cell b) is skipped when the squared distance from i to b's
+// bounding box, shifted by the image, exceeds rc2 by pruneMargin. Every
+// atom of b lies in that box, so each skipped candidate's r2, computed
+// as below, is at least rc2 and the loop would have rejected it: the
+// pairs accumulated, their order and every bit of the result are
+// unchanged. A NaN bound compares false and scans the row. The self cell
+// pair and the MinImage path never skip.
 func (s *System) pairForce(cp cellPair, rc2, shift float64) {
 	c := s.cells
 	pos, force := s.Pos, s.Force
@@ -44,12 +58,24 @@ func (s *System) pairForce(cp cellPair, rc2, shift float64) {
 	img := fixp.Vec{X: box * float64(cp.k[0]), Y: box * float64(cp.k[1]), Z: box * float64(cp.k[2])}
 	as := c.atom[c.start[cp.a]:c.start[cp.a+1]]
 	bs := c.atom[c.start[cp.b]:c.start[cp.b+1]]
+	prune := !c.minImage && cp.a != cp.b
+	lo, hi := c.lo[cp.b].Add(img), c.hi[cp.b].Add(img)
+	lim := rc2 + pruneMargin
 	pot, count := s.Potential, 0
 	for slot, i := range as {
 		if cp.a == cp.b {
 			bs = as[slot+1:]
 		}
-		pi, fi := pos[i], force[i]
+		pi := pos[i]
+		if prune {
+			gx := max(lo.X-pi.X, pi.X-hi.X, 0)
+			gy := max(lo.Y-pi.Y, pi.Y-hi.Y, 0)
+			gz := max(lo.Z-pi.Z, pi.Z-hi.Z, 0)
+			if gx*gx+gy*gy+gz*gz > lim {
+				continue
+			}
+		}
+		fi := force[i]
 		for _, j := range bs {
 			var d fixp.Vec
 			if c.minImage {

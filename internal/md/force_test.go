@@ -9,6 +9,7 @@ import (
 	"math"
 	"testing"
 
+	"anton3/internal/fixp"
 	"anton3/internal/testutil"
 )
 
@@ -32,10 +33,13 @@ func forceDigest(h io.Writer, s *System) {
 // TestForcesGolden pins the force kernel bit for bit: forces, potential
 // and pair count after NewWater and after each of three steps. 512 atoms
 // give two cells per side (MinImage per pair), 1000 atoms three (the
-// fewest with one periodic image per cell pair) and 8000 atoms six. The
-// digests were captured from the linked-list kernel that used MinImage on
-// every candidate pair; any reordering of pairs or float additions moves
-// them.
+// fewest with one periodic image per cell pair), 8000 atoms six and 16000
+// atoms eight (the md_compress benchmark size). The digests were captured
+// from the kernel that scanned every candidate pair of every cell pair,
+// the first three from the linked-list kernel that used MinImage on every
+// candidate pair; any reordering of pairs or float additions moves them.
+// The straddle row pins the hand-placed systems of straddlers, whose pairs
+// sit at the cutoff give or take a few ulps.
 func TestForcesGolden(t *testing.T) {
 	for _, c := range []struct {
 		atoms  int
@@ -44,6 +48,7 @@ func TestForcesGolden(t *testing.T) {
 		{512, "eaacf0fa97573c05a2caa64aaf62a1f61fe5655c59bc2271a470ed7a7256c968"},
 		{1000, "a940b9ea1b514e9ff3bd0139a444e1b340863f0bf1c3233e4abc4f86a6451ac3"},
 		{8000, "7214e92444f8d49f5942587e6b82fc125632d212582063967db3ed9d0458d218"},
+		{16000, "02da1cc92975658d4fe3e84ae533a4e1043469fad990463bd38ba03db01c700c"},
 	} {
 		t.Run(fmt.Sprint(c.atoms), func(t *testing.T) {
 			h := sha256.New()
@@ -58,30 +63,141 @@ func TestForcesGolden(t *testing.T) {
 			}
 		})
 	}
+	t.Run("straddle", func(t *testing.T) {
+		h := sha256.New()
+		for _, s := range straddlers() {
+			forceDigest(h, s)
+		}
+		const want = "d674e0248f340bc9380404a0ba3ca82dd5eb12d78b3e33c1c47aa5b40b818ef0"
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Fatalf("straddle force digest = %s, want %s", got, want)
+		}
+	})
 }
 
-// TestPairCountBruteForce checks PairCount against an O(N^2) minimum-image
-// count over every pair.
-func TestPairCountBruteForce(t *testing.T) {
-	s := smallSystem(1000)
-	brute := func() int {
-		rc2 := Cutoff * Cutoff
-		count := 0
-		for i := 0; i < s.N; i++ {
-			for j := i + 1; j < s.N; j++ {
-				if r2 := MinImage(s.Pos[i], s.Pos[j], s.Box).Norm2(); r2 < rc2 && r2 > 0 {
-					count++
+// placedSystem builds a system of hand-placed atoms at rest and evaluates
+// its forces.
+func placedSystem(box float64, pos []fixp.Vec) *System {
+	s := &System{
+		N:     len(pos),
+		Box:   box,
+		Pos:   pos,
+		Vel:   make([]fixp.Vec, len(pos)),
+		Force: make([]fixp.Vec, len(pos)),
+		cells: newCellList(box, Cutoff),
+	}
+	s.ComputeForces()
+	return s
+}
+
+// nudge moves x by k ulps (down for negative k).
+func nudge(x float64, k int) float64 {
+	for ; k > 0; k-- {
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	for ; k < 0; k++ {
+		x = math.Nextafter(x, math.Inf(-1))
+	}
+	return x
+}
+
+// straddlers returns hand-placed two-atom systems at three and four cells
+// per side, one pair each, followed by one system per box holding every
+// pair at once. Each pair straddles a cell face, edge or corner, inside
+// the box or across its periodic boundary, at the cutoff give or take up
+// to three ulps per coordinate, or just beyond the cutoff (1e-9 to 1e-3
+// A). Some atoms sit at box - ulp, the largest coordinate a wrapped
+// position takes.
+func straddlers() []*System {
+	var out []*System
+	for _, box := range []float64{30, 37} {
+		cs := box / float64(int(box/Cutoff))
+		top := math.Nextafter(box, 0)
+		var all []fixp.Vec
+		add := func(a, b fixp.Vec) {
+			out = append(out, placedSystem(box, []fixp.Vec{a, b}))
+			all = append(all, a, b)
+		}
+		wrapped := func(v fixp.Vec) fixp.Vec {
+			return fixp.Vec{X: wrap(v.X, box), Y: wrap(v.Y, box), Z: wrap(v.Z, box)}
+		}
+		dirs := []fixp.Vec{{X: 1}, {Y: 1}, {X: 1, Y: 1}, {X: 1, Z: -1}, {X: 1, Y: 1, Z: 1}, {X: -1, Y: 1, Z: 1}}
+		anchors := []fixp.Vec{{X: cs, Y: cs, Z: cs}, {X: 2 * cs, Y: cs, Z: 2 * cs}, {}}
+		for _, u := range dirs {
+			u = u.Scale(1 / math.Sqrt(u.Norm2()))
+			for _, c := range anchors {
+				a := wrapped(c.Sub(u.Scale(0.3 * Cutoff)))
+				b := wrapped(c.Add(u.Scale(0.7 * Cutoff)))
+				for k := -3; k <= 3; k++ {
+					bk := b
+					if u.X != 0 {
+						bk.X = nudge(b.X, k*int(math.Copysign(1, u.X)))
+					}
+					if u.Y != 0 {
+						bk.Y = nudge(b.Y, k*int(math.Copysign(1, u.Y)))
+					}
+					if u.Z != 0 {
+						bk.Z = nudge(b.Z, k*int(math.Copysign(1, u.Z)))
+					}
+					add(a, wrapped(bk))
+				}
+				for _, eps := range []float64{1e-9, 1e-7, 1e-6, 2e-6, 1e-5, 1e-3} {
+					add(a, wrapped(c.Add(u.Scale(0.7*Cutoff+eps))))
 				}
 			}
 		}
-		return count
+		// Atoms at box - ulp, paired across the periodic boundary.
+		for k := -3; k <= 3; k++ {
+			add(fixp.Vec{X: top, Y: cs / 2, Z: cs / 2}, fixp.Vec{X: nudge(top+Cutoff-box, k), Y: cs / 2, Z: cs / 2})
+			d := Cutoff / math.Sqrt(3)
+			add(fixp.Vec{X: top, Y: top, Z: top}, wrapped(fixp.Vec{X: nudge(top+d, k), Y: nudge(top+d, k), Z: nudge(top+d, k)}))
+		}
+		out = append(out, placedSystem(box, all))
 	}
-	if got, want := s.PairCount(), brute(); got != want {
+	return out
+}
+
+// bruteCount counts s's in-cutoff pairs by an O(N^2) minimum-image scan
+// over every pair.
+func bruteCount(s *System) int {
+	rc2 := Cutoff * Cutoff
+	count := 0
+	for i := 0; i < s.N; i++ {
+		for j := i + 1; j < s.N; j++ {
+			if r2 := MinImage(s.Pos[i], s.Pos[j], s.Box).Norm2(); r2 < rc2 && r2 > 0 {
+				count++
+			}
+		}
+	}
+	return count
+}
+
+// TestPairCountBruteForce checks PairCount against bruteCount on a water
+// system and on the hand-placed straddlers, whose pairs sit at the cutoff
+// give or take a few ulps across cell faces, edges and corners.
+func TestPairCountBruteForce(t *testing.T) {
+	s := smallSystem(1000)
+	if got, want := s.PairCount(), bruteCount(s); got != want {
 		t.Fatalf("after NewWater: PairCount = %d, brute force %d", got, want)
 	}
 	s.Run(5)
-	if got, want := s.PairCount(), brute(); got != want {
+	if got, want := s.PairCount(), bruteCount(s); got != want {
 		t.Fatalf("after 5 steps: PairCount = %d, brute force %d", got, want)
+	}
+	in, pairs := 0, 0
+	for i, s := range straddlers() {
+		got, want := s.PairCount(), bruteCount(s)
+		if got != want {
+			t.Fatalf("straddler %d (%d atoms, box %v): PairCount = %d, brute force %d", i, s.N, s.Box, got, want)
+		}
+		if s.N == 2 {
+			in += want
+			pairs++
+		}
+	}
+	// The placements must land on both sides of the cutoff.
+	if in == 0 || in == pairs {
+		t.Fatalf("%d of %d straddling pairs in cutoff, want some on each side", in, pairs)
 	}
 }
 

@@ -2,8 +2,10 @@ package md
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"anton3/internal/fixp"
 	"anton3/internal/sim"
 	"anton3/internal/topo"
 )
@@ -268,6 +270,68 @@ func TestMulticastEdgesDeduped(t *testing.T) {
 	// (1,1,0)-Z->(1,1,1): 4 edges.
 	if len(edges) != 4 {
 		t.Fatalf("tree has %d edges, want 4: %v", len(edges), edges)
+	}
+}
+
+// TestPlanMatchesGeometry holds every plan to the targets and tree that
+// ExportTargets and MulticastEdges give the position it was handed out
+// for, and checks that a position's class keeps one plan with a dense ID.
+// Half the positions sit on slab faces. In the box exactly four cutoffs
+// wide, an atom on a face reaches the slab two over, a class no
+// neighbour mask expresses.
+func TestPlanMatchesGeometry(t *testing.T) {
+	rng := sim.NewRand(3)
+	wide := false
+	for _, c := range []struct {
+		shape topo.Shape
+		box   float64
+	}{
+		{topo.Shape{X: 2, Y: 2, Z: 2}, 44},
+		{topo.Shape{X: 3, Y: 1, Z: 2}, 30},
+		{topo.Shape{X: 4, Y: 4, Z: 4}, 4 * Cutoff},
+	} {
+		d := NewDecomposition(c.shape, c.box)
+		n := [3]int{c.shape.X, c.shape.Y, c.shape.Z}
+		byID := map[int]*Plan{}
+		for i := 0; i < 4000; i++ {
+			var x [3]float64
+			for k := range x {
+				x[k] = rng.Float64() * c.box
+				if i%2 == 0 {
+					w := c.box / float64(n[k])
+					x[k] = float64(int(x[k]/w)) * w
+				}
+			}
+			p := fixp.Vec{X: x[0], Y: x[1], Z: x[2]}
+			home := d.HomeNode(p)
+			tie := i&2 != 0
+			pl := d.Plan(p, home, tie)
+			targets := d.ExportTargets(p, home, nil)
+			edges := MulticastEdges(c.shape, home, targets, tie, nil)
+			radius := 0
+			for _, tgt := range targets {
+				radius = max(radius, c.shape.HopDist(home, tgt))
+				if (tgt.X-home.X+n[0])%n[0] == 2 && n[0] > 3 {
+					wide = true
+				}
+			}
+			if !slices.Equal(pl.Targets, targets) || !slices.Equal(pl.Edges, edges) || pl.Radius != radius {
+				t.Fatalf("%v: plan at %v = %+v, want targets %v, edges %v, radius %d",
+					c.shape, p, pl, targets, edges, radius)
+			}
+			if q := byID[pl.ID]; d.Plan(p, home, tie) != pl || q != nil && q != pl {
+				t.Fatalf("%v: position %v does not keep plan %d", c.shape, p, pl.ID)
+			}
+			byID[pl.ID] = pl
+		}
+		for id := range byID {
+			if id < 0 || id >= len(byID) {
+				t.Fatalf("%v: plan IDs %d are not dense from 0", c.shape, id)
+			}
+		}
+	}
+	if !wide {
+		t.Fatal("no position reached a slab two over")
 	}
 }
 

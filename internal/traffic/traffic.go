@@ -22,8 +22,8 @@ import (
 // Replayer owns one compressor per channel slice of the machine and feeds
 // them the traffic a decomposed MD step generates. The table is dense —
 // indexed by node index x chip.ChannelSpec.Index — so the per-packet replay
-// path is a couple of multiplies instead of a map lookup; entries stay nil
-// until a channel first carries traffic.
+// path is a slice load instead of a map lookup; entries stay nil until a
+// channel first carries traffic.
 type Replayer struct {
 	shape  topo.Shape
 	decomp *md.Decomposition
@@ -31,14 +31,21 @@ type Replayer struct {
 	comps  []*serdes.Compressor // [node*chip.NumChannelSpecs + spec.Index()]
 	live   int                  // non-nil entries
 
-	// scratch buffers reused across atoms
-	targets []topo.Coord
-	edges   []md.ChannelEdge
-	steps   []topo.Step
+	// hops holds, per md.Plan ID, the table indices at slice 0 of the
+	// channels an atom of the plan's class crosses each step.
+	hops []planHops
 	// pkt is the reusable transmit packet: Compressor.Transmit only reads
 	// it (and hands back the same instance), so one scratch packet serves
 	// the whole replay instead of one allocation per channel crossing.
 	pkt packet.Packet
+}
+
+// planHops lists one plan's channel crossings as compressor table indices
+// at slice 0: pos per multicast tree edge in md.Plan.Edges order, frc per
+// force-return hop, target-major along each target's XYZ route home. An
+// atom adds its slice to each.
+type planHops struct {
+	pos, frc []int32
 }
 
 // NewReplayer builds the per-channel pipelines for a system decomposed
@@ -52,11 +59,7 @@ func NewReplayer(shape topo.Shape, box float64, cfg serdes.CompressConfig) *Repl
 	}
 }
 
-// Decomposition exposes the partition (shared with the timed engine).
-func (r *Replayer) Decomposition() *md.Decomposition { return r.decomp }
-
-func (r *Replayer) comp(node int, dim topo.Dim, dir, slice int) *serdes.Compressor {
-	i := node*chip.NumChannelSpecs + chip.ChannelSpec{Dim: dim, Dir: dir, Slice: slice}.Index()
+func (r *Replayer) comp(i int32) *serdes.Compressor {
 	c := r.comps[i]
 	if c == nil {
 		c = serdes.NewCompressor(r.cfg)
@@ -64,6 +67,28 @@ func (r *Replayer) comp(node int, dim topo.Dim, dir, slice int) *serdes.Compress
 		r.live++
 	}
 	return c
+}
+
+// planHops computes pl's channel crossings for an atom homed at home with
+// tie bit plusOnTie, which every atom of pl's class shares.
+func (r *Replayer) planHops(pl *md.Plan, home topo.Coord, plusOnTie bool) planHops {
+	at := func(n topo.Coord, st topo.Step) int32 {
+		return int32(r.shape.Index(n)*chip.NumChannelSpecs + chip.ChannelSpec{Dim: st.Dim, Dir: st.Dir}.Index())
+	}
+	var h planHops
+	for _, e := range pl.Edges {
+		h.pos = append(h.pos, at(e.From, e.Step))
+	}
+	var steps []topo.Step
+	for _, tgt := range pl.Targets {
+		cur := tgt
+		steps = topo.AppendRouteTie(steps[:0], r.shape, tgt, home, topo.OrderXYZ, plusOnTie)
+		for _, st := range steps {
+			h.frc = append(h.frc, at(cur, st))
+			cur = r.shape.Neighbor(cur, st.Dim, st.Dir)
+		}
+	}
+	return h
 }
 
 // ReplayStep pushes one time step of traffic through the channels:
@@ -75,39 +100,37 @@ func (r *Replayer) ReplayStep(s *md.System) {
 	for i := 0; i < s.N; i++ {
 		pos := s.Pos[i]
 		home := d.HomeNode(pos)
-		r.targets = d.ExportTargets(pos, home, r.targets)
-		if len(r.targets) == 0 {
-			continue
-		}
-		rel := d.RelativeFixed(pos, home)
-		slice := i & 1
 		// Stable per-atom direction tie-break (2-wide rings reach the
 		// same neighbor both ways): stability keeps each atom on the
 		// same channels every step so the particle caches stay warm.
 		plusOnTie := i&2 != 0
+		pl := d.Plan(pos, home, plusOnTie)
+		if pl.ID == len(r.hops) {
+			// The class's first atom: the replayer's own decomposition
+			// numbers plans in first-use order.
+			r.hops = append(r.hops, r.planHops(pl, home, plusOnTie))
+		}
+		if len(pl.Targets) == 0 {
+			continue
+		}
+		h := &r.hops[pl.ID]
+		slice := int32(i & 1)
 
 		// Position export: once per multicast tree edge.
-		r.edges = md.MulticastEdges(r.shape, home, r.targets, plusOnTie, r.edges)
-		for _, e := range r.edges {
-			r.pkt = packet.Packet{Type: packet.Position, AtomID: uint32(i)}
-			r.pkt.SetQuad(rel.Words())
-			r.comp(r.shape.Index(e.From), e.Step.Dim, e.Step.Dir, slice).Transmit(&r.pkt)
+		r.pkt = packet.Packet{Type: packet.Position, AtomID: uint32(i)}
+		r.pkt.SetQuad(d.RelativeFixed(pos, home).Words())
+		for _, c := range h.pos {
+			r.comp(c + slice).Transmit(&r.pkt)
 		}
 
 		// Stream-set force returns: each target computed a partial force
 		// for this atom and sends it back point-to-point (XYZ route).
 		// Payload magnitude is the atom's force — the right scale for
 		// compression purposes even though each remote holds a partial.
-		ff := fixp.ForceToFixed(s.Force[i])
-		for _, tgt := range r.targets {
-			cur := tgt
-			r.steps = topo.AppendRouteTie(r.steps[:0], r.shape, tgt, home, topo.OrderXYZ, plusOnTie)
-			for _, st := range r.steps {
-				r.pkt = packet.Packet{Type: packet.Force, AtomID: uint32(i)}
-				r.pkt.SetQuad(ff.Words())
-				r.comp(r.shape.Index(cur), st.Dim, st.Dir, slice).Transmit(&r.pkt)
-				cur = r.shape.Neighbor(cur, st.Dim, st.Dir)
-			}
+		r.pkt = packet.Packet{Type: packet.Force, AtomID: uint32(i)}
+		r.pkt.SetQuad(fixp.ForceToFixed(s.Force[i]).Words())
+		for _, c := range h.frc {
+			r.comp(c + slice).Transmit(&r.pkt)
 		}
 	}
 

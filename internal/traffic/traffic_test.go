@@ -1,6 +1,11 @@
 package traffic
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"io"
 	"testing"
 
 	"anton3/internal/md"
@@ -171,5 +176,50 @@ func TestDeltaArithmetic(t *testing.T) {
 	d := Delta(a, b)
 	if d.Packets != 6 || d.WireBits != 60 || d.BaselineBits != 120 {
 		t.Fatalf("delta = %+v", d)
+	}
+}
+
+// replayDigest hashes every live compressor's traffic and particle cache
+// counters in table-index order, plus the live channel count.
+func replayDigest(h io.Writer, r *Replayer) {
+	for i, c := range r.comps {
+		if c != nil {
+			fmt.Fprintf(h, "%d %+v %+v\n", i, c.Stats(), c.CacheStats())
+		}
+	}
+	fmt.Fprintf(h, "channels %d\n", r.Channels())
+}
+
+// TestReplayStepGolden pins the replay bit for bit: which channel slices
+// carry traffic, and each one's packet, bit and particle cache counts
+// after every measured step, for INZ alone and INZ+pcache fed one 2000-atom
+// trajectory on the 8-node machine. A packet sent to another channel, or
+// in another order along one, moves a digest.
+func TestReplayStepGolden(t *testing.T) {
+	s := md.NewWater(2000, 300, sim.NewRand(21))
+	cfgs := []serdes.CompressConfig{{INZ: true}, {INZ: true, Pcache: true}}
+	want := []string{
+		"456a1251c5ce3587269334cbc306f1fe8c35f8bab53d81472d83d14ba4a5ee3f",
+		"847acf74369832951d72388837bdd0b340970a85569979ddec2572bd8af014a9",
+	}
+	rs := make([]*Replayer, len(cfgs))
+	hs := make([]hash.Hash, len(cfgs))
+	for i, cfg := range cfgs {
+		rs[i] = NewReplayer(shape8, s.Box, cfg)
+		hs[i] = sha256.New()
+	}
+	for step := 0; step < 5; step++ {
+		for i, r := range rs {
+			r.ReplayStep(s)
+			if step >= 2 {
+				replayDigest(hs[i], r)
+			}
+		}
+		s.Step()
+	}
+	for i, cfg := range cfgs {
+		if got := hex.EncodeToString(hs[i].Sum(nil)); got != want[i] {
+			t.Errorf("%s replay digest = %s, want %s", cfg.EnabledString(), got, want[i])
+		}
 	}
 }
