@@ -21,7 +21,8 @@ test:
 # smokes (each diffs sharded vs sequential output — shard-count invariance
 # end to end; the faultsweep smoke pins a dead-link cell with rerouting
 # live, the mdsweep smoke fences inside closed-loop MD steps), the fig9a
-# smoke (its per-size sub-jobs and reducer at -jobs 1 vs -jobs 2),
+# and fig9b smokes (their per-size sub-jobs and reducers at -jobs 1 vs
+# -jobs 2),
 # the cache smoke (cold, warm and warm-sharded -cache runs byte-identical
 # to uncached, warm run executing zero probes), and the telemetry smoke
 # (-metrics output minus its 'telemetry' lines byte-identical to the
@@ -53,6 +54,9 @@ test-short:
 	$(GO) run ./cmd/anton3 fig9a -warm 0 -measure 1 -q -jobs 1 > /tmp/anton3-f9a-j1.txt
 	$(GO) run ./cmd/anton3 fig9a -warm 0 -measure 1 -q -jobs 2 > /tmp/anton3-f9a-j2.txt
 	diff /tmp/anton3-f9a-j1.txt /tmp/anton3-f9a-j2.txt
+	$(GO) run ./cmd/anton3 fig9b -steps 1 -q -jobs 1 > /tmp/anton3-f9b-j1.txt
+	$(GO) run ./cmd/anton3 fig9b -steps 1 -q -jobs 2 > /tmp/anton3-f9b-j2.txt
+	diff /tmp/anton3-f9b-j1.txt /tmp/anton3-f9b-j2.txt
 	@cdir=$$(mktemp -d); \
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -cache -cachedir "$$cdir" -json /tmp/anton3-sat-cold.json > /tmp/anton3-sat-cold.txt && \
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -cache -cachedir "$$cdir" -json /tmp/anton3-sat-warm.json > /tmp/anton3-sat-warm.txt && \
@@ -86,9 +90,11 @@ alloc-gate:
 # report (BENCH_hotpath.json: ns/op + allocs/op per PR, gated against the
 # committed copy — a SendHotPath, Netsweep or KernelSteadyState regression
 # >10% fails the lane; a bench the committed copy lacks is not gated until
-# a main-branch run adds its row), the shard-scaling report, the
-# saturation report, then a full parallel `all` run refreshing
-# BENCH_runner.json. The fresh hotpath JSON lands in a temp file first so
+# a main-branch run adds its row), the shard-scaling, saturation,
+# fault-degradation and MD reports (NetsweepShards, FaultKneeShift and the
+# Forces32k/Step4k force kernel rows gated the same way; the shard and MD
+# gates only on multicore hosts), then a full parallel `all` run
+# refreshing BENCH_runner.json. The fresh hotpath JSON lands in a temp file first so
 # the committed baseline survives a failed gate for diagnosis (and isn't
 # truncated before benchjson reads it).
 bench:
@@ -151,14 +157,18 @@ bench-faults:
 # synthetic knees in BENCH_saturation.json, and the MD force kernel rows
 # (Forces32k, Step4k) with their ns/pair. Like bench-parallel, a
 # single-core host writes to /tmp so its shard timings never overwrite
-# the committed multicore artifact.
+# the committed multicore artifact, and skips the gate. Multicore hosts
+# gate the force kernel rows, Forces32k and Step4k, >10% against the
+# committed copy, same temp-file pattern as the hotpath lane; a row the
+# committed copy lacks is not gated until a main-branch run adds it.
 bench-md:
 	@ncpu=$$(getconf _NPROCESSORS_ONLN); \
 	if [ "$$ncpu" -le 1 ]; then \
-		echo "bench-md: 1-core host — writing /tmp/BENCH_md.json, keeping committed multicore baseline"; \
+		echo "bench-md: 1-core host — writing /tmp/BENCH_md.json, keeping committed multicore baseline, skipping gate"; \
 		$(GO) test -run '^$$' -bench 'TimestepShards|MDBackpressure|Forces32k|Step4k' -benchmem -count=1 -timeout 1800s ./internal/machine ./internal/md | $(GO) run ./cmd/benchjson > /tmp/BENCH_md.json; \
 	else \
-		$(GO) test -run '^$$' -bench 'TimestepShards|MDBackpressure|Forces32k|Step4k' -benchmem -count=1 -timeout 1800s ./internal/machine ./internal/md | $(GO) run ./cmd/benchjson > BENCH_md.json; \
+		$(GO) test -run '^$$' -bench 'TimestepShards|MDBackpressure|Forces32k|Step4k' -benchmem -count=1 -timeout 1800s ./internal/machine ./internal/md | $(GO) run ./cmd/benchjson -gate BENCH_md.json -gate-bench Forces32k,Step4k > BENCH_md.json.tmp && \
+		mv BENCH_md.json.tmp BENCH_md.json; \
 	fi
 
 # staticcheck runs when installed (CI installs it; the target stays green

@@ -316,30 +316,36 @@ type Fig9bPoint struct {
 func Fig9b(sizes []int, steps, shards int) []Fig9bPoint {
 	var out []Fig9bPoint
 	for _, n := range sizes {
-		var offNs, onNs float64
-		for _, comp := range []serdes.CompressConfig{{}, {INZ: true, Pcache: true}} {
-			cfg := machine.DefaultConfig(Shape8)
-			cfg.Compress = comp
-			cfg.Shards = shards
-			m := machine.New(cfg)
-			sys := md.NewWater(n, 300, sim.NewRand(777))
-			e := machine.NewEngine(m, sys, machine.DefaultTimestepConfig())
-			var last machine.StepResult
-			for i := 0; i < steps; i++ {
-				last = e.RunStep()
-			}
-			if comp.Pcache {
-				onNs = last.Duration.Nanoseconds()
-			} else {
-				offNs = last.Duration.Nanoseconds()
-			}
-		}
-		out = append(out, Fig9bPoint{
-			Atoms: n, StepOffNs: offNs, StepOnNs: onNs,
-			Speedup: offNs / onNs, PaperLo: 1.18, PaperHi: 1.62,
-		})
+		out = append(out, fig9bPoint(n, steps, shards))
 	}
 	return out
+}
+
+// fig9bPoint times the last of steps timesteps of an n-atom system with
+// compression off and on.
+func fig9bPoint(n, steps, shards int) Fig9bPoint {
+	var offNs, onNs float64
+	for _, comp := range []serdes.CompressConfig{{}, {INZ: true, Pcache: true}} {
+		cfg := machine.DefaultConfig(Shape8)
+		cfg.Compress = comp
+		cfg.Shards = shards
+		m := machine.New(cfg)
+		sys := md.NewWater(n, 300, sim.NewRand(777))
+		e := machine.NewEngine(m, sys, machine.DefaultTimestepConfig())
+		var last machine.StepResult
+		for i := 0; i < steps; i++ {
+			last = e.RunStep()
+		}
+		if comp.Pcache {
+			onNs = last.Duration.Nanoseconds()
+		} else {
+			offNs = last.Duration.Nanoseconds()
+		}
+	}
+	return Fig9bPoint{
+		Atoms: n, StepOffNs: offNs, StepOnNs: onNs,
+		Speedup: offNs / onNs, PaperLo: 1.18, PaperHi: 1.62,
+	}
 }
 
 // RenderFig9b formats the series.

@@ -246,6 +246,33 @@ func TestFig5ShardedMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestFig9bShardedMatchesDirect runs the fig9b sub-jobs and reducer
+// through the runner, at one and two workers with spare cores granted to
+// the sub-jobs, and holds the figure to the direct Fig9b call.
+func TestFig9bShardedMatchesDirect(t *testing.T) {
+	p := DefaultParams()
+	p.Fig9bSizes, p.Fig9bSteps = []int{1000, 2000}, 1
+	want := RenderFig9b(Fig9b(p.Fig9bSizes, p.Fig9bSteps, 1))
+	jobs := SelectJobs(Jobs(p), "fig9b")
+	if len(jobs) != 3 || jobs[2].Name != "fig9b" {
+		t.Fatalf("SelectJobs(fig9b) = %d jobs, want one per size then the reducer", len(jobs))
+	}
+	for _, j := range jobs[:2] {
+		if !j.Hidden || j.ShardRun == nil {
+			t.Fatalf("%s: Hidden %v, ShardRun set %v; want a hidden shardable sub-job", j.Name, j.Hidden, j.ShardRun != nil)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		rep, err := runner.Run(jobs, workers, runner.Options{AutoShard: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.RenderAll(); got != want+"\n" {
+			t.Fatalf("workers=%d: sharded fig9b diverged:\n--- sharded ---\n%s--- direct ---\n%s", workers, got, want)
+		}
+	}
+}
+
 // TestNetsweepSmoke keeps the synthetic-load harnesses green in the CI
 // fast lane: a tiny full netsweep grid plus one saturate and one
 // faultsweep cell through the runner, byte-identical across worker counts.

@@ -204,35 +204,53 @@ func fig11Jobs() []runner.Job {
 // reducer lists the points in size order. Costs split the figure's
 // historical 30 by atom count, the replay and force work's scale.
 func fig9aJobs(p Params) []runner.Job {
+	return sizeJobs("fig9a", 3, 30, p.Fig9aSizes, func(job runner.Job, n int) runner.Job {
+		job.Run = func() (runner.Output, error) {
+			return runner.Output{Data: fig9aPoint(n, p.Fig9aWarm, p.Fig9aMeasure)}, nil
+		}
+		return job
+	}, RenderFig9a)
+}
+
+// fig9bJobs shards Figure 9b likewise, each shardable sub-job timing its
+// own pair of machines, with costs splitting the figure's historical 20.
+func fig9bJobs(p Params) []runner.Job {
+	return sizeJobs("fig9b", 4, 20, p.Fig9bSizes, func(job runner.Job, n int) runner.Job {
+		return shardable(job, p.Shards, func(shards int) runner.Output {
+			return runner.Output{Data: fig9bPoint(n, p.Fig9bSteps, shards)}
+		})
+	}, RenderFig9b)
+}
+
+// sizeJobs registers one hidden sub-job per atom count, named fig/<n>,
+// whose cost is the figure's cost split by atom count; withRun sets the
+// sub-job's body, whose Data is one point. A reducer named fig renders
+// the points in size order.
+func sizeJobs[T any](fig string, seed uint64, cost float64, sizes []int, withRun func(job runner.Job, n int) runner.Job, render func([]T) string) []runner.Job {
 	total := 0
-	for _, n := range p.Fig9aSizes {
+	for _, n := range sizes {
 		total += n
 	}
-	jobs := make([]runner.Job, 0, len(p.Fig9aSizes)+1)
-	needs := make([]string, len(p.Fig9aSizes))
-	for i, n := range p.Fig9aSizes {
-		n := n
-		name := fmt.Sprintf("fig9a/%d", n)
-		needs[i] = name
-		jobs = append(jobs, runner.Job{
-			Name: name, Seed: 3, Cost: 30 * float64(n) / float64(total), Hidden: true,
-			Run: func() (runner.Output, error) {
-				return runner.Output{Data: fig9aPoint(n, p.Fig9aWarm, p.Fig9aMeasure)}, nil
-			}})
+	jobs := make([]runner.Job, 0, len(sizes)+1)
+	needs := make([]string, len(sizes))
+	for i, n := range sizes {
+		needs[i] = fmt.Sprintf("%s/%d", fig, n)
+		jobs = append(jobs, withRun(runner.Job{
+			Name: needs[i], Seed: seed, Cost: cost * float64(n) / float64(total), Hidden: true,
+		}, n))
 	}
-	jobs = append(jobs, runner.Job{
-		Name: "fig9a", Seed: 3, Cost: 0.01, Needs: needs,
+	return append(jobs, runner.Job{
+		Name: fig, Seed: seed, Cost: 0.01, Needs: needs,
 		Reduce: func(in []runner.Result) (runner.Output, error) {
-			pts := make([]Fig9aPoint, len(in))
+			pts := make([]T, len(in))
 			for i, res := range in {
 				if res.Err != "" {
 					return runner.Output{}, fmt.Errorf("%s: %s", res.Name, res.Err)
 				}
-				pts[i] = res.Data.(Fig9aPoint)
+				pts[i] = res.Data.(T)
 			}
-			return runner.Output{Text: RenderFig9a(pts), Data: pts}, nil
+			return runner.Output{Text: render(pts), Data: pts}, nil
 		}})
-	return jobs
 }
 
 // cellKey builds a grid cell's cache key under the observability gates:
@@ -475,10 +493,7 @@ func Jobs(p Params) []runner.Job {
 			return runner.Output{Text: r.Render(), Data: r}, nil
 		}})
 	jobs = append(jobs, fig9aJobs(p)...)
-	jobs = append(jobs, shardable(runner.Job{Name: "fig9b", Seed: 4, Cost: 20}, p.Shards, func(shards int) runner.Output {
-		pts := Fig9b(p.Fig9bSizes, p.Fig9bSteps, shards)
-		return runner.Output{Text: RenderFig9b(pts), Data: pts}
-	}))
+	jobs = append(jobs, fig9bJobs(p)...)
 	jobs = append(jobs, fig11Jobs()...)
 	jobs = append(jobs,
 		shardable(runner.Job{Name: "fig12", Seed: 6, Cost: 15}, p.Shards, func(shards int) runner.Output {

@@ -1,6 +1,7 @@
 package md
 
 import (
+	"fmt"
 	"math"
 
 	"anton3/internal/fixp"
@@ -13,6 +14,7 @@ import (
 // with the half-shell convention, so each pair of cells is visited exactly
 // once per force evaluation.
 type cellList struct {
+	box      float64
 	perSide  int
 	cellSize float64
 	// minImage is set below three cells per side. There one cell pair
@@ -22,9 +24,13 @@ type cellList struct {
 	start    []int32 // cell c holds atom[start[c]:start[c+1]]
 	atom     []int32 // atom index per slot, descending within a cell
 	// lo and hi bound each cell's atom positions per axis; an empty cell
-	// has lo +Inf and hi -Inf, and a NaN coordinate makes both NaN.
+	// has lo +Inf and hi -Inf.
 	lo, hi []fixp.Vec
 	pairs  []cellPair
+	// hits and bpos are pairForce's per-row slot list and per-cell-pair
+	// position copy, no shorter than the largest cell.
+	hits []int32
+	bpos []fixp.Vec
 }
 
 // cellPair is one half-shell scan entry: cells a and b (a == b for the
@@ -43,6 +49,7 @@ func newCellList(box, cutoff float64) *cellList {
 	}
 	cells := perSide * perSide * perSide
 	c := &cellList{
+		box:      box,
 		perSide:  perSide,
 		cellSize: box / float64(perSide),
 		minImage: perSide < 3,
@@ -123,18 +130,32 @@ func (c *cellList) cellOf(p fixp.Vec) int {
 
 // build (re)assigns all atoms to cells with a counting sort and bounds
 // each cell's positions. Filling each cell from its end while walking
-// atoms upward leaves every cell in descending atom order.
+// atoms upward leaves every cell in descending atom order. It panics,
+// naming the atom, when a coordinate lies outside [0, box): a NaN or an
+// infinite position has no cell.
 func (c *cellList) build(pos []fixp.Vec) {
 	if len(c.atom) < len(pos) {
 		c.atom = make([]int32, len(pos))
 	}
 	cells := len(c.start) - 1
 	clear(c.start)
-	for _, p := range pos {
+	for i, p := range pos {
+		if !(p.X >= 0 && p.X < c.box && p.Y >= 0 && p.Y < c.box && p.Z >= 0 && p.Z < c.box) {
+			panic(fmt.Sprintf("md: atom %d at (%g, %g, %g) lies outside the box [0, %g)", i, p.X, p.Y, p.Z, c.box))
+		}
 		c.start[c.cellOf(p)]++
 	}
+	largest := c.start[0]
 	for i := 1; i < cells; i++ {
+		largest = max(largest, c.start[i])
 		c.start[i] += c.start[i-1]
+	}
+	// Atoms drift between cells step to step; the headroom keeps warm
+	// builds from reallocating.
+	if n := int(largest); n > len(c.hits) {
+		n += n/4 + 8
+		c.hits = make([]int32, n)
+		c.bpos = make([]fixp.Vec, n)
 	}
 	inf := math.Inf(1)
 	for i := range c.lo {
@@ -146,7 +167,6 @@ func (c *cellList) build(pos []fixp.Vec) {
 		cell := c.cellOf(p)
 		c.start[cell]--
 		c.atom[c.start[cell]] = int32(i)
-		// The min and max builtins carry a NaN through.
 		lo, hi := &c.lo[cell], &c.hi[cell]
 		lo.X, lo.Y, lo.Z = min(lo.X, p.X), min(lo.Y, p.Y), min(lo.Z, p.Z)
 		hi.X, hi.Y, hi.Z = max(hi.X, p.X), max(hi.Y, p.Y), max(hi.Z, p.Z)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"anton3/internal/fixp"
@@ -198,6 +199,147 @@ func TestPairCountBruteForce(t *testing.T) {
 	// The placements must land on both sides of the cutoff.
 	if in == 0 || in == pairs {
 		t.Fatalf("%d of %d straddling pairs in cutoff, want some on each side", in, pairs)
+	}
+}
+
+// referenceForces evaluates s's forces, potential and pair count with a
+// kernel kept as simple as possible: one loop per row over every
+// candidate of every cell pair, MinImage per pair below three cells per
+// side and the cell pair's image shift above, no row skipping and no
+// slot list. Pairs and float additions come in ComputeForces' order.
+func referenceForces(s *System) ([]fixp.Vec, float64, int) {
+	c := newCellList(s.Box, Cutoff)
+	c.build(s.Pos)
+	pos, force := s.Pos, make([]fixp.Vec, s.N)
+	rc2 := Cutoff * Cutoff
+	sr6c := pow6(Sigma * Sigma / rc2)
+	shift := 4 * Epsilon * (sr6c*sr6c - sr6c)
+	pot, count := 0.0, 0
+	for _, cp := range c.pairs {
+		img := fixp.Vec{X: s.Box * float64(cp.k[0]), Y: s.Box * float64(cp.k[1]), Z: s.Box * float64(cp.k[2])}
+		as := c.atom[c.start[cp.a]:c.start[cp.a+1]]
+		bs := c.atom[c.start[cp.b]:c.start[cp.b+1]]
+		for slot, i := range as {
+			if cp.a == cp.b {
+				bs = as[slot+1:]
+			}
+			pi := pos[i]
+			fi := force[i]
+			for _, j := range bs {
+				var d fixp.Vec
+				if c.minImage {
+					d = MinImage(pi, pos[j], s.Box)
+				} else {
+					d = pi.Sub(pos[j]).Sub(img)
+				}
+				r2 := d.Norm2()
+				if r2 >= rc2 || r2 == 0 {
+					continue
+				}
+				count++
+				sr2 := Sigma * Sigma / r2
+				sr6 := pow6(sr2)
+				sr12 := sr6 * sr6
+				fmag := 24 * Epsilon * (2*sr12 - sr6) / r2
+				f := d.Scale(fmag)
+				fi = fi.Add(f)
+				force[j] = force[j].Sub(f)
+				pot += 4*Epsilon*(sr12-sr6) - shift
+			}
+			force[i] = fi
+		}
+	}
+	return force, pot, count
+}
+
+// matchReference reports the first difference between s's last force
+// evaluation and referenceForces, bit for bit, or "" when they agree.
+func matchReference(s *System) string {
+	force, pot, count := referenceForces(s)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i, f := range s.Force {
+		if r := force[i]; !same(f.X, r.X) || !same(f.Y, r.Y) || !same(f.Z, r.Z) {
+			return fmt.Sprintf("atom %d: force %v, reference %v", i, f, r)
+		}
+	}
+	if !same(s.Potential, pot) {
+		return fmt.Sprintf("potential %v, reference %v", s.Potential, pot)
+	}
+	if s.PairCount() != count {
+		return fmt.Sprintf("pair count %d, reference %d", s.PairCount(), count)
+	}
+	return ""
+}
+
+// TestForcesMatchReference holds ComputeForces to referenceForces bit for
+// bit on water after NewWater and after each of three steps, on every
+// straddler, and on two placed pairs at the edges of the in-cutoff test:
+// two coincident atoms (r2 == 0) and two atoms exactly one cutoff apart
+// in neighbouring cells (r2 == rc2).
+func TestForcesMatchReference(t *testing.T) {
+	for _, n := range []int{512, 1000, 8000, 16000} {
+		s := smallSystem(n)
+		for step := 0; step <= 3; step++ {
+			if step > 0 {
+				s.Step()
+			}
+			if diff := matchReference(s); diff != "" {
+				t.Fatalf("%d atoms after %d steps: %s", n, step, diff)
+			}
+		}
+	}
+	for i, s := range straddlers() {
+		if diff := matchReference(s); diff != "" {
+			t.Fatalf("straddler %d (%d atoms, box %v): %s", i, s.N, s.Box, diff)
+		}
+	}
+	edges := []struct {
+		name string
+		pos  []fixp.Vec
+	}{
+		{"coincident", []fixp.Vec{{X: 5, Y: 5, Z: 5}, {X: 5, Y: 5, Z: 5}}},
+		{"at cutoff", []fixp.Vec{{X: 1, Y: 1, Z: 1}, {X: 10, Y: 1, Z: 1}}},
+	}
+	for _, e := range edges {
+		s := placedSystem(30, e.pos)
+		if diff := matchReference(s); diff != "" {
+			t.Fatalf("%s pair: %s", e.name, diff)
+		}
+		if s.PairCount() != 0 {
+			t.Fatalf("%s pair: PairCount = %d, want 0", e.name, s.PairCount())
+		}
+	}
+}
+
+// TestNonFinitePositionPanics checks that a position with no cell stops
+// the force evaluation with a message naming the atom: a NaN coordinate
+// handed to ComputeForces, and an infinite velocity, which Step wraps to
+// a NaN coordinate.
+func TestNonFinitePositionPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		atom int
+		run  func(s *System, atom int)
+	}{
+		{"NaN position", 17, func(s *System, atom int) {
+			s.Pos[atom].Y = math.NaN()
+			s.ComputeForces()
+		}},
+		{"Inf velocity", 123, func(s *System, atom int) {
+			s.Vel[atom].X = math.Inf(1)
+			s.Step()
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := smallSystem(512)
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("md: atom %d at ", c.atom); !strings.HasPrefix(msg, want) {
+					t.Fatalf("panic %q, want a message starting %q", msg, want)
+				}
+			}()
+			c.run(s, c.atom)
+		})
 	}
 }
 
