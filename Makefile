@@ -80,9 +80,11 @@ test-short:
 # pass and step, and the channel compression path (a warm INZ+pcache
 # Compressor.Transmit and a warm traffic replay in every compression
 # config) at 0 allocs/op, plus the MD timestep budget (allocs/step must
-# not scale with atoms, with compression off and on). Run without -race:
-# the detector's instrumentation allocates, so the tests skip themselves
-# there.
+# not scale with atoms, with compression off and on). AllocsPerRun runs
+# at GOMAXPROCS 1, where the MD force pass starts no helper goroutine, so
+# TestComputeForcesTwoCoreAllocFree counts mallocs itself at GOMAXPROCS
+# 2. Run without -race: the detector's instrumentation allocates, so the
+# tests skip themselves there.
 alloc-gate:
 	$(GO) test -run 'AllocFree|TimestepAllocBudget' -count=1 ./internal/sim ./internal/machine ./internal/synth ./internal/flow ./internal/md ./internal/serdes ./internal/traffic
 
@@ -92,8 +94,9 @@ alloc-gate:
 # >10% fails the lane; a bench the committed copy lacks is not gated until
 # a main-branch run adds its row), the shard-scaling, saturation,
 # fault-degradation and MD reports (NetsweepShards, FaultKneeShift and the
-# Forces32k/Step4k force kernel rows gated the same way; the shard and MD
-# gates only on multicore hosts), then a full parallel `all` run
+# Forces32k/Step4k force kernel rows gated the same way, the force rows
+# on the median of three runs; the shard and MD gates only on multicore
+# hosts), then a full parallel `all` run
 # refreshing BENCH_runner.json. The fresh hotpath JSON lands in a temp file first so
 # the committed baseline survives a failed gate for diagnosis (and isn't
 # truncated before benchjson reads it).
@@ -155,19 +158,25 @@ bench-faults:
 # the closed-loop backpressure rows: simulated step duration and parked
 # injection counts per queue depth, the MD-traffic counterpart of the
 # synthetic knees in BENCH_saturation.json, and the MD force kernel rows
-# (Forces32k, Step4k) with their ns/pair. Like bench-parallel, a
-# single-core host writes to /tmp so its shard timings never overwrite
-# the committed multicore artifact, and skips the gate. Multicore hosts
-# gate the force kernel rows, Forces32k and Step4k, >10% against the
-# committed copy, same temp-file pattern as the hotpath lane; a row the
-# committed copy lacks is not gated until a main-branch run adds it.
+# (Forces32k, Step4k) with their ns/pair. The shard and backpressure
+# rows run once; the force kernel rows run three times each, and
+# benchjson folds the three lines of a row into their median. Like
+# bench-parallel, a single-core host writes to /tmp so its shard timings
+# never overwrite the committed multicore artifact, and skips the gate.
+# Multicore hosts gate the force kernel rows, Forces32k and Step4k, on
+# that median, >10% against the committed copy, same temp-file pattern
+# as the hotpath lane; a row the committed copy lacks is not gated until
+# a main-branch run adds it.
+BENCH_MD_RUNS = { $(GO) test -run '^$$' -bench 'TimestepShards|MDBackpressure' -benchmem -count=1 -timeout 1800s ./internal/machine; \
+	$(GO) test -run '^$$' -bench 'Forces32k|Step4k' -benchmem -count=3 -timeout 1800s ./internal/md; }
+
 bench-md:
 	@ncpu=$$(getconf _NPROCESSORS_ONLN); \
 	if [ "$$ncpu" -le 1 ]; then \
 		echo "bench-md: 1-core host — writing /tmp/BENCH_md.json, keeping committed multicore baseline, skipping gate"; \
-		$(GO) test -run '^$$' -bench 'TimestepShards|MDBackpressure|Forces32k|Step4k' -benchmem -count=1 -timeout 1800s ./internal/machine ./internal/md | $(GO) run ./cmd/benchjson > /tmp/BENCH_md.json; \
+		$(BENCH_MD_RUNS) | $(GO) run ./cmd/benchjson > /tmp/BENCH_md.json; \
 	else \
-		$(GO) test -run '^$$' -bench 'TimestepShards|MDBackpressure|Forces32k|Step4k' -benchmem -count=1 -timeout 1800s ./internal/machine ./internal/md | $(GO) run ./cmd/benchjson -gate BENCH_md.json -gate-bench Forces32k,Step4k > BENCH_md.json.tmp && \
+		$(BENCH_MD_RUNS) | $(GO) run ./cmd/benchjson -gate BENCH_md.json -gate-bench Forces32k,Step4k > BENCH_md.json.tmp && \
 		mv BENCH_md.json.tmp BENCH_md.json; \
 	fi
 

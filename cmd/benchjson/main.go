@@ -6,6 +6,12 @@
 //
 //	go test -run '^$' -bench . -benchmem ./... | go run ./cmd/benchjson > BENCH.json
 //
+// Repeated result lines of one benchmark, as `go test -count N` prints
+// them, fold into one row holding the median of each column (iterations,
+// ns/op, B/op, allocs/op and every custom metric), so a gate compares a
+// median rather than one noisy run. A benchmark that ran once reports
+// exactly its line.
+//
 // With -gate, the fresh results are additionally compared against a
 // committed baseline report, and the run fails (exit 1, after still
 // writing the fresh JSON) if any baseline bench whose name contains one of
@@ -23,7 +29,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -54,25 +62,8 @@ func main() {
 	gateFactor := flag.Float64("gate-factor", 1.10, "fail if fresh ns_per_op exceeds baseline x this factor")
 	flag.Parse()
 
-	var rep Report
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			rep.GOOS = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			rep.GOARCH = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "cpu: "):
-			rep.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "Benchmark"):
-			if b, ok := parseBench(line); ok {
-				rep.Benches = append(rep.Benches, b)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := parse(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -92,6 +83,78 @@ func main() {
 	if *gateFile != "" && !gate(rep, *gateFile, *gateBench, *gateFactor) {
 		os.Exit(1)
 	}
+}
+
+// parse reads `go test -bench` text into a report, folding repeated lines
+// of one benchmark into their median row, in order of first appearance.
+func parse(r io.Reader) (Report, error) {
+	var rep Report
+	runs := map[string][]Bench{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			rep.GOOS = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			rep.GOARCH = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "cpu: "):
+			rep.CPU = strings.TrimPrefix(line, "cpu: ")
+		case strings.HasPrefix(line, "Benchmark"):
+			if b, ok := parseBench(line); ok {
+				if runs[b.Name] == nil {
+					rep.Benches = append(rep.Benches, b)
+				}
+				runs[b.Name] = append(runs[b.Name], b)
+			}
+		}
+	}
+	for i, b := range rep.Benches {
+		rep.Benches[i] = median(runs[b.Name])
+	}
+	return rep, sc.Err()
+}
+
+// median folds runs of one benchmark into one row holding each column's
+// median; for an even count it takes the lower middle value, so every
+// field is one that some run reported. A custom metric takes the median
+// of the runs that report it.
+func median(runs []Bench) Bench {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	mid := func(v []float64) float64 {
+		slices.Sort(v)
+		return v[(len(v)-1)/2]
+	}
+	col := func(f func(Bench) float64) float64 {
+		v := make([]float64, len(runs))
+		for i, b := range runs {
+			v[i] = f(b)
+		}
+		return mid(v)
+	}
+	out := Bench{
+		Name:        runs[0].Name,
+		Iters:       int64(col(func(b Bench) float64 { return float64(b.Iters) })),
+		NsPerOp:     col(func(b Bench) float64 { return b.NsPerOp }),
+		BytesPerOp:  int64(col(func(b Bench) float64 { return float64(b.BytesPerOp) })),
+		AllocsPerOp: int64(col(func(b Bench) float64 { return float64(b.AllocsPerOp) })),
+	}
+	extra := map[string][]float64{}
+	for _, b := range runs {
+		for unit, v := range b.Extra {
+			extra[unit] = append(extra[unit], v)
+		}
+	}
+	if len(extra) > 0 {
+		out.Extra = make(map[string]float64, len(extra))
+	}
+	for unit, v := range extra {
+		out.Extra[unit] = mid(v)
+	}
+	return out
 }
 
 // gate compares the fresh report against the committed baseline and

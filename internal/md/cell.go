@@ -27,10 +27,11 @@ type cellList struct {
 	// has lo +Inf and hi -Inf.
 	lo, hi []fixp.Vec
 	pairs  []cellPair
-	// hits and bpos are pairForce's per-row slot list and per-cell-pair
-	// position copy, no shorter than the largest cell.
-	hits []int32
-	bpos []fixp.Vec
+	// scratch is pairForce's scratch on the caller of ComputeForces; ring
+	// is what the caller shares with its helper goroutine, whose scratch
+	// is ring.scratch.
+	scratch pairScratch
+	ring    forceRing
 }
 
 // cellPair is one half-shell scan entry: cells a and b (a == b for the
@@ -40,6 +41,11 @@ type cellList struct {
 type cellPair struct {
 	a, b int32
 	k    [3]int8
+}
+
+// image returns the shift box*k that moves an atom of b next to cell a.
+func (cp cellPair) image(box float64) fixp.Vec {
+	return fixp.Vec{X: box * float64(cp.k[0]), Y: box * float64(cp.k[1]), Z: box * float64(cp.k[2])}
 }
 
 func newCellList(box, cutoff float64) *cellList {
@@ -152,10 +158,12 @@ func (c *cellList) build(pos []fixp.Vec) {
 	}
 	// Atoms drift between cells step to step; the headroom keeps warm
 	// builds from reallocating.
-	if n := int(largest); n > len(c.hits) {
+	if n := int(largest); n > len(c.scratch.hits) {
 		n += n/4 + 8
-		c.hits = make([]int32, n)
-		c.bpos = make([]fixp.Vec, n)
+		for _, sc := range []*pairScratch{&c.scratch, &c.ring.scratch} {
+			sc.hits = make([]int32, n)
+			sc.bpos = make([]fixp.Vec, n)
+		}
 	}
 	inf := math.Inf(1)
 	for i := range c.lo {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -272,11 +273,24 @@ func matchReference(s *System) string {
 }
 
 // TestForcesMatchReference holds ComputeForces to referenceForces bit for
-// bit on water after NewWater and after each of three steps, on every
-// straddler, and on two placed pairs at the edges of the in-cutoff test:
-// two coincident atoms (r2 == 0) and two atoms exactly one cutoff apart
-// in neighbouring cells (r2 == rc2).
+// bit at GOMAXPROCS 1, 2 and 4, so on one goroutine and with the helper
+// evaluating chunks ahead of the caller: on water after NewWater and
+// after each of three steps, on every straddler, and on two placed pairs
+// at the edges of the in-cutoff test: two coincident atoms (r2 == 0) and
+// two atoms exactly one cutoff apart in neighbouring cells (r2 == rc2).
+// At GOMAXPROCS 4 it also repeats the 16000-atom evaluation ten times, so
+// that the caller and the helper split the chunks differently, and on a
+// multicore host it requires that the helper evaluated some of them.
 func TestForcesMatchReference(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			matchReferenceAt(t, procs)
+		})
+	}
+}
+
+func matchReferenceAt(t *testing.T, procs int) {
 	for _, n := range []int{512, 1000, 8000, 16000} {
 		s := smallSystem(n)
 		for step := 0; step <= 3; step++ {
@@ -286,6 +300,20 @@ func TestForcesMatchReference(t *testing.T) {
 			if diff := matchReference(s); diff != "" {
 				t.Fatalf("%d atoms after %d steps: %s", n, step, diff)
 			}
+		}
+		if n != 16000 || procs != 4 {
+			continue
+		}
+		helped := 0
+		for rep := 0; rep < 10; rep++ {
+			s.ComputeForces()
+			helped += s.cells.ring.helped
+			if diff := matchReference(s); diff != "" {
+				t.Fatalf("%d atoms, evaluation %d after 3 steps: %s", n, rep, diff)
+			}
+		}
+		if helped == 0 && runtime.NumCPU() > 1 {
+			t.Fatalf("the helper evaluated no chunk in 10 evaluations at %d atoms", n)
 		}
 	}
 	for i, s := range straddlers() {
@@ -356,5 +384,45 @@ func TestComputeForcesAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(3, s.Step); n != 0 {
 		t.Fatalf("Step allocates %.1f times/op warm, want 0", n)
+	}
+}
+
+// TestComputeForcesTwoCoreAllocFree pins warm force evaluations and steps
+// at zero heap allocations with the helper goroutine starting in each.
+// testing.AllocsPerRun runs at GOMAXPROCS 1, where no helper starts, and
+// rounds a fraction of an allocation per call down to 0, so this test
+// sets GOMAXPROCS to 2 and counts every malloc in the process over 20
+// calls of each. The runtime recycles exited goroutines through free
+// lists of which each P keeps up to 64 before sharing them, so the first
+// few dozen helper starts may allocate one; the 200 warming steps run
+// past them. Under CPU contention from other processes the runtime may
+// still, now and then, allocate a goroutine or start an OS thread (five
+// mallocs, one of them when ReadMemStats restarts the world), so a count
+// of 20 calls passes when any of five windows reads exactly 0; code that
+// allocates on every call fails all five.
+func TestComputeForcesTwoCoreAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := smallSystem(1000)
+	s.Run(200)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{{"ComputeForces", s.ComputeForces}, {"Step", s.Step}} {
+		least := uint64(math.MaxUint64)
+		for window := 0; window < 5 && least != 0; window++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 20; i++ {
+				c.call()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		if least != 0 {
+			t.Errorf("20 warm %s calls at GOMAXPROCS 2 allocate at least %d times in each of 5 windows, want 0", c.name, least)
+		}
 	}
 }

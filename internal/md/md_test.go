@@ -377,8 +377,12 @@ func reportNsPerPair(b *testing.B, s *System) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.PairCount()), "ns/pair")
 }
 
+// BenchmarkForces32k times the force evaluation on a liquid: five steps
+// first break up the jittered lattice NewWater builds, whose hit pattern
+// repeats along a row.
 func BenchmarkForces32k(b *testing.B) {
 	s := NewWater(32768, 300, sim.NewRand(1))
+	s.Run(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ComputeForces()

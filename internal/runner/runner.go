@@ -12,9 +12,9 @@
 //   - results are collected by job index and rendered in submission order,
 //     so the concatenated output is byte-identical to a sequential run.
 //
-// The aggregated Report records per-job wall times, the pool's wall time,
-// and the speedup over the serial estimate, and serializes to JSON for CI
-// artifacts (BENCH_runner.json).
+// The aggregated Report records per-job wall times, the pool's wall time
+// and CPU time, and their ratio, and serializes to JSON for CI artifacts
+// (BENCH_runner.json).
 package runner
 
 import (
@@ -123,11 +123,14 @@ type Result struct {
 // Report aggregates a pool run.
 //
 // Speedup is CPUNs/WallNs where process CPU accounting is available
-// (unix): the CPU seconds a run consumes equal its sequential wall time
-// for these CPU-bound jobs, so the ratio is the true wall-clock speedup
-// and honestly reports ~1x on a single-core machine. SerialNs — the sum
-// of per-job wall times — is the fallback divisor elsewhere; it inflates
-// under core oversubscription, so prefer the CPU-based number.
+// (unix): the mean number of cores the run kept busy, which honestly
+// reports ~1x on a single-core machine. It is not the wall-clock speedup
+// over a sequential run, because CPU seconds are not sequential work: a
+// job may start goroutines of its own, such as the helper of
+// md.ComputeForces, whose evaluation and yield loops count too, so even
+// one worker can read above 1x. Compare wall times for a speedup.
+// SerialNs — the sum of per-job wall times — is the fallback divisor
+// elsewhere; it inflates under core oversubscription.
 type Report struct {
 	Jobs     int      `json:"jobs"`
 	Workers  int      `json:"workers"`
