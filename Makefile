@@ -81,28 +81,30 @@ test-short:
 # Compressor.Transmit and a warm traffic replay in every compression
 # config) at 0 allocs/op, plus the MD timestep budget (allocs/step must
 # not scale with atoms, with compression off and on). AllocsPerRun runs
-# at GOMAXPROCS 1, where the MD force pass starts no helper goroutine, so
-# TestComputeForcesTwoCoreAllocFree counts mallocs itself at GOMAXPROCS
+# at GOMAXPROCS 1, where neither the MD force pass nor the traffic replay
+# starts its helper goroutine, so TestComputeForcesTwoCoreAllocFree and
+# TestReplayStepTwoCoreAllocFree count mallocs themselves at GOMAXPROCS
 # 2. Run without -race: the detector's instrumentation allocates, so the
 # tests skip themselves there.
 alloc-gate:
 	$(GO) test -run 'AllocFree|TimestepAllocBudget' -count=1 ./internal/sim ./internal/machine ./internal/synth ./internal/flow ./internal/md ./internal/serdes ./internal/traffic
 
 # The CI bench lane: every paper artifact once, the hot-path micro-bench
-# report (BENCH_hotpath.json: ns/op + allocs/op per PR, gated against the
-# committed copy — a SendHotPath, Netsweep or KernelSteadyState regression
-# >10% fails the lane; a bench the committed copy lacks is not gated until
-# a main-branch run adds its row), the shard-scaling, saturation,
+# report (BENCH_hotpath.json: ns/op + allocs/op per PR, each bench run
+# three times and folded by benchjson into its median, gated against the
+# committed copy — a SendHotPath, Netsweep or KernelSteadyState median
+# >10% slower fails the lane; a bench the committed copy lacks is not
+# gated until a main-branch run adds its row), the shard-scaling, saturation,
 # fault-degradation and MD reports (NetsweepShards, FaultKneeShift and the
-# Forces32k/Step4k force kernel rows gated the same way, the force rows
-# on the median of three runs; the shard and MD gates only on multicore
-# hosts), then a full parallel `all` run
+# Forces32k/Step4k force kernel rows gated at the same 10%, the force rows
+# also on the median of three runs; the shard and MD gates only on
+# multicore hosts), then a full parallel `all` run
 # refreshing BENCH_runner.json. The fresh hotpath JSON lands in a temp file first so
 # the committed baseline survives a failed gate for diagnosis (and isn't
 # truncated before benchjson reads it).
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
-	$(GO) test -run '^$$' -bench 'SendHotPath|Netsweep$$|KernelSteadyState' -benchmem -count=1 ./internal/machine ./internal/synth ./internal/sim | $(GO) run ./cmd/benchjson -gate BENCH_hotpath.json -gate-bench SendHotPath,Netsweep,KernelSteadyState > BENCH_hotpath.json.tmp
+	$(GO) test -run '^$$' -bench 'SendHotPath|Netsweep$$|KernelSteadyState' -benchmem -count=3 ./internal/machine ./internal/synth ./internal/sim | $(GO) run ./cmd/benchjson -gate BENCH_hotpath.json -gate-bench SendHotPath,Netsweep,KernelSteadyState > BENCH_hotpath.json.tmp
 	mv BENCH_hotpath.json.tmp BENCH_hotpath.json
 	$(MAKE) bench-parallel
 	$(MAKE) bench-saturate

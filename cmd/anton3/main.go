@@ -280,7 +280,7 @@ func run(args []string) int {
 		}
 	})
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "runner: %d jobs on %d workers in %.2fs wall, %.2fs CPU (speedup %.2fx)\n",
+		fmt.Fprintf(os.Stderr, "runner: %d jobs on %d workers in %.2fs wall, %.2fs CPU (CPU/wall %.2fx)\n",
 			rep.Jobs, rep.Workers, float64(rep.WallNs)/1e9, float64(rep.CPUNs)/1e9, rep.Speedup)
 		if rep.Cache != nil {
 			fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d stored\n",

@@ -16,8 +16,9 @@ import (
 // atoms in its home box.
 //
 // A Decomposition memoizes the multicast plan of every atom class it has
-// seen (Plan), so it is not safe for concurrent use: each traffic replayer
-// and timestep engine builds its own.
+// seen (Plan), so it is not safe for concurrent use: each timestep engine
+// builds its own, and so does each replay lane of a traffic replayer (one
+// per channel slice, which may run on goroutines of their own).
 type Decomposition struct {
 	Shape topo.Shape
 	Box   float64

@@ -389,39 +389,26 @@ func TestComputeForcesAllocFree(t *testing.T) {
 
 // TestComputeForcesTwoCoreAllocFree pins warm force evaluations and steps
 // at zero heap allocations with the helper goroutine starting in each.
-// testing.AllocsPerRun runs at GOMAXPROCS 1, where no helper starts, and
-// rounds a fraction of an allocation per call down to 0, so this test
-// sets GOMAXPROCS to 2 and counts every malloc in the process over 20
-// calls of each. The runtime recycles exited goroutines through free
-// lists of which each P keeps up to 64 before sharing them, so the first
-// few dozen helper starts may allocate one; the 200 warming steps run
-// past them. Under CPU contention from other processes the runtime may
-// still, now and then, allocate a goroutine or start an OS thread (five
-// mallocs, one of them when ReadMemStats restarts the world), so a count
-// of 20 calls passes when any of five windows reads exactly 0; code that
-// allocates on every call fails all five.
+// testing.AllocsPerRun runs at GOMAXPROCS 1, where no helper starts, so
+// this test sets GOMAXPROCS to 2 and counts every malloc in the process
+// over 20 calls of each (testutil.LeastMallocs), passing when any of five
+// windows reads exactly 0. The runtime recycles exited goroutines through
+// per-P free lists, which the caller and the helper, trading Ps, can leave
+// empty on the caller's side for many calls, so the test fills them first
+// (testutil.FillGoroutineCaches) and then warms up with 200 steps.
 func TestComputeForcesTwoCoreAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts are not meaningful under -race")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s := smallSystem(1000)
+	testutil.FillGoroutineCaches()
 	s.Run(200)
 	for _, c := range []struct {
 		name string
 		call func()
 	}{{"ComputeForces", s.ComputeForces}, {"Step", s.Step}} {
-		least := uint64(math.MaxUint64)
-		for window := 0; window < 5 && least != 0; window++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < 20; i++ {
-				c.call()
-			}
-			runtime.ReadMemStats(&after)
-			least = min(least, after.Mallocs-before.Mallocs)
-		}
-		if least != 0 {
+		if least := testutil.LeastMallocs(5, 20, c.call); least != 0 {
 			t.Errorf("20 warm %s calls at GOMAXPROCS 2 allocate at least %d times in each of 5 windows, want 0", c.name, least)
 		}
 	}

@@ -126,9 +126,11 @@ type Result struct {
 // (unix): the mean number of cores the run kept busy, which honestly
 // reports ~1x on a single-core machine. It is not the wall-clock speedup
 // over a sequential run, because CPU seconds are not sequential work: a
-// job may start goroutines of its own, such as the helper of
-// md.ComputeForces, whose evaluation and yield loops count too, so even
-// one worker can read above 1x. Compare wall times for a speedup.
+// job may start goroutines of its own, such as the helpers of
+// md.ComputeForces and traffic.Replayer.ReplayStep, whose work (and the
+// force helper's yield loops) counts too, so even one worker can read
+// above 1x. Compare wall times for a speedup; cmd/anton3 labels the
+// ratio CPU/wall.
 // SerialNs — the sum of per-job wall times — is the fallback divisor
 // elsewhere; it inflates under core oversubscription.
 type Report struct {

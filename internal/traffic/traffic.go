@@ -10,6 +10,9 @@
 package traffic
 
 import (
+	"runtime"
+	"sync"
+
 	"anton3/internal/chip"
 	"anton3/internal/fixp"
 	"anton3/internal/md"
@@ -24,20 +27,37 @@ import (
 // indexed by node index x chip.ChannelSpec.Index — so the per-packet replay
 // path is a slice load instead of a map lookup; entries stay nil until a
 // channel first carries traffic.
+//
+// An atom rides one slice of every channel it crosses. Each slice's
+// compressors are fed by a replay lane of their own, with one
+// md.Decomposition per lane (see lane), so when GOMAXPROCS allows,
+// ReplayStep replays lane 1 on a helper goroutine. ReplayStep is not safe
+// for concurrent calls on one Replayer.
 type Replayer struct {
-	shape  topo.Shape
-	decomp *md.Decomposition
-	cfg    serdes.CompressConfig
-	comps  []*serdes.Compressor // [node*chip.NumChannelSpecs + spec.Index()]
-	live   int                  // non-nil entries
+	shape topo.Shape
+	cfg   serdes.CompressConfig
+	comps []*serdes.Compressor // [node*chip.NumChannelSpecs + spec.Index()]
+	lanes [chip.Slices]lane
 
-	// hops holds, per md.Plan ID, the table indices at slice 0 of the
-	// channels an atom of the plan's class crosses each step.
+	// help is the helper goroutine's body, bound once so that starting it
+	// allocates nothing; it replays lane 1 of sys and marks done.
+	help func()
+	sys  *md.System
+	done sync.WaitGroup
+}
+
+// lane replays the atoms of one channel slice: atom i rides slice
+// i%chip.Slices. Its compressors are the table entries of that index
+// modulo chip.Slices, which no other lane touches, and it keeps its own
+// Decomposition, since the plan memo is not safe for concurrent use.
+type lane struct {
+	slice  int32
+	decomp *md.Decomposition
+	live   int // non-nil table entries of this slice
+
+	// hops holds, per plan ID of decomp, the table indices at slice 0 of
+	// the channels an atom of the plan's class crosses each step.
 	hops []planHops
-	// pkt is the reusable transmit packet: Compressor.Transmit only reads
-	// it (and hands back the same instance), so one scratch packet serves
-	// the whole replay instead of one allocation per channel crossing.
-	pkt packet.Packet
 }
 
 // planHops lists one plan's channel crossings as compressor table indices
@@ -51,20 +71,23 @@ type planHops struct {
 // NewReplayer builds the per-channel pipelines for a system decomposed
 // across shape.
 func NewReplayer(shape topo.Shape, box float64, cfg serdes.CompressConfig) *Replayer {
-	return &Replayer{
-		shape:  shape,
-		decomp: md.NewDecomposition(shape, box),
-		cfg:    cfg,
-		comps:  make([]*serdes.Compressor, shape.Nodes()*chip.NumChannelSpecs),
+	r := &Replayer{
+		shape: shape,
+		cfg:   cfg,
+		comps: make([]*serdes.Compressor, shape.Nodes()*chip.NumChannelSpecs),
 	}
+	for s := range r.lanes {
+		r.lanes[s] = lane{slice: int32(s), decomp: md.NewDecomposition(shape, box)}
+	}
+	return r
 }
 
-func (r *Replayer) comp(i int32) *serdes.Compressor {
+func (r *Replayer) comp(l *lane, i int32) *serdes.Compressor {
 	c := r.comps[i]
 	if c == nil {
 		c = serdes.NewCompressor(r.cfg)
 		r.comps[i] = c
-		r.live++
+		l.live++
 	}
 	return c
 }
@@ -95,9 +118,45 @@ func (r *Replayer) planHops(pl *md.Plan, home topo.Coord, plusOnTie bool) planHo
 // stream-set position exports along each atom's multicast tree, stream-set
 // force returns from every remote node that computed with the atom, and
 // the end-of-step packet on every live channel.
+//
+// Every compressor receives its packets in one order, whichever goroutine
+// sends them: its lane's atoms ascending, then the end-of-step packet.
+// When GOMAXPROCS is above 1, lane 1 runs on a helper goroutine while the
+// caller runs lane 0, and ReplayStep blocks until the helper is done, so
+// a caller that finishes first gives up its core rather than spinning;
+// otherwise the caller runs both lanes in turn.
 func (r *Replayer) ReplayStep(s *md.System) {
-	d := r.decomp
-	for i := 0; i < s.N; i++ {
+	if runtime.GOMAXPROCS(0) == 1 {
+		for i := range r.lanes {
+			r.replayLane(&r.lanes[i], s)
+		}
+		return
+	}
+	if r.help == nil {
+		r.help = r.replayHelper
+	}
+	r.sys = s
+	r.done.Add(1)
+	go r.help()
+	r.replayLane(&r.lanes[0], s)
+	r.done.Wait()
+	r.sys = nil
+}
+
+func (r *Replayer) replayHelper() {
+	r.replayLane(&r.lanes[1], r.sys)
+	r.done.Done()
+}
+
+// replayLane pushes lane l's share of one time step through its slice's
+// channels.
+func (r *Replayer) replayLane(l *lane, s *md.System) {
+	d := l.decomp
+	// pkt is the transmit packet: Compressor.Transmit only reads it (and
+	// hands back the same instance), so one scratch packet on the stack
+	// serves the whole lane instead of one allocation per channel crossing.
+	var pkt packet.Packet
+	for i := int(l.slice); i < s.N; i += chip.Slices {
 		pos := s.Pos[i]
 		home := d.HomeNode(pos)
 		// Stable per-atom direction tie-break (2-wide rings reach the
@@ -105,40 +164,40 @@ func (r *Replayer) ReplayStep(s *md.System) {
 		// same channels every step so the particle caches stay warm.
 		plusOnTie := i&2 != 0
 		pl := d.Plan(pos, home, plusOnTie)
-		if pl.ID == len(r.hops) {
-			// The class's first atom: the replayer's own decomposition
+		if pl.ID == len(l.hops) {
+			// The class's first atom: the lane's own decomposition
 			// numbers plans in first-use order.
-			r.hops = append(r.hops, r.planHops(pl, home, plusOnTie))
+			l.hops = append(l.hops, r.planHops(pl, home, plusOnTie))
 		}
 		if len(pl.Targets) == 0 {
 			continue
 		}
-		h := &r.hops[pl.ID]
-		slice := int32(i & 1)
+		h := &l.hops[pl.ID]
 
 		// Position export: once per multicast tree edge.
-		r.pkt = packet.Packet{Type: packet.Position, AtomID: uint32(i)}
-		r.pkt.SetQuad(d.RelativeFixed(pos, home).Words())
+		pkt = packet.Packet{Type: packet.Position, AtomID: uint32(i)}
+		pkt.SetQuad(d.RelativeFixed(pos, home).Words())
 		for _, c := range h.pos {
-			r.comp(c + slice).Transmit(&r.pkt)
+			r.comp(l, c+l.slice).Transmit(&pkt)
 		}
 
 		// Stream-set force returns: each target computed a partial force
 		// for this atom and sends it back point-to-point (XYZ route).
 		// Payload magnitude is the atom's force — the right scale for
 		// compression purposes even though each remote holds a partial.
-		r.pkt = packet.Packet{Type: packet.Force, AtomID: uint32(i)}
-		r.pkt.SetQuad(fixp.ForceToFixed(s.Force[i]).Words())
+		pkt = packet.Packet{Type: packet.Force, AtomID: uint32(i)}
+		pkt.SetQuad(fixp.ForceToFixed(s.Force[i]).Words())
 		for _, c := range h.frc {
-			r.comp(c + slice).Transmit(&r.pkt)
+			r.comp(l, c+l.slice).Transmit(&pkt)
 		}
 	}
 
-	// End-of-step marker down every channel that carried traffic.
-	r.pkt = packet.Packet{Type: packet.EndOfStep}
-	for _, c := range r.comps {
-		if c != nil {
-			c.Transmit(&r.pkt)
+	// End-of-step marker down every channel of the slice that carried
+	// traffic.
+	pkt = packet.Packet{Type: packet.EndOfStep}
+	for i := int(l.slice); i < len(r.comps); i += chip.Slices {
+		if c := r.comps[i]; c != nil {
+			c.Transmit(&pkt)
 		}
 	}
 }
@@ -173,7 +232,13 @@ func (r *Replayer) CacheStats() pcache.Stats {
 }
 
 // Channels reports how many channel slices carried traffic.
-func (r *Replayer) Channels() int { return r.live }
+func (r *Replayer) Channels() int {
+	n := 0
+	for i := range r.lanes {
+		n += r.lanes[i].live
+	}
+	return n
+}
 
 // InSync verifies every channel's cache pair.
 func (r *Replayer) InSync() bool {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"runtime"
 	"testing"
 
 	"anton3/internal/md"
@@ -170,6 +171,33 @@ func TestReplayStepAllocFree(t *testing.T) {
 	}
 }
 
+// TestReplayStepTwoCoreAllocFree pins warm replays at zero heap
+// allocations with the helper goroutine starting in each, as
+// TestComputeForcesTwoCoreAllocFree in internal/md does for the force
+// pass. testing.AllocsPerRun runs at GOMAXPROCS 1, where the caller
+// replays both lanes and no helper starts, so this test sets GOMAXPROCS
+// to 2 and counts every malloc in the process over 20 replays
+// (testutil.LeastMallocs), passing when any of five windows reads exactly
+// 0. Each replay starts a goroutine and parks the caller until it is
+// done, which moves free goroutines and wait records between the Ps, so
+// the test fills the runtime's caches of both first
+// (testutil.FillGoroutineCaches) and then warms up with 200 replays.
+func TestReplayStepTwoCoreAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := md.NewWater(3000, 300, sim.NewRand(13))
+	r := NewReplayer(shape8, s.Box, serdes.CompressConfig{INZ: true, Pcache: true})
+	testutil.FillGoroutineCaches()
+	for i := 0; i < 200; i++ {
+		r.ReplayStep(s)
+	}
+	if least := testutil.LeastMallocs(5, 20, func() { r.ReplayStep(s) }); least != 0 {
+		t.Fatalf("20 warm replays at GOMAXPROCS 2 allocate at least %d times in each of 5 windows, want 0", least)
+	}
+}
+
 func TestDeltaArithmetic(t *testing.T) {
 	a := serdes.Stats{Packets: 10, WireBits: 100, BaselineBits: 200}
 	b := serdes.Stats{Packets: 4, WireBits: 40, BaselineBits: 80}
@@ -194,8 +222,19 @@ func replayDigest(h io.Writer, r *Replayer) {
 // carry traffic, and each one's packet, bit and particle cache counts
 // after every measured step, for INZ alone and INZ+pcache fed one 2000-atom
 // trajectory on the 8-node machine. A packet sent to another channel, or
-// in another order along one, moves a digest.
+// in another order along one, moves a digest. It runs at GOMAXPROCS 1, 2
+// and 4, so with both lanes on the caller and with lane 1 on the helper
+// goroutine; under -race the detector checks the hand-off.
 func TestReplayStepGolden(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			replayGolden(t)
+		})
+	}
+}
+
+func replayGolden(t *testing.T) {
 	s := md.NewWater(2000, 300, sim.NewRand(21))
 	cfgs := []serdes.CompressConfig{{INZ: true}, {INZ: true, Pcache: true}}
 	want := []string{
