@@ -19,8 +19,10 @@ test:
 # result cache's disk-entry decoder, plus the
 # netsweep, saturate, faultsweep, MD timestep and mdsweep CLI
 # smokes (each diffs sharded vs sequential output — shard-count invariance
-# end to end; the faultsweep smoke pins a dead-link cell with rerouting
-# live, the mdsweep smoke fences inside closed-loop MD steps), the fig9a
+# end to end; each sequential side passes -shards 1, because the default
+# -shards 0 grants shards from idle cores; the faultsweep smoke pins a
+# dead-link cell with rerouting live, the mdsweep smoke fences inside
+# closed-loop MD steps), the fig9a
 # and fig9b smokes (their per-size sub-jobs and reducers at -jobs 1 vs
 # -jobs 2),
 # the cache smoke (cold, warm and warm-sharded -cache runs byte-identical
@@ -36,19 +38,19 @@ test-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCanon$$' -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGrid$$' -fuzztime 10s ./cmd/anton3
 	$(GO) test -run '^$$' -fuzz '^FuzzGetEntry$$' -fuzztime 10s ./internal/resultstore
-	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q > /tmp/anton3-ns-seq.txt
+	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -shards 1 > /tmp/anton3-ns-seq.txt
 	$(GO) run ./cmd/anton3 netsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -shards 2 > /tmp/anton3-ns-sh2.txt
 	diff /tmp/anton3-ns-seq.txt /tmp/anton3-ns-sh2.txt
-	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q > /tmp/anton3-sat-seq.txt
+	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -shards 1 > /tmp/anton3-sat-seq.txt
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -shards 2 > /tmp/anton3-sat-sh2.txt
 	diff /tmp/anton3-sat-seq.txt /tmp/anton3-sat-sh2.txt
-	$(GO) run ./cmd/anton3 faultsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -faults "0,0,0:x+:dead" -q > /tmp/anton3-fault-seq.txt
+	$(GO) run ./cmd/anton3 faultsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -faults "0,0,0:x+:dead" -q -shards 1 > /tmp/anton3-fault-seq.txt
 	$(GO) run ./cmd/anton3 faultsweep -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -faults "0,0,0:x+:dead" -q -shards 2 > /tmp/anton3-fault-sh2.txt
 	diff /tmp/anton3-fault-seq.txt /tmp/anton3-fault-sh2.txt
-	$(GO) run ./cmd/anton3 fig12 -atoms 3000 -steps 2 -q > /tmp/anton3-md-seq.txt
+	$(GO) run ./cmd/anton3 fig12 -atoms 3000 -steps 2 -q -shards 1 > /tmp/anton3-md-seq.txt
 	$(GO) run ./cmd/anton3 fig12 -atoms 3000 -steps 2 -q -shards 2 > /tmp/anton3-md-sh2.txt
 	diff /tmp/anton3-md-seq.txt /tmp/anton3-md-sh2.txt
-	$(GO) run ./cmd/anton3 mdsweep -mdatoms 2000 -mdsteps 1 -q > /tmp/anton3-mds-seq.txt
+	$(GO) run ./cmd/anton3 mdsweep -mdatoms 2000 -mdsteps 1 -q -shards 1 > /tmp/anton3-mds-seq.txt
 	$(GO) run ./cmd/anton3 mdsweep -mdatoms 2000 -mdsteps 1 -q -shards 2 > /tmp/anton3-mds-sh2.txt
 	diff /tmp/anton3-mds-seq.txt /tmp/anton3-mds-sh2.txt
 	$(GO) run ./cmd/anton3 fig9a -warm 0 -measure 1 -q -jobs 1 > /tmp/anton3-f9a-j1.txt
@@ -65,7 +67,7 @@ test-short:
 	diff /tmp/anton3-sat-seq.txt /tmp/anton3-sat-warm.txt && \
 	diff /tmp/anton3-sat-seq.txt /tmp/anton3-sat-warm2.txt && \
 	python3 -c "import json; c=json.load(open('/tmp/anton3-sat-cold.json'))['cache']; w=json.load(open('/tmp/anton3-sat-warm.json'))['cache']; assert c['misses']>0 and c['hits']==0, c; assert w['hits']>0 and w['misses']==0, w; print('cache smoke: cold', c, '-> warm', w)"
-	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -metrics > /tmp/anton3-sat-met.txt
+	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -metrics -shards 1 > /tmp/anton3-sat-met.txt
 	grep -v '^telemetry' /tmp/anton3-sat-met.txt | diff - /tmp/anton3-sat-seq.txt
 	grep -q '^telemetry ' /tmp/anton3-sat-met.txt
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -metrics -shards 2 > /tmp/anton3-sat-met2.txt

@@ -51,8 +51,8 @@ func run(args []string) int {
 	}
 	cmd := args[0]
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	jobs := fs.Int("jobs", 0, "worker count for independent experiments (0 = all cores)")
-	shards := fs.Int("shards", 1, "kernel shards per netsweep machine (parallel simulation of one machine)")
+	jobs := fs.Int("jobs", 0, "worker count and core budget for independent experiments (0 = all cores, divided by -shards above 1)")
+	shards := fs.Int("shards", 0, "kernel shards per sweep-cell and timestep machine (0 = granted from idle cores)")
 	jsonPath := fs.String("json", "", "write the runner report (timings, rows) to this file")
 	quiet := fs.Bool("q", false, "suppress the runner summary on stderr")
 	pairs := fs.Int("pairs", 6, "sampled GC pairs per hop count (fig5)")
@@ -70,7 +70,6 @@ func run(args []string) int {
 	faultseed := fs.Uint64("faultseed", 1, "seed for the drawn faultsweep severity grid")
 	vcq := fs.Int("vcq", 0, "saturate per-VC ingress queue depth in flits (0 = bandwidth-delay default)")
 	injq := fs.Int("injq", 0, "saturate per-source injection window in packets (0 = default)")
-	autoshard := fs.Bool("autoshard", false, "grant spare cores to netsweep/saturate cells as kernel shards at dispatch")
 	metrics := fs.Bool("metrics", false, "arm the telemetry layer on sweep cells: counters + latency/park histograms, 'telemetry' lines appended to each cell")
 	traceEvents := fs.String("trace-events", "", "write a Chrome trace-event JSON of sweep-cell packet lifecycles to this file (implies uncached cells)")
 	cache := cacheMode("off")
@@ -93,7 +92,7 @@ func run(args []string) int {
 		v, min int
 	}{
 		{"jobs", *jobs, 0},
-		{"shards", *shards, 1},
+		{"shards", *shards, 0},
 		{"pairs", *pairs, 1},
 		{"steps", *steps, 1},
 		{"measure", *measure, 1},
@@ -149,16 +148,10 @@ func run(args []string) int {
 		}()
 	}
 
-	// Worker budgeting: a sharded netsweep machine runs shards goroutines
-	// at once, so the default worker count shrinks to keep jobs x shards
-	// within the core budget; explicit -jobs is respected with a warning.
-	maxprocs := runtime.GOMAXPROCS(0)
-	if *jobs == 0 && *shards > 1 {
-		if *jobs = maxprocs / *shards; *jobs < 1 {
-			*jobs = 1
-		}
-	}
-	if *jobs**shards > maxprocs {
+	// A sharded machine runs shards goroutines at once: the default worker
+	// count (runner.Run) keeps jobs x shards within the cores, and an
+	// explicit -jobs is respected with a warning.
+	if maxprocs := runtime.GOMAXPROCS(0); *jobs**shards > maxprocs {
 		fmt.Fprintf(os.Stderr, "anton3: warning: jobs(%d) x shards(%d) exceeds GOMAXPROCS(%d); workers will contend\n",
 			*jobs, *shards, maxprocs)
 	}
@@ -196,7 +189,6 @@ func run(args []string) int {
 
 	p := experiments.DefaultParams()
 	p.Cache = store
-	p.Shards = *shards
 	p.Fig5Pairs = *pairs
 	p.Fig12Atoms = *atoms
 	p.Fig9bSteps = *steps
@@ -271,9 +263,7 @@ func run(args []string) int {
 	// order a sequential run would print them. Hidden results are the
 	// sharded sub-jobs a reducer folds into one figure; their rows only
 	// appear in the JSON report.
-	// Auto-sharding only composes with the worker budget when cells are
-	// not already explicitly sharded via -shards.
-	opts := runner.Options{AutoShard: *autoshard && *shards <= 1, Cache: store}
+	opts := runner.Options{Shards: *shards, Cache: store}
 	rep, err := runner.Run(selected, *jobs, opts, func(res runner.Result) {
 		if !res.Hidden {
 			fmt.Println(res.Text)
@@ -416,15 +406,17 @@ subcommands:
              byte-stable across PRs)
 
 flags (after the subcommand):
-  -jobs N    worker count; independent experiments run in parallel (0 = all cores)
-  -shards N  kernel shards per machine for netsweep/saturate cells and the
-             MD timestep jobs (fig9b, fig12, mdsweep): one simulated machine
-             runs across N cores via conservative-lookahead parallel
-             simulation, byte-identical to -shards 1; default jobs = cores/N
-  -autoshard when a shardable job (netsweep/saturate cell, fig9b, fig12,
-             mdsweep cell) starts while the core budget exceeds the runnable
-             jobs, run it sharded across the spare cores (byte-identical
-             output; running cells never re-shard)
+  -jobs N    worker count and the run's core budget: independent experiments
+             run in parallel, and kernel shards and the MD force and traffic
+             replay helpers use only cores of the budget that no running
+             job holds, so -jobs 1 runs on one core (0 = all cores, divided
+             by -shards above 1)
+  -shards N  kernel shards per machine for netsweep/saturate/faultsweep cells
+             and the MD timestep jobs (fig9b, fig12, mdsweep): one simulated
+             machine runs across N cores via conservative-lookahead parallel
+             simulation, byte-identical to -shards 1; the default 0 runs a
+             job on 2 or 4 shards when it starts while the budget has cores
+             beyond the jobs waiting to run (running jobs never re-shard)
   -cache     memoize sweep results (netsweep/saturate/mdsweep cells and
              every closed-loop knee probe) in a content-addressed store
              keyed by (experiment, full config, seed, schema version):

@@ -17,6 +17,8 @@ var badInputs = []struct {
 	args []string
 }{
 	{"-jobs", []string{"netsweep", "-jobs", "-1", "-shards", "2"}}, // read as all cores, skipping the jobs x shards budget
+	{"-shards", []string{"netsweep", "-shards", "-1"}},             // below 0, which grants shards from idle cores
+	{"-autoshard", []string{"netsweep", "-autoshard"}},             // removed: -shards 0 grants shards
 	{"-npkts", []string{"netsweep", "-npkts", "0"}},
 	{"-nwarm", []string{"netsweep", "-nwarm", "-1"}},
 	{"-shapes", []string{"netsweep", "-shapes", "1x1x1"}},

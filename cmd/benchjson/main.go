@@ -16,10 +16,11 @@
 // committed baseline report, and the run fails (exit 1, after still
 // writing the fresh JSON) if any baseline bench whose name contains one of
 // the comma-separated -gate-bench substrings got slower than
-// ns_per_op x -gate-factor. CI runs the hot-path lane through this so a
-// SendHotPath, Netsweep or KernelSteadyState regression >10% cannot land
-// with a green build, and the parallel lane gates NetsweepShards the same
-// way:
+// ns_per_op x -gate-factor; a fresh bench they select that the baseline
+// lacks is named on stderr as not gated. CI runs the hot-path lane
+// through this so a SendHotPath, Netsweep or KernelSteadyState regression
+// >10% cannot land with a green build, and the parallel lane gates
+// NetsweepShards the same way:
 //
 //	... | go run ./cmd/benchjson -gate BENCH_hotpath.json -gate-bench SendHotPath,Netsweep,KernelSteadyState > new.json
 package main
@@ -162,8 +163,9 @@ func median(runs []Bench) Bench {
 // ns_per_op. bench is a comma-separated substring list: a baseline bench is
 // gated when its name contains any of them. A gated baseline bench missing
 // from the fresh run fails too (a rename must not silently disarm the
-// gate); a baseline file that does not exist yet passes, so the gate
-// bootstraps on a fresh clone.
+// gate); a fresh bench the selection matches but the baseline lacks is
+// named on stderr as not gated, and passes; a baseline file that does not
+// exist yet passes, so the gate bootstraps on a fresh clone.
 func gate(fresh Report, file, bench string, factor float64) bool {
 	var subs []string
 	for _, s := range strings.Split(bench, ",") {
@@ -190,7 +192,9 @@ func gate(fresh Report, file, bench string, factor float64) bool {
 		cur[b.Name] = b.NsPerOp
 	}
 	ok := true
+	inBase := make(map[string]bool, len(base.Benches))
 	for _, b := range base.Benches {
+		inBase[b.Name] = true
 		if !gated(b.Name, subs) || b.NsPerOp <= 0 {
 			continue
 		}
@@ -207,6 +211,11 @@ func gate(fresh Report, file, bench string, factor float64) bool {
 		} else {
 			fmt.Fprintf(os.Stderr, "benchjson: gate: %s ok: %.1f ns/op vs committed %.1f (limit %.1f)\n",
 				b.Name, got, b.NsPerOp, limit)
+		}
+	}
+	for _, b := range fresh.Benches {
+		if gated(b.Name, subs) && !inBase[b.Name] {
+			fmt.Fprintf(os.Stderr, "benchjson: gate: %s has no baseline row, not gated\n", b.Name)
 		}
 	}
 	return ok

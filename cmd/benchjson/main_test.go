@@ -91,3 +91,37 @@ func TestGateComparesMedian(t *testing.T) {
 		t.Fatal("gate passed a median of 1120 ns/op against a 1100 limit")
 	}
 }
+
+// TestGateNamesRowsWithoutBaseline checks that a fresh row the gate
+// selects but the baseline lacks is named on stderr as not gated, that a
+// row the selection skips is not, and that neither changes the verdict.
+func TestGateNamesRowsWithoutBaseline(t *testing.T) {
+	base := writeBaseline(t, 1000)
+	fresh := mustParse(t, header+
+		"BenchmarkForces32k-2 \t 40\t 1000 ns/op\n"+
+		"BenchmarkStep4k-2 \t 40\t 9999 ns/op\n"+
+		"BenchmarkOther-2 \t 40\t 9999 ns/op\n")
+	stderr := os.Stderr
+	defer func() { os.Stderr = stderr }()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = f
+	ok := gate(fresh, base, "Forces32k,Step4k", 1.10)
+	os.Stderr = stderr
+	f.Close()
+	msg, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Errorf("gate failed a run whose only baseline row is within the limit:\n%s", msg)
+	}
+	if want := "benchjson: gate: Step4k has no baseline row, not gated\n"; !strings.Contains(string(msg), want) {
+		t.Errorf("stderr does not name the row without a baseline:\n%s", msg)
+	}
+	if strings.Contains(string(msg), "Other") {
+		t.Errorf("stderr names a row the selection skips:\n%s", msg)
+	}
+}

@@ -247,8 +247,8 @@ func TestFig5ShardedMatchesDirect(t *testing.T) {
 }
 
 // TestFig9bShardedMatchesDirect runs the fig9b sub-jobs and reducer
-// through the runner, at one and two workers with spare cores granted to
-// the sub-jobs, and holds the figure to the direct Fig9b call.
+// through the runner, at one and two workers with free cores granted to
+// the sub-jobs as shards, and holds the figure to the direct Fig9b call.
 func TestFig9bShardedMatchesDirect(t *testing.T) {
 	p := DefaultParams()
 	p.Fig9bSizes, p.Fig9bSteps = []int{1000, 2000}, 1
@@ -263,7 +263,7 @@ func TestFig9bShardedMatchesDirect(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2} {
-		rep, err := runner.Run(jobs, workers, runner.Options{AutoShard: true}, nil)
+		rep, err := runner.Run(jobs, workers, runner.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,12 +49,6 @@ type Params struct {
 	NetLoads   []float64
 	NetPackets int
 	NetWarmup  int
-	// Shards shards each sweep-cell and timestep-engine machine (netsweep,
-	// saturate, faultsweep, fig9b, fig12, mdsweep) across that many kernels
-	// (conservative-lookahead parallel simulation; see machine.Config.
-	// Shards). Output is byte-identical at every value; 0 or 1 is the
-	// sequential machine.
-	Shards int
 
 	// SatQueueFlits and SatInjDepth configure the closed-loop grids' per-VC
 	// ingress queue depth and per-source injection window; 0 takes the
@@ -212,13 +206,15 @@ func fig9aJobs(p Params) []runner.Job {
 	}, RenderFig9a)
 }
 
-// fig9bJobs shards Figure 9b likewise, each shardable sub-job timing its
-// own pair of machines, with costs splitting the figure's historical 20.
+// fig9bJobs shards Figure 9b likewise, each sub-job timing its own pair
+// of machines on the kernel shards the pool runs it with, with costs
+// splitting the figure's historical 20.
 func fig9bJobs(p Params) []runner.Job {
 	return sizeJobs("fig9b", 4, 20, p.Fig9bSizes, func(job runner.Job, n int) runner.Job {
-		return shardable(job, p.Shards, func(shards int) runner.Output {
-			return runner.Output{Data: fig9bPoint(n, p.Fig9bSteps, shards)}
-		})
+		job.ShardRun = func(shards int) (runner.Output, error) {
+			return runner.Output{Data: fig9bPoint(n, p.Fig9bSteps, shards)}, nil
+		}
+		return job
 	}, RenderFig9b)
 }
 
@@ -293,36 +289,11 @@ type sweepCellCfg struct {
 	// default-depth run and an explicit -vcq 64 run share entries.
 	QueueFlits int
 	InjDepth   int
-}
-
-// faultCellCfg is sweepCellCfg plus a faultsweep cell's severity rows,
-// each canonicalized as "<name>=<plan>", so a different -faultseed
-// (different drawn links) or -faults plan can never collide with a cached
-// cell. The fields stay flat: the key hashes field names, so nesting
-// sweepCellCfg would change every faultsweep key.
-type faultCellCfg struct {
-	Shape      string
-	Pattern    string
-	Policies   []string
-	Loads      []float64
-	Packets    int
-	Warmup     int
-	QueueFlits int
-	InjDepth   int
-	Severities []string
-}
-
-// shardable sets a job's Run and ShardRun from one body parameterized by
-// the kernel shard count. Run uses the configured count; when that count
-// leaves the machine sequential, ShardRun lets the pool run the job across
-// spare cores at dispatch (-autoshard). The simulators guarantee output
-// byte-identical at every shard count, so either path prints the same.
-func shardable(job runner.Job, shards int, run func(shards int) runner.Output) runner.Job {
-	job.Run = func() (runner.Output, error) { return run(shards), nil }
-	if shards <= 1 {
-		job.ShardRun = func(n int) (runner.Output, error) { return run(n), nil }
-	}
-	return job
+	// Severities holds a faultsweep cell's severity rows, each
+	// canonicalized as "<name>=<plan>", so a different -faultseed
+	// (different drawn links) or -faults plan can never collide with a
+	// cached cell. It stays out of the other grids' keys.
+	Severities []string `key:"omitempty"`
 }
 
 // sweepGrid is one shape x pattern grid of sweep cells (netsweep,
@@ -341,12 +312,12 @@ type sweepGrid struct {
 
 // gridJobs registers one job per shape x pattern of a sweep grid. Seeds
 // depend on position only, so the grid decomposes freely across workers,
-// and cells are shardable. Each cell carries a content-addressed cache
-// key (kind "cell/<grid>"), armed when the pool runs with a result store;
-// on a cell miss, closed-loop cells also memoize every point — swept
-// loads and knee probes — inside flow, so a knee search never
-// re-simulates a probe any invocation has seen. Healthy faultsweep points
-// share those entries with saturate's.
+// and each cell runs on the kernel shards the pool gives it. Each cell
+// carries a content-addressed cache key (kind "cell/<grid>"), armed when
+// the pool runs with a result store; on a cell miss, closed-loop cells
+// also memoize every point — swept loads and knee probes — inside flow,
+// so a knee search never re-simulates a probe any invocation has seen.
+// Healthy faultsweep points share those entries with saturate's.
 func gridJobs(p Params, g sweepGrid) []runner.Job {
 	var qf, injd int
 	if g.closed {
@@ -386,11 +357,7 @@ func gridJobs(p Params, g sweepGrid) []runner.Job {
 				Warmup:     p.NetWarmup,
 				QueueFlits: qf,
 				InjDepth:   injd,
-			}
-			var key any = cfg
-			if g.faults {
-				key = faultCellCfg{cfg.Shape, cfg.Pattern, cfg.Policies, cfg.Loads, cfg.Packets, cfg.Warmup,
-					cfg.QueueFlits, cfg.InjDepth, canons}
+				Severities: canons,
 			}
 			spec := flow.Spec{
 				Spec: synth.Spec{Shape: shape, Policies: g.policies, Pattern: pat, Loads: p.NetLoads,
@@ -399,24 +366,24 @@ func gridJobs(p Params, g sweepGrid) []runner.Job {
 				InjDepth:   injd,
 				Cache:      cache,
 			}
-			job := runner.Job{
+			jobs = append(jobs, runner.Job{
 				Name:     name,
 				Seed:     seed,
 				Cost:     g.cost * float64(shape.Nodes()) / 16,
-				CacheKey: cellKey(p, "cell/"+g.name, seed, key),
-			}
-			jobs = append(jobs, shardable(job, p.Shards, func(shards int) runner.Output {
-				s := spec
-				s.Shards = shards
-				if p.Trace != nil {
-					s.Trace = trace.NewRecorder()
-				}
-				out := g.run(s, sevs)
-				if s.Trace != nil {
-					p.Trace.Add(name, s.Trace)
-				}
-				return out
-			}))
+				CacheKey: cellKey(p, "cell/"+g.name, seed, cfg),
+				ShardRun: func(shards int) (runner.Output, error) {
+					s := spec
+					s.Shards = shards
+					if p.Trace != nil {
+						s.Trace = trace.NewRecorder()
+					}
+					out := g.run(s, sevs)
+					if s.Trace != nil {
+						p.Trace.Add(name, s.Trace)
+					}
+					return out, nil
+				},
+			})
 		}
 	}
 	return jobs
@@ -432,7 +399,7 @@ func mdsweepJobs(p Params) []runner.Job {
 	for pi, pol := range route.SaturatePolicies() {
 		pol := pol
 		seed := uint64(9500 + pi)
-		job := runner.Job{
+		jobs = append(jobs, runner.Job{
 			Name: "mdsweep/" + pol.Name(),
 			Seed: seed,
 			// Each cell runs len(MDQueueDepths) full timestep pipelines
@@ -444,11 +411,11 @@ func mdsweepJobs(p Params) []runner.Job {
 				Steps  int
 				Depths []int
 			}{pol.Name(), p.MDAtoms, p.MDSteps, MDQueueDepths}),
-		}
-		jobs = append(jobs, shardable(job, p.Shards, func(shards int) runner.Output {
-			pts := MDSweepPolicy(pol, p.MDAtoms, p.MDSteps, shards)
-			return runner.Output{Text: RenderMDSweep(p.MDAtoms, p.MDSteps, pts), Data: pts}
-		}))
+			ShardRun: func(shards int) (runner.Output, error) {
+				pts := MDSweepPolicy(pol, p.MDAtoms, p.MDSteps, shards)
+				return runner.Output{Text: RenderMDSweep(p.MDAtoms, p.MDSteps, pts), Data: pts}, nil
+			},
+		})
 	}
 	return jobs
 }
@@ -496,10 +463,11 @@ func Jobs(p Params) []runner.Job {
 	jobs = append(jobs, fig9bJobs(p)...)
 	jobs = append(jobs, fig11Jobs()...)
 	jobs = append(jobs,
-		shardable(runner.Job{Name: "fig12", Seed: 6, Cost: 15}, p.Shards, func(shards int) runner.Output {
-			r := Fig12(p.Fig12Atoms, p.Fig12Steps, shards)
-			return runner.Output{Text: r.Render(), Data: r}
-		}),
+		runner.Job{Name: "fig12", Seed: 6, Cost: 15,
+			ShardRun: func(shards int) (runner.Output, error) {
+				r := Fig12(p.Fig12Atoms, p.Fig12Steps, shards)
+				return runner.Output{Text: r.Render(), Data: r}, nil
+			}},
 		runner.Job{Name: "ablation-predictor-order", Seed: 7, Cost: 2,
 			Run: func() (runner.Output, error) {
 				rows := AblationPredictorOrder(p.AblPredictorAtoms, 3, 3)

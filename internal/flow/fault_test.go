@@ -131,20 +131,29 @@ func TestFaultSaturatePointAllocFree(t *testing.T) {
 	}
 }
 
-// TestHealthyKeyUnchangedByFaultSupport pins the healthy cache key from
+// TestHealthyKeyUnchangedByFaultSupport pins the point cache keys from
 // inside the flow package: a healthy harness must mint the exact key it
 // minted before fault support existed (the same golden constant
 // resultstore's own TestKeyGoldenStability pins), so every cached healthy
-// point survives this feature.
+// point survives this feature, and a faulted harness the key it has
+// minted since, so every cached faulted point survives too.
 func TestHealthyKeyUnchangedByFaultSupport(t *testing.T) {
-	const golden = "flow/point/2ce2d2a0e36d701bc1b44f82e5c614425bc72a2188f0e40ffc42c484e12365b2"
-	h := NewHarness(topo.Shape{X: 4, Y: 4, Z: 8}, route.XYZ(), 1, 0, 0)
-	cfg := h.keyCfg
-	cfg.Pattern = "bitcomp"
-	cfg.Load = 1.5
-	cfg.Packets, cfg.Warmup = 96, 32
-	if got := h.pointKey(21, cfg).String(); got != golden {
-		t.Fatalf("healthy point key drifted:\n got %s\nwant %s", got, golden)
+	for _, c := range []struct{ plan, golden string }{
+		{"", "flow/point/2ce2d2a0e36d701bc1b44f82e5c614425bc72a2188f0e40ffc42c484e12365b2"},
+		{"0,0,0:z+:dead", "flow/point/0b9e0d10f39f5bfd873e63451b5dd2bd192093c465a6970c2eebe0dd932f7a70"},
+	} {
+		var plan *fault.Plan
+		if c.plan != "" {
+			plan = mustPlan(t, c.plan)
+		}
+		h := NewFaultHarness(topo.Shape{X: 4, Y: 4, Z: 8}, route.XYZ(), 1, 0, 0, plan)
+		cfg := h.keyCfg
+		cfg.Pattern = "bitcomp"
+		cfg.Load = 1.5
+		cfg.Packets, cfg.Warmup = 96, 32
+		if got := h.pointKey(21, cfg).String(); got != c.golden {
+			t.Errorf("point key of plan %q drifted:\n got %s\nwant %s", c.plan, got, c.golden)
+		}
 	}
 }
 

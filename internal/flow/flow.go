@@ -95,12 +95,6 @@ type Harness struct {
 
 	// keyCfg carries the harness-constant part of the cache key.
 	keyCfg pointKeyCfg
-
-	// faultCanon is the canonical fault-plan string of a fault harness
-	// (empty on healthy ones). When set, cache keys switch to the
-	// fault-carrying key config so faulted results can never collide with
-	// healthy ones — and healthy harnesses keep their PR 8 keys untouched.
-	faultCanon string
 }
 
 // telPoint is the cache record of a metrics-enabled point: the Point
@@ -112,7 +106,11 @@ type telPoint struct {
 }
 
 // pointKeyCfg is the full configuration a closed-loop point depends on
-// besides its seed; it becomes the canonical cache-key config.
+// besides its seed; it becomes the canonical cache-key config. Faults is
+// the canonical fault plan of a fault harness, so any one-link or
+// one-trip-time difference in a plan produces a distinct key; it stays
+// out of the hash while empty, so healthy points keep the keys they had
+// before faults existed.
 type pointKeyCfg struct {
 	Shape      string
 	Policy     string
@@ -122,24 +120,7 @@ type pointKeyCfg struct {
 	Load       float64
 	Packets    int
 	Warmup     int
-}
-
-// faultPointKeyCfg is pointKeyCfg plus the canonical fault plan. It is a
-// separate struct — used only when a plan is active — so healthy points
-// hash exactly the field set they always did (resultstore hashes field
-// names and values, not the struct type), keeping every pre-fault cache
-// key byte-identical, while any one-link or one-trip-time difference in a
-// plan lands in Faults and produces a distinct key.
-type faultPointKeyCfg struct {
-	Shape      string
-	Policy     string
-	Pattern    string
-	QueueFlits int
-	InjDepth   int
-	Load       float64
-	Packets    int
-	Warmup     int
-	Faults     string
+	Faults     string `key:"omitempty"`
 }
 
 // NewHarness builds the closed-loop measurement machine: compression off
@@ -177,7 +158,7 @@ func NewFaultHarness(shape topo.Shape, policy route.Policy, shards, queueFlits, 
 	}
 	if !plan.Empty() {
 		mcfg.Faults = plan
-		h.faultCanon = plan.Canon()
+		h.keyCfg.Faults = plan.Canon()
 	}
 	h.Harness = synth.NewHarnessOn(mcfg, injDepth)
 	return h
@@ -232,9 +213,7 @@ func (h *Harness) RunPoint(pat synth.Pattern, load float64, packets, warmup int,
 	return pt
 }
 
-// pointKey builds the cache key for one fully specified point: the plain
-// pointKeyCfg on a healthy harness (byte-identical to every key minted
-// before fault injection existed), the fault-carrying config otherwise.
+// pointKey builds the cache key for one fully specified point.
 func (h *Harness) pointKey(seed uint64, cfg pointKeyCfg) resultstore.Key {
 	kind := "flow/point"
 	if h.Machine().Telemetry() != nil {
@@ -242,20 +221,7 @@ func (h *Harness) pointKey(seed uint64, cfg pointKeyCfg) resultstore.Key {
 		// Point; a distinct kind keeps the two namespaces disjoint.
 		kind = "flow/point+tel"
 	}
-	if h.faultCanon == "" {
-		return resultstore.KeyFor(kind, seed, cfg)
-	}
-	return resultstore.KeyFor(kind, seed, faultPointKeyCfg{
-		Shape:      cfg.Shape,
-		Policy:     cfg.Policy,
-		Pattern:    cfg.Pattern,
-		QueueFlits: cfg.QueueFlits,
-		InjDepth:   cfg.InjDepth,
-		Load:       cfg.Load,
-		Packets:    cfg.Packets,
-		Warmup:     cfg.Warmup,
-		Faults:     h.faultCanon,
-	})
+	return resultstore.KeyFor(kind, seed, cfg)
 }
 
 // runPoint is the simulation body of RunPoint (cache misses land here):

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"anton3/internal/cores"
 	"anton3/internal/fixp"
 )
 
@@ -16,11 +17,13 @@ import (
 // From three cells per side up, the cell pairs are cut into chunks of
 // chunkPairs consecutive entries, and the caller walks the chunks in
 // order. It evaluates and accumulates every chunk the helper did not
-// claim in one pass. When GOMAXPROCS allows, one helper goroutine,
-// started here and joined before returning, claims chunks ahead of the
-// caller and evaluates them into records (see forceRing and help); the
-// caller accumulates each such chunk at its turn with the same operations
-// (see replay). Pairs and float additions thus come in one fixed order,
+// claim in one pass. When the process's core budget has a core free (see
+// package cores: outside runner.Run, whenever GOMAXPROCS is above 1), a
+// helper goroutine on a cores.Lane, started here and joined before
+// returning by a blocking wait, claims chunks ahead of the caller and
+// evaluates them into records (see forceRing and help); the caller
+// accumulates each such chunk at its turn with the same operations (see
+// replay). Pairs and float additions thus come in one fixed order,
 // whoever evaluated which chunk. The MinImage path runs on the caller
 // alone.
 func (s *System) ComputeForces() {
@@ -46,10 +49,7 @@ func (s *System) ComputeForces() {
 	chunks := int32((len(c.pairs) + chunkPairs - 1) / chunkPairs)
 	r.decided.Store(0)
 	r.helped = 0
-	helper := chunks > 1 && runtime.GOMAXPROCS(0) > 1
-	if helper {
-		r.start(s, chunks, last, rc2, shift)
-	}
+	helper := chunks > 1 && r.start(s, chunks, last, rc2, shift)
 	for k := int32(0); k < chunks; k++ {
 		p, end := int(k)*chunkPairs, min(int(k+1)*chunkPairs, len(c.pairs))
 		if ch := &r.slots[k%ringChunks]; !r.decided.CompareAndSwap(k, k+1) && ch.claim.Load() == k+1 {
@@ -66,9 +66,7 @@ func (s *System) ComputeForces() {
 		r.accumulated.Store(k + 1)
 	}
 	if helper {
-		for !r.exited.Load() {
-			runtime.Gosched()
-		}
+		r.lane.Wait()
 	}
 }
 
@@ -289,11 +287,11 @@ type forceRing struct {
 	_       [60]byte // keep the two goroutines' counters on separate lines
 	// accumulated counts the chunks the caller has finished.
 	accumulated atomic.Int32
-	exited      atomic.Bool
-	_           [59]byte
+	_           [60]byte
 	// help is the helper's loop, bound to its System once, so that
-	// starting it allocates nothing.
+	// starting it allocates nothing; lane runs it on a free core.
 	help       func()
+	lane       cores.Lane
 	chunks     int32
 	rc2, shift float64
 	// scratch is the helper's pairScratch; the caller uses cellList's.
@@ -329,17 +327,17 @@ type forceChunk struct {
 
 type forceRow struct{ i, n, p int32 }
 
-// start readies the ring for one evaluation and starts the helper. Each
-// slot holds the records of a chunk's rows, of which there are at most
-// chunkPairs times the largest cell, and twice the last evaluation's mean
-// pair count per chunk in hits; warm evaluations reuse them.
-func (r *forceRing) start(s *System, chunks int32, lastPairs int, rc2, shift float64) {
+// start readies the ring for one evaluation and starts the helper if a
+// core is free, reporting whether it did. Each slot holds the records of
+// a chunk's rows, of which there are at most chunkPairs times the largest
+// cell, and twice the last evaluation's mean pair count per chunk in
+// hits; warm evaluations reuse them.
+func (r *forceRing) start(s *System, chunks int32, lastPairs int, rc2, shift float64) bool {
 	if r.help == nil {
 		r.help = s.help
 	}
 	r.chunks, r.rc2, r.shift = chunks, rc2, shift
 	r.accumulated.Store(0)
-	r.exited.Store(false)
 	rows, hits := chunkPairs*len(s.cells.scratch.hits), 2*lastPairs/int(chunks)+64
 	for i := range r.slots {
 		ch := &r.slots[i]
@@ -353,7 +351,7 @@ func (r *forceRing) start(s *System, chunks int32, lastPairs int, rc2, shift flo
 			ch.j, ch.fmag, ch.e = make([]int32, n), make([]float64, n), make([]float64, n)
 		}
 	}
-	go r.help()
+	return r.lane.Start(r.help)
 }
 
 // help is the helper goroutine's loop. Whenever the far end of the window
@@ -386,7 +384,6 @@ func (s *System) help() {
 		ch.pairs = p - int(k)*chunkPairs
 		ch.done.Store(k + 1)
 	}
-	r.exited.Store(true)
 }
 
 // replay accumulates the records of a chunk the helper evaluated, in

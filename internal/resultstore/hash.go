@@ -47,7 +47,9 @@ func (k Key) String() string { return k.kind + "/" + hex.EncodeToString(k.sum[:]
 // order, struct memory layout/padding, or field declaration order. Two
 // configs hash equal iff they carry the same values; channels, funcs and
 // other unhashable kinds panic (a programming error in the caller, not
-// a data condition).
+// a data condition). A struct field tagged `key:"omitempty"` is left
+// out while it holds its zero value, so adding such a field to a config
+// keeps every key minted before it existed.
 //
 // The config must capture EVERYTHING the result depends on besides the
 // seed and SchemaVersion. Deliberately excluded by convention: shard and
@@ -161,7 +163,8 @@ func hashValue(h hash.Hash, v reflect.Value) {
 		}
 	case reflect.Struct:
 		// Exported fields by sorted name: declaration order, padding and
-		// unexported scratch fields never leak into the hash.
+		// unexported scratch fields never leak into the hash, and neither
+		// does a zero field tagged omitempty.
 		t := v.Type()
 		type field struct {
 			name string
@@ -169,7 +172,8 @@ func hashValue(h hash.Hash, v reflect.Value) {
 		}
 		fields := make([]field, 0, t.NumField())
 		for i := 0; i < t.NumField(); i++ {
-			if f := t.Field(i); f.IsExported() {
+			f := t.Field(i)
+			if f.IsExported() && !(f.Tag.Get("key") == "omitempty" && v.Field(i).IsZero()) {
 				fields = append(fields, field{f.Name, i})
 			}
 		}

@@ -97,6 +97,33 @@ func TestKeyStructLayoutIndependent(t *testing.T) {
 	}
 }
 
+// TestKeyOmitEmptyTag checks that a field tagged key:"omitempty" hashes
+// as if absent while zero, and as if declared untagged otherwise, so such
+// a field can join a config without moving the keys minted before it.
+func TestKeyOmitEmptyTag(t *testing.T) {
+	type plain struct{ A int }
+	type tagged struct {
+		A int
+		B string   `key:"omitempty"`
+		C []string `key:"omitempty"`
+	}
+	type untagged struct {
+		A int
+		B string
+		C []string
+	}
+	if KeyFor("t", 0, tagged{A: 7}) != KeyFor("t", 0, plain{A: 7}) {
+		t.Error("zero omitempty fields changed the key")
+	}
+	set := tagged{A: 7, B: "x", C: []string{"y"}}
+	if KeyFor("t", 0, set) != KeyFor("t", 0, untagged(set)) {
+		t.Error("set omitempty fields hashed differently from untagged ones")
+	}
+	if KeyFor("t", 0, tagged{A: 7, B: "x"}) == KeyFor("t", 0, plain{A: 7}) {
+		t.Error("a set omitempty field left the key unchanged")
+	}
+}
+
 func TestKeyUnhashablePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"anton3/internal/cores"
 	"anton3/internal/resultstore"
 )
 
@@ -52,8 +53,8 @@ type Job struct {
 	// Text is excluded from RenderAll and caller display — the shape of a
 	// sub-job whose rows a Reduce job folds into one figure.
 	Hidden bool
-	// Run executes the experiment. Exactly one of Run and Reduce must be
-	// set.
+	// Run executes the experiment. Exactly one of Run, ShardRun and
+	// Reduce must be set.
 	Run func() (Output, error)
 	// Needs lists jobs whose Results this job consumes; the pool holds
 	// the job back until all of them have completed, then calls Reduce
@@ -67,35 +68,33 @@ type Job struct {
 	// without calling Run (or ShardRun), and a computed Output is stored
 	// back on success. The key must capture the job's entire
 	// configuration and seed (resultstore.KeyFor); the job must be a
-	// pure function of them. Only Run jobs may carry a key — a cached
-	// Data field round-trips through JSON as generic values
+	// pure function of them. Only Run and ShardRun jobs may carry a key
+	// — a cached Data field round-trips through JSON as generic values
 	// (maps/slices), so jobs whose Results a Reduce consumes with type
 	// assertions must not be memoized, and resolveDeps rejects both a
 	// keyed Reduce job and a keyed dependency.
 	CacheKey resultstore.Key
-	// ShardRun, when set alongside Run, lets the pool run the job with
-	// extra kernel shards when workers would otherwise idle (see
-	// Options.AutoShard): the pool calls ShardRun(n) instead of Run
-	// for some n in {2, 4} it budgeted from the spare workers. The job
-	// must produce output byte-identical to Run at any shard count — the
-	// guarantee the sharded simulation harnesses already carry — so the
-	// promotion changes wall time only, never a digit of output.
+	// ShardRun executes an experiment whose simulated machines run
+	// across kernel shards: the pool calls it with the shard count
+	// Options.Shards sets or grants. The job must produce byte-identical
+	// output at any shard count — the guarantee the sharded simulation
+	// harnesses already carry — so the count changes wall time only,
+	// never a digit of output.
 	ShardRun func(shards int) (Output, error)
 }
 
-// Options tunes pool scheduling; the zero value is the historical
-// behavior.
+// Options tunes pool scheduling; the zero value grants shards from free
+// cores and caches nothing.
 type Options struct {
-	// AutoShard grants spare cores to shardable jobs at dispatch time:
-	// whenever a job is handed to a worker while the core budget exceeds
-	// the jobs available to run (a grid smaller than the machine, or the
-	// trailing dispatches of a draining queue), it runs through ShardRun
-	// with the spare capacity instead of on one core. Already-running
-	// jobs are never re-sharded — the decision is made once, when the job
-	// starts — so a long pole only benefits when the supply shortfall is
-	// visible at its dispatch. Jobs without ShardRun are unaffected, and
-	// output is byte-identical either way.
-	AutoShard bool
+	// Shards is the kernel shard count of every ShardRun job when
+	// positive. At 0, a ShardRun job gets its shards from the run's free
+	// cores when it is handed to a worker: the free cores beyond its own
+	// and one for each job still waiting for a worker (a grid smaller
+	// than the budget, or the tail of a draining queue) make it run on 2
+	// or 4 shards, and otherwise on 1. A running job is never re-sharded,
+	// so a long pole gains only when the shortfall shows at its dispatch.
+	// Output is byte-identical either way.
+	Shards int
 	// Cache arms Job.CacheKey memoization: jobs with a valid key consult
 	// the store before running and record their Output after. nil (the
 	// zero value) disables caching entirely — keys are ignored and every
@@ -125,12 +124,13 @@ type Result struct {
 // Speedup is CPUNs/WallNs where process CPU accounting is available
 // (unix): the mean number of cores the run kept busy, which honestly
 // reports ~1x on a single-core machine. It is not the wall-clock speedup
-// over a sequential run, because CPU seconds are not sequential work: a
-// job may start goroutines of its own, such as the helpers of
-// md.ComputeForces and traffic.Replayer.ReplayStep, whose work (and the
-// force helper's yield loops) counts too, so even one worker can read
-// above 1x. Compare wall times for a speedup; cmd/anton3 labels the
-// ratio CPU/wall.
+// over a sequential run, because CPU seconds are not sequential work: the
+// kernel shards a job is granted and the helper lanes of
+// md.ComputeForces and traffic.Replayer.ReplayStep count too, and so do
+// the force helper's yield loops. Both draw on cores of the run's budget
+// that no job holds (see Run), so one worker reads at or below about 1x
+// unless Options.Shards pins more shards. Compare wall times for a
+// speedup; cmd/anton3 labels the ratio CPU/wall.
 // SerialNs — the sum of per-job wall times — is the fallback divisor
 // elsewhere; it inflates under core oversubscription.
 type Report struct {
@@ -149,9 +149,19 @@ type Report struct {
 
 // Run executes jobs on a pool of workers goroutines, scheduled per opts,
 // and returns the aggregated report. workers <= 0 means
-// runtime.GOMAXPROCS(0). The first job error is returned (the report still
-// carries every result, including the failed job's Err); a panicking job
-// propagates its panic.
+// runtime.GOMAXPROCS(0), divided by opts.Shards when that is above 1. The
+// first job error is returned (the report still carries every result,
+// including the failed job's Err); a panicking job propagates its panic.
+//
+// The worker count, as requested and before it is clamped to the job
+// count, is the run's core budget in package cores. While the pool runs,
+// Run holds the GOMAXPROCS - workers cores outside the budget and lends
+// its own goroutine's core, which only waits, to the workers; each
+// running job holds the cores it was granted, one per kernel shard. A
+// helper lane inside a job (md.ComputeForces, traffic.Replayer.ReplayStep)
+// thus starts only on a core of the budget no job holds, and shard grants
+// come from the same free cores: at one worker, each job runs on one
+// core.
 //
 // emit (if non-nil) is called on the caller's goroutine with each Result in
 // submission order, as soon as that result and all earlier ones have
@@ -160,12 +170,11 @@ type Report struct {
 // the whole pool to drain.
 func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, error) {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = max(1, runtime.GOMAXPROCS(0)/max(1, opts.Shards))
 	}
-	// capacity is the caller's core budget; the goroutine count below is
-	// clamped to the job count, but auto-shard promotion spends the full
-	// budget (a lone job on a 4-core budget runs 4-sharded).
-	capacity := workers
+	outside := runtime.GOMAXPROCS(0) - workers - 1
+	cores.Hold(outside)
+	defer cores.Hold(-outside)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
@@ -208,7 +217,7 @@ func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, erro
 	cpu0 := processCPUNs()
 	type work struct{ idx, shards int }
 	next := make(chan work, len(jobs)) // buffered: the coordinator never blocks
-	done := make(chan int, len(jobs))  // buffered: workers never block here
+	done := make(chan work, len(jobs)) // buffered: workers never block here
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -241,7 +250,7 @@ func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, erro
 						inputs[i] = rep.Results[d]
 					}
 					out, err = job.Reduce(inputs)
-				case wk.shards > 1:
+				case job.ShardRun != nil:
 					out, err = job.ShardRun(wk.shards)
 				default:
 					out, err = job.Run()
@@ -257,43 +266,36 @@ func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, erro
 					res.Data = out.Data
 				}
 				rep.Results[idx] = res
-				done <- idx
+				done <- wk
 			}
 		}()
 	}
 	// Ready jobs wait in a cost-sorted pending queue and are released to
 	// the worker channel only up to the goroutine count: holding the rest
-	// back lets every dispatch see the pool's true state, so auto-shard
-	// promotion is evaluated at each job's start rather than once at
-	// startup.
+	// back lets every dispatch see the pool's true state, so shard grants
+	// are decided at each job's start rather than once at startup. A
+	// dispatched job holds its cores until the coordinator receives its
+	// completion, so later grants count shards, not jobs.
 	dispatched, closed, inFlight := 0, false, 0
-	// Core accounting for auto-shard promotion: a promoted job holds
-	// `shards` cores until it completes, not one, so the spare-capacity
-	// check counts cores in flight (busyCores), never just jobs. Without
-	// this, back-to-back promotions each see the previous promoted job as
-	// one core and a 3-job queue on an 8-core budget dispatches 12 shard
-	// goroutines.
-	busyCores := 0
-	coresOf := make([]int, len(jobs))
 	var pendingQ []int
 	fill := func() {
 		for len(pendingQ) > 0 && inFlight < workers {
-			idx := pendingQ[0]
+			w := work{idx: pendingQ[0], shards: 1}
 			pendingQ = pendingQ[1:]
-			w := work{idx: idx, shards: 1}
-			// Spare capacity after this job and everything still pending
-			// gets a core goes to this job as extra kernel shards. The
-			// promotion spends idle cores, never contends for busy ones.
-			if opts.AutoShard && jobs[idx].ShardRun != nil {
-				if spare := capacity - busyCores - 1 - len(pendingQ); spare >= 3 {
+			if jobs[w.idx].ShardRun != nil {
+				// Free cores beyond this job's own and one for each job
+				// still pending become this job's extra shards.
+				switch spare := cores.Free() - 1 - len(pendingQ); {
+				case opts.Shards > 0:
+					w.shards = opts.Shards
+				case spare >= 3:
 					w.shards = 4
-				} else if spare >= 1 {
+				case spare >= 1:
 					w.shards = 2
 				}
 			}
+			cores.Hold(w.shards)
 			inFlight++
-			busyCores += w.shards
-			coresOf[idx] = w.shards
 			next <- w
 			dispatched++
 		}
@@ -313,9 +315,10 @@ func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, erro
 	completed := make([]bool, len(jobs))
 	emitted := 0
 	for range jobs {
-		idx := <-done
+		wk := <-done
+		idx := wk.idx
 		inFlight--
-		busyCores -= coresOf[idx]
+		cores.Hold(-wk.shards)
 		completed[idx] = true
 		var unblocked []int
 		for _, d := range dependents[idx] {
@@ -373,9 +376,10 @@ type cachedOutput struct {
 
 // resolveDeps validates names and Needs references and returns, per job,
 // the indices it depends on and the indices depending on it. Unknown
-// names, duplicate names, mis-set Run/Reduce, cache keys where a cached
-// (generic-JSON) Data could leak into a Reduce's type assertions, and
-// dependency cycles are errors — caught before any worker starts.
+// names, duplicate names, mis-set Run/ShardRun/Reduce, cache keys where
+// a cached (generic-JSON) Data could leak into a Reduce's type
+// assertions, and dependency cycles are errors — caught before any
+// worker starts.
 func resolveDeps(jobs []Job) (deps, dependents [][]int, err error) {
 	idxByName := make(map[string]int, len(jobs))
 	for i, j := range jobs {
@@ -387,23 +391,23 @@ func resolveDeps(jobs []Job) (deps, dependents [][]int, err error) {
 	deps = make([][]int, len(jobs))
 	dependents = make([][]int, len(jobs))
 	for i, j := range jobs {
-		if len(j.Needs) == 0 {
-			if j.Run == nil {
-				return nil, nil, fmt.Errorf("runner: job %q has no Run function", j.Name)
+		set := 0
+		for _, f := range [...]bool{j.Run != nil, j.ShardRun != nil, j.Reduce != nil} {
+			if f {
+				set++
 			}
-			if j.Reduce != nil {
-				return nil, nil, fmt.Errorf("runner: job %q sets Reduce without Needs", j.Name)
-			}
-			continue
 		}
-		if j.ShardRun != nil {
-			return nil, nil, fmt.Errorf("runner: job %q sets ShardRun on a Reduce job", j.Name)
+		if set != 1 {
+			return nil, nil, fmt.Errorf("runner: job %q must set exactly one of Run, ShardRun and Reduce", j.Name)
+		}
+		if (j.Reduce != nil) != (len(j.Needs) > 0) {
+			return nil, nil, fmt.Errorf("runner: job %q must set Needs exactly when it sets Reduce", j.Name)
+		}
+		if j.Reduce == nil {
+			continue
 		}
 		if j.CacheKey.Valid() {
 			return nil, nil, fmt.Errorf("runner: job %q sets CacheKey on a Reduce job", j.Name)
-		}
-		if j.Reduce == nil || j.Run != nil {
-			return nil, nil, fmt.Errorf("runner: job %q has Needs and must set Reduce (and not Run)", j.Name)
 		}
 		for _, name := range j.Needs {
 			d, ok := idxByName[name]

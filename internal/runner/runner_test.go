@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"anton3/internal/cores"
 	"anton3/internal/sim"
 )
 
@@ -252,7 +254,9 @@ func TestDependencyValidation(t *testing.T) {
 		{"unknown need", []Job{{Name: "a", Needs: []string{"ghost"}, Reduce: red}}},
 		{"duplicate name", []Job{{Name: "a", Run: run}, {Name: "a", Run: run}}},
 		{"needs without reduce", []Job{{Name: "a", Run: run}, {Name: "b", Needs: []string{"a"}, Run: run}}},
-		{"reduce without needs", []Job{{Name: "a", Run: run, Reduce: red}}},
+		{"reduce without needs", []Job{{Name: "a", Reduce: red}}},
+		{"run and reduce", []Job{{Name: "a", Run: run}, {Name: "b", Needs: []string{"a"}, Run: run, Reduce: red}}},
+		{"run and shardrun", []Job{{Name: "a", Run: run, ShardRun: func(int) (Output, error) { return Output{}, nil }}}},
 		{"no run", []Job{{Name: "a"}}},
 		{"self cycle via pair", []Job{
 			{Name: "a", Needs: []string{"b"}, Reduce: red},
@@ -288,34 +292,25 @@ func TestReduceSeesDependencyError(t *testing.T) {
 	}
 }
 
-// TestAutoShardPromotesLongPole checks the idle-worker budgeting: with
-// spare workers, the most expensive ready shardable job runs through
-// ShardRun with the spare capacity; without Options.AutoShard, ShardRun is
-// never used.
+// TestAutoShardPromotesLongPole checks the shard grants: with free cores
+// in the budget, the most expensive ready ShardRun job gets them as extra
+// shards, and a positive Options.Shards pins every ShardRun job to it.
 func TestAutoShardPromotesLongPole(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	var mu sync.Mutex
 	granted := map[string]int{}
-	mk := func(name string, cost float64, shardable bool) Job {
-		j := Job{Name: name, Cost: cost, Run: func() (Output, error) {
+	mk := func(name string, cost float64) Job {
+		return Job{Name: name, Cost: cost, ShardRun: func(shards int) (Output, error) {
 			mu.Lock()
-			granted[name] = 1
+			granted[name] = shards
 			mu.Unlock()
 			return Output{Text: name}, nil
 		}}
-		if shardable {
-			j.ShardRun = func(shards int) (Output, error) {
-				mu.Lock()
-				granted[name] = shards
-				mu.Unlock()
-				return Output{Text: name}, nil
-			}
-		}
-		return j
 	}
 
 	// One shardable long pole, four workers, nothing else ready: the pole
 	// should get all the spare capacity.
-	rep, err := Run([]Job{mk("pole", 10, true)}, 4, Options{AutoShard: true}, nil)
+	rep, err := Run([]Job{mk("pole", 10)}, 4, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,8 +323,8 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 
 	// Enough ready jobs to occupy every worker: no spare, no promotion.
 	granted = map[string]int{}
-	jobs := []Job{mk("a", 4, true), mk("b", 3, true), mk("c", 2, true), mk("d", 1, true)}
-	if _, err := Run(jobs, 4, Options{AutoShard: true}, nil); err != nil {
+	jobs := []Job{mk("a", 4), mk("b", 3), mk("c", 2), mk("d", 1)}
+	if _, err := Run(jobs, 4, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for name, g := range granted {
@@ -341,20 +336,20 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 	// Two shardable jobs on four workers: the spare pair of cores splits,
 	// one extra shard budget to each (2 + 2 = the core budget).
 	granted = map[string]int{}
-	if _, err := Run([]Job{mk("a", 2, true), mk("b", 1, true)}, 4, Options{AutoShard: true}, nil); err != nil {
+	if _, err := Run([]Job{mk("a", 2), mk("b", 1)}, 4, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if granted["a"] != 2 || granted["b"] != 2 {
 		t.Fatalf("2 jobs on 4 workers granted a=%d b=%d shards, want 2 and 2", granted["a"], granted["b"])
 	}
 
-	// AutoShard off: ShardRun untouched even with idle workers.
+	// Options.Shards 1 pins one shard, even with idle workers.
 	granted = map[string]int{}
-	if _, err := Run([]Job{mk("pole", 10, true)}, 4, Options{}, nil); err != nil {
+	if _, err := Run([]Job{mk("pole", 10)}, 4, Options{Shards: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if granted["pole"] != 1 {
-		t.Fatalf("ShardRun used without AutoShard (granted %d)", granted["pole"])
+		t.Fatalf("Options.Shards 1 granted %d shards", granted["pole"])
 	}
 
 	// Promotion accounts cores, not jobs: three shardable jobs on an
@@ -362,8 +357,8 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 	// sum to at most the budget (the first promotion holds 4 cores, so
 	// later dispatches see less spare — not 4+4+4=12 goroutines).
 	granted = map[string]int{}
-	jobs = []Job{mk("a", 3, true), mk("b", 2, true), mk("c", 1, true)}
-	if _, err := Run(jobs, 8, Options{AutoShard: true}, nil); err != nil {
+	jobs = []Job{mk("a", 3), mk("b", 2), mk("c", 1)}
+	if _, err := Run(jobs, 8, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if total := granted["a"] + granted["b"] + granted["c"]; total > 8 {
@@ -372,5 +367,100 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 	}
 	if granted["a"] != 4 {
 		t.Fatalf("most expensive job granted %d shards, want 4", granted["a"])
+	}
+}
+
+// barrier holds each of n jobs until all n have arrived.
+type barrier struct{ in, out sync.WaitGroup }
+
+func newBarrier(n int) *barrier {
+	b := &barrier{}
+	b.in.Add(n)
+	b.out.Add(n)
+	return b
+}
+
+// laneJob is a ShardRun job that records its shard grant and whether a
+// cores.Lane started inside it. With a barrier b, it tries the Lane once
+// every job of b is running, and returns once every job has tried.
+func laneJob(name string, b *barrier, shards *atomic.Int32, laned *atomic.Bool) Job {
+	return Job{Name: name, ShardRun: func(n int) (Output, error) {
+		shards.Store(int32(n))
+		if b != nil {
+			b.in.Done()
+			b.in.Wait()
+			defer b.out.Wait()
+			defer b.out.Done()
+		}
+		var l cores.Lane
+		if l.Start(func() {}) {
+			l.Wait()
+			laned.Store(true)
+		}
+		return Output{Text: name}, nil
+	}}
+}
+
+// TestBudgetLeavesNoCoreToLanes checks that the running jobs hold the
+// run's whole budget: at GOMAXPROCS 2 with two workers, once both jobs
+// are in flight, a Lane in either must not start; and with one worker,
+// even on four cores, a job neither gets extra shards nor starts a Lane.
+func TestBudgetLeavesNoCoreToLanes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	b := newBarrier(2)
+	var shards atomic.Int32
+	var laned atomic.Bool
+	jobs := []Job{laneJob("a", b, &shards, &laned), laneJob("b", b, &shards, &laned)}
+	if _, err := Run(jobs, 2, Options{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if laned.Load() {
+		t.Error("a Lane started while two jobs held both cores of a 2-worker run")
+	}
+
+	runtime.GOMAXPROCS(4)
+	jobs = []Job{laneJob("a", nil, &shards, &laned), laneJob("b", nil, &shards, &laned)}
+	for i := range jobs {
+		if _, err := Run(jobs[i:i+1], 1, Options{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if laned.Load() || shards.Load() != 1 {
+			t.Fatalf("one worker on 4 cores: job %s ran on %d shards and started a Lane %v, want 1 and false",
+				jobs[i].Name, shards.Load(), laned.Load())
+		}
+	}
+	// Outside Run nothing is held, so the same Lane starts.
+	var l cores.Lane
+	if !l.Start(func() {}) {
+		t.Fatal("a Lane did not start on 4 cores outside Run")
+	}
+	l.Wait()
+}
+
+// TestRunReturnsItsCores checks that Run frees every core it held, after
+// a clean run, a promoted one, one whose job fails, and one rejected
+// before any worker starts.
+func TestRunReturnsItsCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	free := cores.Free()
+	failing := noisyJobs(3)
+	failing[1].Run = func() (Output, error) { return Output{}, errors.New("boom") }
+	runs := []struct {
+		name    string
+		jobs    []Job
+		workers int
+		opts    Options
+	}{
+		{"clean", noisyJobs(5), 2, Options{}},
+		{"promoted", []Job{{Name: "pole", ShardRun: func(int) (Output, error) { return Output{}, nil }}}, 4, Options{}},
+		{"pinned", []Job{{Name: "pole", ShardRun: func(int) (Output, error) { return Output{}, nil }}}, 0, Options{Shards: 2}},
+		{"failing job", failing, 8, Options{}},
+		{"invalid jobs", []Job{{Name: "a"}}, 2, Options{}},
+	}
+	for _, r := range runs {
+		Run(r.jobs, r.workers, r.opts, nil)
+		if got := cores.Free(); got != free {
+			t.Errorf("%s run: cores.Free() = %d after Run, want %d as before", r.name, got, free)
+		}
 	}
 }

@@ -10,10 +10,8 @@
 package traffic
 
 import (
-	"runtime"
-	"sync"
-
 	"anton3/internal/chip"
+	"anton3/internal/cores"
 	"anton3/internal/fixp"
 	"anton3/internal/md"
 	"anton3/internal/packet"
@@ -30,20 +28,22 @@ import (
 //
 // An atom rides one slice of every channel it crosses. Each slice's
 // compressors are fed by a replay lane of their own, with one
-// md.Decomposition per lane (see lane), so when GOMAXPROCS allows,
-// ReplayStep replays lane 1 on a helper goroutine. ReplayStep is not safe
-// for concurrent calls on one Replayer.
+// md.Decomposition per lane (see lane), so when the process's core budget
+// has a core free (see package cores: outside runner.Run, whenever
+// GOMAXPROCS is above 1), ReplayStep replays lane 1 on a helper goroutine
+// of a cores.Lane. ReplayStep is not safe for concurrent calls on one
+// Replayer.
 type Replayer struct {
 	shape topo.Shape
 	cfg   serdes.CompressConfig
 	comps []*serdes.Compressor // [node*chip.NumChannelSpecs + spec.Index()]
 	lanes [chip.Slices]lane
 
-	// help is the helper goroutine's body, bound once so that starting it
-	// allocates nothing; it replays lane 1 of sys and marks done.
-	help func()
-	sys  *md.System
-	done sync.WaitGroup
+	// help is the helper's body, bound once so that starting it allocates
+	// nothing; it replays lane 1 of sys.
+	help   func()
+	sys    *md.System
+	helper cores.Lane
 }
 
 // lane replays the atoms of one channel slice: atom i rides slice
@@ -121,32 +121,26 @@ func (r *Replayer) planHops(pl *md.Plan, home topo.Coord, plusOnTie bool) planHo
 //
 // Every compressor receives its packets in one order, whichever goroutine
 // sends them: its lane's atoms ascending, then the end-of-step packet.
-// When GOMAXPROCS is above 1, lane 1 runs on a helper goroutine while the
-// caller runs lane 0, and ReplayStep blocks until the helper is done, so
-// a caller that finishes first gives up its core rather than spinning;
-// otherwise the caller runs both lanes in turn.
+// When a core is free, lane 1 runs on the helper while the caller runs
+// lane 0, and ReplayStep blocks until the helper is done, so a caller that
+// finishes first gives up its core rather than spinning; otherwise the
+// caller runs both lanes in turn.
 func (r *Replayer) ReplayStep(s *md.System) {
-	if runtime.GOMAXPROCS(0) == 1 {
-		for i := range r.lanes {
-			r.replayLane(&r.lanes[i], s)
-		}
-		return
-	}
 	if r.help == nil {
 		r.help = r.replayHelper
 	}
 	r.sys = s
-	r.done.Add(1)
-	go r.help()
+	helped := r.helper.Start(r.help)
 	r.replayLane(&r.lanes[0], s)
-	r.done.Wait()
+	if helped {
+		r.helper.Wait()
+	} else {
+		r.replayLane(&r.lanes[1], s)
+	}
 	r.sys = nil
 }
 
-func (r *Replayer) replayHelper() {
-	r.replayLane(&r.lanes[1], r.sys)
-	r.done.Done()
-}
+func (r *Replayer) replayHelper() { r.replayLane(&r.lanes[1], r.sys) }
 
 // replayLane pushes lane l's share of one time step through its slice's
 // channels.
