@@ -1,5 +1,6 @@
-# Mirrors .github/workflows/ci.yml so contributors run the exact CI
-# commands locally. `make ci` is the whole pipeline.
+# The CI lanes in .github/workflows/ci.yml run these targets: the fast
+# lane `make lint build test-short`, the bench lane `make bench`. `make
+# ci` is the whole pipeline.
 
 GO ?= go
 
@@ -23,13 +24,16 @@ test:
 # -shards 0 grants shards from idle cores; the faultsweep smoke pins a
 # dead-link cell with rerouting live, the mdsweep smoke fences inside
 # closed-loop MD steps), the fig9a
-# and fig9b smokes (their per-size sub-jobs and reducers at -jobs 1 vs
+# and fig9b smokes (each figure job and its per-size parts at -jobs 1 vs
 # -jobs 2),
 # the cache smoke (cold, warm and warm-sharded -cache runs byte-identical
 # to uncached, warm run executing zero probes), and the telemetry smoke
 # (-metrics output minus its 'telemetry' lines byte-identical to the
 # plain run and to itself at -shards 2; -trace-events emits a valid
-# Chrome trace-event document).
+# Chrome trace-event document with slices and track metadata). The race
+# detector checks the MD force and traffic replay helper hand-offs on any
+# host: TestForcesMatchReference and TestReplayStepGolden set GOMAXPROCS 2
+# and 4 themselves.
 test-short:
 	$(GO) test -short -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
@@ -73,7 +77,7 @@ test-short:
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -metrics -shards 2 > /tmp/anton3-sat-met2.txt
 	diff /tmp/anton3-sat-met.txt /tmp/anton3-sat-met2.txt
 	$(GO) run ./cmd/anton3 saturate -shapes 2x2x2 -loads 0.5,2 -npkts 8 -nwarm 2 -q -trace-events /tmp/anton3-trace.json > /dev/null
-	python3 -c "import json; ev=json.load(open('/tmp/anton3-trace.json'))['traceEvents']; assert any(e['ph']=='X' for e in ev), 'no slices'; print('trace smoke:', len(ev), 'events')"
+	python3 -c "import json; ev=json.load(open('/tmp/anton3-trace.json'))['traceEvents']; assert any(e['ph']=='X' for e in ev), 'no slices'; assert any(e['ph']=='M' for e in ev), 'no track metadata'; print('trace smoke:', len(ev), 'events')"
 
 # The allocation gate: testing.AllocsPerRun regression tests pinning the
 # warm sim kernel (scheduling, Run and windowed RunUntil), the

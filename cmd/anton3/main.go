@@ -148,12 +148,14 @@ func run(args []string) int {
 		}()
 	}
 
-	// A sharded machine runs shards goroutines at once: the default worker
-	// count (runner.Run) keeps jobs x shards within the cores, and an
-	// explicit -jobs is respected with a warning.
-	if maxprocs := runtime.GOMAXPROCS(0); *jobs**shards > maxprocs {
-		fmt.Fprintf(os.Stderr, "anton3: warning: jobs(%d) x shards(%d) exceeds GOMAXPROCS(%d); workers will contend\n",
-			*jobs, *shards, maxprocs)
+	// A sharded machine runs shards goroutines at once. The default -jobs
+	// keeps workers x shards within the cores unless -shards alone
+	// exceeds them, and then still runs one worker, so the check counts
+	// max(jobs, 1) workers; an explicit over-budget -jobs runs too, with
+	// the same warning.
+	if workers, maxprocs := max(*jobs, 1), runtime.GOMAXPROCS(0); workers**shards > maxprocs {
+		fmt.Fprintf(os.Stderr, "anton3: warning: workers(%d) x shards(%d) exceeds GOMAXPROCS(%d); workers will contend\n",
+			workers, *shards, maxprocs)
 	}
 
 	// Trace export reruns every traced cell uncached (a cache hit would
@@ -261,8 +263,8 @@ func run(args []string) int {
 	// Stream each result as soon as it and its predecessors finish:
 	// long runs show figures incrementally, in the same byte-identical
 	// order a sequential run would print them. Hidden results are the
-	// sharded sub-jobs a reducer folds into one figure; their rows only
-	// appear in the JSON report.
+	// parts a job assembles into one figure; their rows only appear in
+	// the JSON report.
 	opts := runner.Options{Shards: *shards, Cache: store}
 	rep, err := runner.Run(selected, *jobs, opts, func(res runner.Result) {
 		if !res.Hidden {

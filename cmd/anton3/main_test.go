@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -43,40 +44,86 @@ var badInputs = []struct {
 	{"-faults", []string{"faultsweep", "-faults", "0,0,0:x+:dead@18446744073710us"}},
 }
 
+// runCaptured runs run(args) with stdout and stderr redirected to files,
+// and returns the exit code and what run wrote to each; a panic fails the
+// test and returns code -1.
+func runCaptured(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	name := strings.Join(args, " ")
+	files := [2]*os.File{}
+	for i := range files {
+		f, err := os.Create(filepath.Join(t.TempDir(), "out"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = f
+	}
+	saved := [2]*os.File{os.Stdout, os.Stderr}
+	os.Stdout, os.Stderr = files[0], files[1]
+	code = func() (code int) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s: panicked: %v", name, r)
+				code = -1
+			}
+		}()
+		return run(args)
+	}()
+	os.Stdout, os.Stderr = saved[0], saved[1]
+	var out [2]string
+	for i, f := range files {
+		f.Close()
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(b)
+	}
+	return code, out[0], out[1]
+}
+
 // TestBadInputExitsTwo feeds run each out-of-range flag value and checks
 // that it is rejected before any job is built: exit code 2 and a message
 // on stderr naming the flag, never a panic from inside a harness or the MD
 // model.
 func TestBadInputExitsTwo(t *testing.T) {
-	stderr := os.Stderr
-	defer func() { os.Stderr = stderr }()
 	for _, c := range badInputs {
 		name := strings.Join(c.args, " ")
-		f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stderr = f
-		code := func() (code int) {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Errorf("%s: panicked: %v", name, r)
-					code = -1
-				}
-			}()
-			return run(c.args)
-		}()
-		os.Stderr = stderr
-		f.Close()
-		msg, err := os.ReadFile(f.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
+		code, _, msg := runCaptured(t, c.args...)
 		if code != 2 {
 			t.Errorf("%s: exit code %d, want 2", name, code)
 		}
-		if !strings.Contains(string(msg), c.flag) {
+		if !strings.Contains(msg, c.flag) {
 			t.Errorf("%s: message %q does not name %s", name, msg, c.flag)
+		}
+	}
+}
+
+// TestPartNameIsNotASelector checks that the name of a part, which runs
+// only inside its figure's job, selects nothing: usage and exit 2, with
+// nothing on stdout.
+func TestPartNameIsNotASelector(t *testing.T) {
+	for _, part := range []string{"fig5/h3", "fig9a/8000"} {
+		code, stdout, stderr := runCaptured(t, part)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "subcommands:") {
+			t.Errorf("%s: exit code %d, stdout %q, stderr %q; want 2, nothing and usage", part, code, stdout, stderr)
+		}
+	}
+}
+
+// TestOversubscriptionWarning checks the jobs x shards warning at the
+// default -jobs: on two cores, -shards 4 oversubscribes the one worker
+// the runner then starts, and -shards 2 fits.
+func TestOversubscriptionWarning(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, c := range []struct {
+		shards string
+		warns  bool
+	}{{"4", true}, {"2", false}} {
+		code, _, stderr := runCaptured(t, "fig6", "-shards", c.shards, "-q")
+		if code != 0 || strings.Contains(stderr, "warning") != c.warns {
+			t.Errorf("fig6 -shards %s at GOMAXPROCS 2: exit code %d, stderr %q; want 0 and a warning %v",
+				c.shards, code, stderr, c.warns)
 		}
 	}
 }

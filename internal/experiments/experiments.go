@@ -81,7 +81,7 @@ func fig5SamplePairs(rng *sim.Rand, pairsPerHop int) [][]fig5Pair {
 }
 
 // fig5MeasureHop ping-pongs every sampled pair of one hop count, each on a
-// private machine — the unit of work one runner sub-job performs.
+// private machine — the work of one part of the fig5 job.
 func fig5MeasureHop(pairs []fig5Pair) []float64 {
 	lats := make([]float64, 0, len(pairs))
 	for _, pr := range pairs {
@@ -386,7 +386,7 @@ func Fig11() Fig11Result {
 }
 
 // fig11MeasureHop runs one hop count's barrier on a private machine — the
-// unit of work one runner sub-job performs.
+// work of one part of the fig11 job.
 func fig11MeasureHop(h int) float64 {
 	m := machine.New(machine.DefaultConfig(Shape128))
 	return m.Barrier(h).Latency.Nanoseconds()

@@ -178,30 +178,28 @@ func TestJobsRegistryShardsAndNetsweep(t *testing.T) {
 	for _, j := range jobs {
 		names[j.Name] = true
 	}
-	// Fig5/Fig11 hop sweeps are sharded per hop count plus a reducer.
-	for h := 0; h <= Shape128.Diameter(); h++ {
-		for _, fig := range []string{"fig5", "fig11"} {
-			if !names[fmt.Sprintf("%s/h%d", fig, h)] {
-				t.Fatalf("missing shard %s/h%d", fig, h)
+	// Fig5/Fig11 hop sweeps are split into one part per hop count, which
+	// only the figure job selects.
+	for _, fig := range []string{"fig5", "fig11"} {
+		sel := SelectJobs(jobs, fig)
+		if len(sel) != 1 || sel[0].Name != fig || len(sel[0].Parts) != Shape128.Diameter()+1 {
+			t.Fatalf("SelectJobs(%s) = %d jobs, want the figure job with one part per hop count", fig, len(sel))
+		}
+		for h, part := range sel[0].Parts {
+			if want := fmt.Sprintf("%s/h%d", fig, h); part.Name != want {
+				t.Fatalf("%s part %d is %s, want %s", fig, h, part.Name, want)
+			}
+			if SelectJobs(jobs, part.Name) != nil {
+				t.Fatalf("part %s selected by its name", part.Name)
 			}
 		}
-	}
-	if !names["fig5"] || !names["fig11"] {
-		t.Fatal("missing figure reducers")
 	}
 	// Netsweep covers every shape x pattern, including a 512-node shape.
 	if !names["netsweep/8x8x8/tornado"] || !names["netsweep/4x4x8/uniform"] {
 		t.Fatalf("missing netsweep jobs: %v", names)
 	}
 
-	sel := SelectJobs(jobs, "fig5")
-	if len(sel) != Shape128.Diameter()+2 {
-		t.Fatalf("SelectJobs(fig5) = %d jobs, want shards + reducer", len(sel))
-	}
-	if sel[len(sel)-1].Name != "fig5" {
-		t.Fatal("reducer must follow its shards")
-	}
-	sel = SelectJobs(jobs, "netsweep")
+	sel := SelectJobs(jobs, "netsweep")
 	if len(sel) != len(p.NetShapes)*6 {
 		t.Fatalf("SelectJobs(netsweep) = %d jobs, want %d", len(sel), len(p.NetShapes)*6)
 	}
@@ -228,9 +226,9 @@ func TestJobsRegistryShardsAndNetsweep(t *testing.T) {
 	}
 }
 
-// TestFig5ShardedMatchesDirect pins the sharding refactor: running the
-// fig5 sub-jobs + reducer through the runner must reproduce the direct
-// Fig5 call digit for digit, at any worker count.
+// TestFig5ShardedMatchesDirect pins the split: running the fig5 job and
+// its per-hop parts through the runner must reproduce the direct Fig5 call
+// digit for digit, at any worker count.
 func TestFig5ShardedMatchesDirect(t *testing.T) {
 	p := DefaultParams()
 	p.Fig5Pairs = sz(2, 1)
@@ -246,20 +244,20 @@ func TestFig5ShardedMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestFig9bShardedMatchesDirect runs the fig9b sub-jobs and reducer
+// TestFig9bShardedMatchesDirect runs the fig9b job and its per-size parts
 // through the runner, at one and two workers with free cores granted to
-// the sub-jobs as shards, and holds the figure to the direct Fig9b call.
+// the parts as shards, and holds the figure to the direct Fig9b call.
 func TestFig9bShardedMatchesDirect(t *testing.T) {
 	p := DefaultParams()
 	p.Fig9bSizes, p.Fig9bSteps = []int{1000, 2000}, 1
 	want := RenderFig9b(Fig9b(p.Fig9bSizes, p.Fig9bSteps, 1))
 	jobs := SelectJobs(Jobs(p), "fig9b")
-	if len(jobs) != 3 || jobs[2].Name != "fig9b" {
-		t.Fatalf("SelectJobs(fig9b) = %d jobs, want one per size then the reducer", len(jobs))
+	if len(jobs) != 1 || jobs[0].Name != "fig9b" || len(jobs[0].Parts) != 2 {
+		t.Fatalf("SelectJobs(fig9b) = %d jobs, want the figure job with one part per size", len(jobs))
 	}
-	for _, j := range jobs[:2] {
-		if !j.Hidden || j.ShardRun == nil {
-			t.Fatalf("%s: Hidden %v, ShardRun set %v; want a hidden shardable sub-job", j.Name, j.Hidden, j.ShardRun != nil)
+	for _, part := range jobs[0].Parts {
+		if part.ShardRun == nil {
+			t.Fatalf("%s: want a shardable part", part.Name)
 		}
 	}
 	for _, workers := range []int{1, 2} {

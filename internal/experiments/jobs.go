@@ -124,129 +124,103 @@ func DefaultParams() Params {
 	}
 }
 
-// fig5Jobs shards the Figure 5 hop sweep: pair samples are drawn in the
-// historical rng order (lazily, once, on whichever worker needs them
-// first), each hop count measures on its own worker (hidden sub-jobs),
-// and a reducer assembles the figure — so the runner load-balances the
-// sweep with output identical to the sequential run.
-func fig5Jobs(p Params) []runner.Job {
+// fig5Job splits the Figure 5 hop sweep into one part per hop count:
+// pair samples are drawn in the historical rng order (lazily, once, on
+// whichever worker needs them first), each hop count measures on its own
+// worker, and the job assembles the figure — so the runner load-balances
+// the sweep with output identical to the sequential run.
+func fig5Job(p Params) runner.Job {
 	samples := sync.OnceValue(func() [][]fig5Pair {
 		return fig5SamplePairs(sim.NewRand(Fig5Seed), p.Fig5Pairs)
 	})
-	hops := Shape128.Diameter() + 1
-	jobs := make([]runner.Job, 0, hops+1)
-	needs := make([]string, hops)
-	for h := 0; h < hops; h++ {
+	parts := make([]runner.Job, Shape128.Diameter()+1)
+	for h := range parts {
 		h := h
-		name := fmt.Sprintf("fig5/h%d", h)
-		needs[h] = name
-		jobs = append(jobs, runner.Job{
-			Name: name, Seed: Fig5Seed, Cost: 0.4, Hidden: true,
+		parts[h] = runner.Job{Name: fmt.Sprintf("fig5/h%d", h), Seed: Fig5Seed, Cost: 0.4,
 			Run: func() (runner.Output, error) {
 				return runner.Output{Data: fig5MeasureHop(samples()[h])}, nil
-			}})
+			}}
 	}
-	jobs = append(jobs, runner.Job{
-		Name: "fig5", Seed: Fig5Seed, Cost: 0.01, Needs: needs,
-		Reduce: func(in []runner.Result) (runner.Output, error) {
-			perHop := make([][]float64, len(in))
-			for i, res := range in {
-				if res.Err != "" {
-					return runner.Output{}, fmt.Errorf("%s: %s", res.Name, res.Err)
-				}
-				perHop[i] = res.Data.([]float64)
-			}
-			r := fig5Assemble(perHop)
-			return runner.Output{Text: r.Render(), Data: r}, nil
-		}})
-	return jobs
+	return splitJob("fig5", Fig5Seed, parts, func(perHop [][]float64) runner.Output {
+		r := fig5Assemble(perHop)
+		return runner.Output{Text: r.Render(), Data: r}
+	})
 }
 
-// fig11Jobs shards the Figure 11 barrier sweep the same way.
-func fig11Jobs() []runner.Job {
-	hops := Shape128.Diameter() + 1
-	jobs := make([]runner.Job, 0, hops+1)
-	needs := make([]string, hops)
-	for h := 0; h < hops; h++ {
+// fig11Job splits the Figure 11 barrier sweep the same way.
+func fig11Job() runner.Job {
+	parts := make([]runner.Job, Shape128.Diameter()+1)
+	for h := range parts {
 		h := h
-		name := fmt.Sprintf("fig11/h%d", h)
-		needs[h] = name
-		jobs = append(jobs, runner.Job{
-			Name: name, Seed: 5, Cost: 0.12, Hidden: true,
+		parts[h] = runner.Job{Name: fmt.Sprintf("fig11/h%d", h), Seed: 5, Cost: 0.12,
 			Run: func() (runner.Output, error) {
 				return runner.Output{Data: fig11MeasureHop(h)}, nil
-			}})
+			}}
 	}
-	jobs = append(jobs, runner.Job{
-		Name: "fig11", Seed: 5, Cost: 0.01, Needs: needs,
-		Reduce: func(in []runner.Result) (runner.Output, error) {
-			ns := make([]float64, len(in))
-			for i, res := range in {
-				if res.Err != "" {
-					return runner.Output{}, fmt.Errorf("%s: %s", res.Name, res.Err)
-				}
-				ns[i] = res.Data.(float64)
-			}
-			r := fig11Assemble(ns)
-			return runner.Output{Text: r.Render(), Data: r}, nil
-		}})
-	return jobs
+	return splitJob("fig11", 5, parts, func(ns []float64) runner.Output {
+		r := fig11Assemble(ns)
+		return runner.Output{Text: r.Render(), Data: r}
+	})
 }
 
-// fig9aJobs shards the Figure 9a sweep the same way, one hidden sub-job
-// per atom count: each integrates and replays its own trajectory, and the
-// reducer lists the points in size order. Costs split the figure's
-// historical 30 by atom count, the replay and force work's scale.
-func fig9aJobs(p Params) []runner.Job {
-	return sizeJobs("fig9a", 3, 30, p.Fig9aSizes, func(job runner.Job, n int) runner.Job {
-		job.Run = func() (runner.Output, error) {
+// fig9aJob splits the Figure 9a sweep the same way, one part per atom
+// count: each integrates and replays its own trajectory, and the job
+// lists the points in size order. Costs split the figure's historical 30
+// by atom count, the replay and force work's scale.
+func fig9aJob(p Params) runner.Job {
+	parts := sizeParts("fig9a", 3, 30, p.Fig9aSizes)
+	for i, n := range p.Fig9aSizes {
+		n := n
+		parts[i].Run = func() (runner.Output, error) {
 			return runner.Output{Data: fig9aPoint(n, p.Fig9aWarm, p.Fig9aMeasure)}, nil
 		}
-		return job
-	}, RenderFig9a)
+	}
+	return splitJob("fig9a", 3, parts, func(pts []Fig9aPoint) runner.Output {
+		return runner.Output{Text: RenderFig9a(pts), Data: pts}
+	})
 }
 
-// fig9bJobs shards Figure 9b likewise, each sub-job timing its own pair
-// of machines on the kernel shards the pool runs it with, with costs
+// fig9bJob splits Figure 9b likewise, each part timing its own pair of
+// machines on the kernel shards the pool runs it with, with costs
 // splitting the figure's historical 20.
-func fig9bJobs(p Params) []runner.Job {
-	return sizeJobs("fig9b", 4, 20, p.Fig9bSizes, func(job runner.Job, n int) runner.Job {
-		job.ShardRun = func(shards int) (runner.Output, error) {
+func fig9bJob(p Params) runner.Job {
+	parts := sizeParts("fig9b", 4, 20, p.Fig9bSizes)
+	for i, n := range p.Fig9bSizes {
+		n := n
+		parts[i].ShardRun = func(shards int) (runner.Output, error) {
 			return runner.Output{Data: fig9bPoint(n, p.Fig9bSteps, shards)}, nil
 		}
-		return job
-	}, RenderFig9b)
+	}
+	return splitJob("fig9b", 4, parts, func(pts []Fig9bPoint) runner.Output {
+		return runner.Output{Text: RenderFig9b(pts), Data: pts}
+	})
 }
 
-// sizeJobs registers one hidden sub-job per atom count, named fig/<n>,
-// whose cost is the figure's cost split by atom count; withRun sets the
-// sub-job's body, whose Data is one point. A reducer named fig renders
-// the points in size order.
-func sizeJobs[T any](fig string, seed uint64, cost float64, sizes []int, withRun func(job runner.Job, n int) runner.Job, render func([]T) string) []runner.Job {
+// sizeParts names one part per atom count, fig/<n>, whose cost is the
+// figure's cost split by atom count; the caller sets each part's body.
+func sizeParts(fig string, seed uint64, cost float64, sizes []int) []runner.Job {
 	total := 0
 	for _, n := range sizes {
 		total += n
 	}
-	jobs := make([]runner.Job, 0, len(sizes)+1)
-	needs := make([]string, len(sizes))
+	parts := make([]runner.Job, len(sizes))
 	for i, n := range sizes {
-		needs[i] = fmt.Sprintf("%s/%d", fig, n)
-		jobs = append(jobs, withRun(runner.Job{
-			Name: needs[i], Seed: seed, Cost: cost * float64(n) / float64(total), Hidden: true,
-		}, n))
+		parts[i] = runner.Job{Name: fmt.Sprintf("%s/%d", fig, n), Seed: seed, Cost: cost * float64(n) / float64(total)}
 	}
-	return append(jobs, runner.Job{
-		Name: fig, Seed: seed, Cost: 0.01, Needs: needs,
-		Reduce: func(in []runner.Result) (runner.Output, error) {
-			pts := make([]T, len(in))
-			for i, res := range in {
-				if res.Err != "" {
-					return runner.Output{}, fmt.Errorf("%s: %s", res.Name, res.Err)
-				}
-				pts[i] = res.Data.(T)
+	return parts
+}
+
+// splitJob returns the job that runs parts, each of whose Data is one T,
+// and renders the points in Parts order.
+func splitJob[T any](name string, seed uint64, parts []runner.Job, render func([]T) runner.Output) runner.Job {
+	return runner.Job{Name: name, Seed: seed, Cost: 0.01, Parts: parts,
+		Assemble: func(data []any) (runner.Output, error) {
+			pts := make([]T, len(data))
+			for i, d := range data {
+				pts[i] = d.(T)
 			}
-			return runner.Output{Text: render(pts), Data: pts}, nil
-		}})
+			return render(pts), nil
+		}}
 }
 
 // cellKey builds a grid cell's cache key under the observability gates:
@@ -452,63 +426,46 @@ func Jobs(p Params) []runner.Job {
 			Run: func() (runner.Output, error) {
 				return runner.Output{Text: Tables()}, nil
 			}},
-	}
-	jobs = append(jobs, fig5Jobs(p)...)
-	jobs = append(jobs, runner.Job{Name: "fig6", Seed: 2, Cost: 0.1,
-		Run: func() (runner.Output, error) {
-			r := Fig6()
-			return runner.Output{Text: r.Render(), Data: r}, nil
-		}})
-	jobs = append(jobs, fig9aJobs(p)...)
-	jobs = append(jobs, fig9bJobs(p)...)
-	jobs = append(jobs, fig11Jobs()...)
-	jobs = append(jobs,
-		runner.Job{Name: "fig12", Seed: 6, Cost: 15,
+		fig5Job(p),
+		{Name: "fig6", Seed: 2, Cost: 0.1,
+			Run: func() (runner.Output, error) {
+				r := Fig6()
+				return runner.Output{Text: r.Render(), Data: r}, nil
+			}},
+		fig9aJob(p),
+		fig9bJob(p),
+		fig11Job(),
+		{Name: "fig12", Seed: 6, Cost: 15,
 			ShardRun: func(shards int) (runner.Output, error) {
 				r := Fig12(p.Fig12Atoms, p.Fig12Steps, shards)
 				return runner.Output{Text: r.Render(), Data: r}, nil
 			}},
-		runner.Job{Name: "ablation-predictor-order", Seed: 7, Cost: 2,
+	}
+	for _, a := range []struct {
+		name  string
+		seed  uint64
+		cost  float64
+		title string
+		rows  func() []AblationRow
+	}{
+		{"ablation-predictor-order", 7, 2, fmt.Sprintf("Ablation: pcache predictor order (%d atoms)", p.AblPredictorAtoms),
+			func() []AblationRow { return AblationPredictorOrder(p.AblPredictorAtoms, 3, 3) }},
+		{"ablation-pcache-size", 8, 10, fmt.Sprintf("Ablation: pcache size sweep (%d atoms)", p.AblPcacheAtoms),
+			func() []AblationRow { return AblationPcacheSize(p.AblPcacheAtoms, 2, 2, p.AblPcacheSizes) }},
+		{"ablation-inz-interleave", 9, 0.5, fmt.Sprintf("Ablation: INZ interleave vs truncation (%d atoms)", p.AblINZAtoms),
+			func() []AblationRow { return AblationINZInterleave(p.AblINZAtoms) }},
+		{"ablation-fence-vs-pairwise", 10, 1, "Ablation: fence vs pairwise barrier (128 nodes)",
+			func() []AblationRow { return AblationFenceVsPairwise(topo.Shape{X: 4, Y: 4, Z: 8}) }},
+		{"ablation-dim-orders", 11, 1.5, "Ablation: routing policy under uniform-random load",
+			func() []AblationRow { return AblationDimOrders(p.AblDimWrites) }},
+	} {
+		a := a
+		jobs = append(jobs, runner.Job{Name: a.name, Seed: a.seed, Cost: a.cost,
 			Run: func() (runner.Output, error) {
-				rows := AblationPredictorOrder(p.AblPredictorAtoms, 3, 3)
-				return runner.Output{
-					Text: RenderAblation(fmt.Sprintf("Ablation: pcache predictor order (%d atoms)", p.AblPredictorAtoms), rows),
-					Data: rows,
-				}, nil
-			}},
-		runner.Job{Name: "ablation-pcache-size", Seed: 8, Cost: 10,
-			Run: func() (runner.Output, error) {
-				rows := AblationPcacheSize(p.AblPcacheAtoms, 2, 2, p.AblPcacheSizes)
-				return runner.Output{
-					Text: RenderAblation(fmt.Sprintf("Ablation: pcache size sweep (%d atoms)", p.AblPcacheAtoms), rows),
-					Data: rows,
-				}, nil
-			}},
-		runner.Job{Name: "ablation-inz-interleave", Seed: 9, Cost: 0.5,
-			Run: func() (runner.Output, error) {
-				rows := AblationINZInterleave(p.AblINZAtoms)
-				return runner.Output{
-					Text: RenderAblation(fmt.Sprintf("Ablation: INZ interleave vs truncation (%d atoms)", p.AblINZAtoms), rows),
-					Data: rows,
-				}, nil
-			}},
-		runner.Job{Name: "ablation-fence-vs-pairwise", Seed: 10, Cost: 1,
-			Run: func() (runner.Output, error) {
-				rows := AblationFenceVsPairwise(topo.Shape{X: 4, Y: 4, Z: 8})
-				return runner.Output{
-					Text: RenderAblation("Ablation: fence vs pairwise barrier (128 nodes)", rows),
-					Data: rows,
-				}, nil
-			}},
-		runner.Job{Name: "ablation-dim-orders", Seed: 11, Cost: 1.5,
-			Run: func() (runner.Output, error) {
-				rows := AblationDimOrders(p.AblDimWrites)
-				return runner.Output{
-					Text: RenderAblation("Ablation: routing policy under uniform-random load", rows),
-					Data: rows,
-				}, nil
-			}},
-	)
+				rows := a.rows()
+				return runner.Output{Text: RenderAblation(a.title, rows), Data: rows}, nil
+			}})
+	}
 	jobs = append(jobs, gridJobs(p, sweepGrid{name: "netsweep", seed: 7000, cost: 0.1, policies: route.Policies(),
 		run: func(s flow.Spec, _ []fault.Severity) runner.Output {
 			r := synth.Sweep(s.Spec)
@@ -536,11 +493,12 @@ func Jobs(p Params) []runner.Job {
 // its output stays byte-stable across PRs.
 var optInGrids = []string{"saturate", "mdsweep", "faultsweep"}
 
-// SelectJobs filters jobs by subcommand name: a job matches itself or any
-// job it was sharded into (name-prefix "<selector>/", which also selects
-// the reducer and every netsweep cell), and "ablations" matches every
-// ablation-* job. "all" matches every job outside the opt-in grids. It
-// returns nil when nothing matches.
+// SelectJobs filters jobs by subcommand name: a job matches itself, a
+// grid's cells match the prefix "<selector>/" ("netsweep",
+// "netsweep/4x4x8", ...), and "ablations" matches every ablation-* job.
+// "all" matches every job outside the opt-in grids. A part runs inside
+// its job and cannot be selected by its name. It returns nil when nothing
+// matches.
 func SelectJobs(jobs []runner.Job, name string) []runner.Job {
 	var out []runner.Job
 	for _, j := range jobs {

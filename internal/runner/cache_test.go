@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -100,30 +101,24 @@ func TestCacheIgnoredWithoutStore(t *testing.T) {
 	}
 }
 
-// TestCacheKeyRejectedOnReducePaths checks the static validation that
-// keeps memoized Data type-faithful: a cached Data round-trips as generic
-// JSON, so a Reduce job may not be memoized and a memoized job may not
-// feed one.
+// TestCacheKeyRejectedOnReducePaths checks that no job on a reduce path
+// carries a CacheKey: a cached Data round-trips as generic JSON, which
+// Assemble could not read, and a cached assembling job would skip its parts.
 func TestCacheKeyRejectedOnReducePaths(t *testing.T) {
 	run := func() (Output, error) { return Output{}, nil }
-	red := func([]Result) (Output, error) { return Output{}, nil }
+	asm := func([]any) (Output, error) { return Output{}, nil }
 	key := resultstore.KeyFor("test/cell", 1, struct{}{})
 	cases := []struct {
 		name string
-		jobs []Job
+		job  Job
 	}{
-		{"key on reduce job", []Job{
-			{Name: "a", Run: run},
-			{Name: "agg", Needs: []string{"a"}, CacheKey: key, Reduce: red},
-		}},
-		{"key on job feeding a reduce", []Job{
-			{Name: "a", CacheKey: key, Run: run},
-			{Name: "agg", Needs: []string{"a"}, Reduce: red},
-		}},
+		{"key on the assembling job", Job{Name: "agg", Assemble: asm, Parts: []Job{{Name: "a", Run: run}}, CacheKey: key}},
+		{"key on a part", Job{Name: "agg", Assemble: asm, Parts: []Job{{Name: "a", Run: run, CacheKey: key}}}},
 	}
 	for _, c := range cases {
-		if _, err := Run(c.jobs, 2, Options{}, nil); err == nil {
-			t.Fatalf("%s: expected error", c.name)
+		_, err := Run([]Job{c.job}, 2, Options{}, nil)
+		if err == nil || !strings.Contains(err.Error(), "CacheKey") {
+			t.Errorf("%s: error %v, want one naming CacheKey", c.name, err)
 		}
 	}
 }

@@ -30,17 +30,16 @@ import (
 	"anton3/internal/resultstore"
 )
 
-// Output is what a job's Run function produces: a rendered table/figure
-// plus the typed rows behind it.
+// Output is what a job produces: a rendered table/figure plus the typed
+// rows behind it. It is also the stored form of a memoized job.
 type Output struct {
-	Text string // rendered table or figure, as printed by cmd/anton3
-	Data any    // typed result rows, serialized into the JSON artifact
+	Text string `json:"text"`           // rendered table or figure, as printed by cmd/anton3
+	Data any    `json:"data,omitempty"` // typed result rows, serialized into the JSON artifact
 }
 
-// Job is one self-contained experiment, or a reduction over other jobs.
+// Job is one self-contained experiment, or one assembled from parts.
 type Job struct {
 	// Name identifies the job in reports and artifacts ("fig5", "tables").
-	// Names must be unique within one Run.
 	Name string
 	// Seed is reported with the job's result: the seed its experiment
 	// draws from, for experiments that draw at all.
@@ -49,31 +48,9 @@ type Job struct {
 	// jobs first so the long pole overlaps the small jobs instead of
 	// trailing them; it has no effect on output, only on wall time.
 	Cost float64
-	// Hidden marks a job whose Result is recorded in the report but whose
-	// Text is excluded from RenderAll and caller display — the shape of a
-	// sub-job whose rows a Reduce job folds into one figure.
-	Hidden bool
 	// Run executes the experiment. Exactly one of Run, ShardRun and
-	// Reduce must be set.
+	// Assemble must be set.
 	Run func() (Output, error)
-	// Needs lists jobs whose Results this job consumes; the pool holds
-	// the job back until all of them have completed, then calls Reduce
-	// with their Results in Needs order. Sharded experiments use this to
-	// split a sweep into per-slice sub-jobs plus one assembling reducer
-	// while keeping output byte-identical at any worker count.
-	Needs  []string
-	Reduce func(inputs []Result) (Output, error)
-	// CacheKey, when valid and the pool runs with Options.Cache, lets
-	// the job short-circuit: a stored Output under the key is returned
-	// without calling Run (or ShardRun), and a computed Output is stored
-	// back on success. The key must capture the job's entire
-	// configuration and seed (resultstore.KeyFor); the job must be a
-	// pure function of them. Only Run and ShardRun jobs may carry a key
-	// — a cached Data field round-trips through JSON as generic values
-	// (maps/slices), so jobs whose Results a Reduce consumes with type
-	// assertions must not be memoized, and resolveDeps rejects both a
-	// keyed Reduce job and a keyed dependency.
-	CacheKey resultstore.Key
 	// ShardRun executes an experiment whose simulated machines run
 	// across kernel shards: the pool calls it with the shard count
 	// Options.Shards sets or grants. The job must produce byte-identical
@@ -81,6 +58,23 @@ type Job struct {
 	// harnesses already carry — so the count changes wall time only,
 	// never a digit of output.
 	ShardRun func(shards int) (Output, error)
+	// Parts split the job into sub-jobs, which the pool runs like any
+	// other job; once the last has completed, Assemble folds their Data,
+	// in Parts order, into the job's Output. A figure whose sweep points
+	// are parts load-balances across workers with output byte-identical
+	// at any worker count. A part has no parts of its own.
+	Parts    []Job
+	Assemble func(data []any) (Output, error)
+	// CacheKey, when valid and the pool runs with Options.Cache, lets
+	// the job short-circuit: a stored Output under the key is returned
+	// without calling Run (or ShardRun), and a computed Output is stored
+	// back on success. The key must capture the job's entire
+	// configuration and seed (resultstore.KeyFor); the job must be a
+	// pure function of them. Neither a part nor an assembling job may
+	// carry a key: a cached Data comes back as generic JSON values
+	// (maps/slices), which an Assemble's type assertions would not
+	// accept, and a cached assembling job would skip its parts.
+	CacheKey resultstore.Key
 }
 
 // Options tunes pool scheduling; the zero value grants shards from free
@@ -106,8 +100,11 @@ type Options struct {
 
 // Result is one job's outcome inside a Report.
 type Result struct {
-	Name   string `json:"name"`
-	Seed   uint64 `json:"seed"`
+	Name string `json:"name"`
+	Seed uint64 `json:"seed"`
+	// Hidden marks a part's result: recorded in the report, but its Text
+	// is left out of RenderAll and caller display, since the job it
+	// belongs to assembles it into one figure.
 	Hidden bool   `json:"hidden,omitempty"`
 	Text   string `json:"text"`
 	Data   any    `json:"data,omitempty"`
@@ -140,7 +137,7 @@ type Report struct {
 	CPUNs    int64    `json:"cpu_ns"`    // process CPU consumed by the run
 	SerialNs int64    `json:"serial_ns"` // sum of per-job wall times
 	Speedup  float64  `json:"speedup"`   // CPUNs / WallNs (SerialNs fallback)
-	Results  []Result `json:"results"`   // in submission order
+	Results  []Result `json:"results"`   // in submission order, parts before their job
 	// Cache snapshots the result store's traffic for this run (job-level
 	// hits plus any probe-level traffic the jobs generated inside the
 	// same store); present only when the pool ran with Options.Cache.
@@ -153,6 +150,11 @@ type Report struct {
 // first job error is returned (the report still carries every result,
 // including the failed job's Err); a panicking job propagates its panic.
 //
+// The report lists each job's parts just before the job, and the pool
+// dispatches parts like jobs. A job with parts is dispatched when its
+// last part completes; if a part failed, the job fails with "<part
+// name>: <error>" and Assemble is not called.
+//
 // The worker count, as requested and before it is clamped to the job
 // count, is the run's core budget in package cores. While the pool runs,
 // Run holds the GOMAXPROCS - workers cores outside the budget and lends
@@ -164,22 +166,42 @@ type Report struct {
 // core.
 //
 // emit (if non-nil) is called on the caller's goroutine with each Result in
-// submission order, as soon as that result and all earlier ones have
+// report order, as soon as that result and all earlier ones have
 // completed. A driver printing emitted texts (skipping Hidden ones)
 // produces output byte-identical to a sequential run without waiting for
 // the whole pool to drain.
 func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, error) {
+	// flat lists each job's parts, then the job; owner is the flat index
+	// of the job a part belongs to, -1 for a top-level job.
+	var flat []Job
+	var owner []int
+	for _, j := range jobs {
+		if err := validate(j, false); err != nil {
+			return Report{}, err
+		}
+		at := len(flat) + len(j.Parts)
+		for _, p := range j.Parts {
+			if err := validate(p, true); err != nil {
+				return Report{}, err
+			}
+			flat = append(flat, p)
+			owner = append(owner, at)
+		}
+		flat = append(flat, j)
+		owner = append(owner, -1)
+	}
+
 	if workers <= 0 {
 		workers = max(1, runtime.GOMAXPROCS(0)/max(1, opts.Shards))
 	}
 	outside := runtime.GOMAXPROCS(0) - workers - 1
 	cores.Hold(outside)
 	defer cores.Hold(-outside)
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(flat) {
+		workers = len(flat)
 	}
-	rep := Report{Jobs: len(jobs), Workers: workers, Results: make([]Result, len(jobs))}
-	if len(jobs) == 0 {
+	rep := Report{Jobs: len(flat), Workers: workers, Results: make([]Result, len(flat))}
+	if len(flat) == 0 {
 		rep.Speedup = 1
 		return rep, nil
 	}
@@ -191,72 +213,42 @@ func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, erro
 		// snapshotted here and the delta taken after the pool drains.
 		cacheStart = opts.Cache.Stats()
 	}
-	deps, dependents, err := resolveDeps(jobs)
-	if err != nil {
-		return rep, err
-	}
-
-	// Among ready jobs, dispatch expensive ones first so the longest job
-	// starts as early as its dependencies allow.
-	byCostDesc := func(idxs []int) {
-		sort.SliceStable(idxs, func(a, b int) bool {
-			return jobs[idxs[a]].Cost > jobs[idxs[b]].Cost
-		})
-	}
-	indeg := make([]int, len(jobs))
-	var ready []int
-	for i := range jobs {
-		indeg[i] = len(deps[i])
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	byCostDesc(ready)
 
 	start := time.Now()
 	cpu0 := processCPUNs()
 	type work struct{ idx, shards int }
-	next := make(chan work, len(jobs)) // buffered: the coordinator never blocks
-	done := make(chan work, len(jobs)) // buffered: workers never block here
+	next := make(chan work, len(flat)) // buffered: the coordinator never blocks
+	done := make(chan work, len(flat)) // buffered: workers never block here
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for wk := range next {
-				idx := wk.idx
-				job := jobs[idx]
-				res := Result{Name: job.Name, Seed: job.Seed, Hidden: job.Hidden}
+				job := flat[wk.idx]
+				res := Result{Name: job.Name, Seed: job.Seed, Hidden: owner[wk.idx] >= 0}
 				t0 := time.Now()
 				var out Output
 				var err error
 				memo := opts.Cache != nil && job.CacheKey.Valid()
-				if memo {
-					var co cachedOutput
-					if opts.Cache.Get(job.CacheKey, &co) {
-						out = Output{Text: co.Text, Data: co.Data}
-						res.Cached = true
-					}
+				if memo && opts.Cache.Get(job.CacheKey, &out) {
+					res.Cached = true
 				}
 				switch {
 				case res.Cached:
 					// Memoized: the stored Output is what Run produced.
-				case job.Reduce != nil:
-					// The receive of each dependency's index on done
-					// ordered its Results write before this job was
-					// pushed onto next.
-					inputs := make([]Result, len(deps[idx]))
-					for i, d := range deps[idx] {
-						inputs[i] = rep.Results[d]
-					}
-					out, err = job.Reduce(inputs)
+				case job.Assemble != nil:
+					// The receive of each part's index on done ordered
+					// its Results write before this job was pushed onto
+					// next.
+					out, err = assemble(job, rep.Results[wk.idx-len(job.Parts):wk.idx])
 				case job.ShardRun != nil:
 					out, err = job.ShardRun(wk.shards)
 				default:
 					out, err = job.Run()
 				}
 				if memo && !res.Cached && err == nil {
-					opts.Cache.Put(job.CacheKey, cachedOutput{Text: out.Text, Data: out.Data})
+					opts.Cache.Put(job.CacheKey, out)
 				}
 				res.WallNs = time.Since(t0).Nanoseconds()
 				if err != nil {
@@ -265,24 +257,28 @@ func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, erro
 					res.Text = out.Text
 					res.Data = out.Data
 				}
-				rep.Results[idx] = res
+				rep.Results[wk.idx] = res
 				done <- wk
 			}
 		}()
 	}
-	// Ready jobs wait in a cost-sorted pending queue and are released to
-	// the worker channel only up to the goroutine count: holding the rest
-	// back lets every dispatch see the pool's true state, so shard grants
-	// are decided at each job's start rather than once at startup. A
-	// dispatched job holds its cores until the coordinator receives its
-	// completion, so later grants count shards, not jobs.
-	dispatched, closed, inFlight := 0, false, 0
+	// Ready jobs wait in a pending queue, expensive ones first, and are
+	// released to the worker channel only up to the goroutine count:
+	// holding the rest back lets every dispatch see the pool's true
+	// state, so shard grants are decided at each job's start rather than
+	// once at startup. A dispatched job holds its cores until the
+	// coordinator receives its completion, so later grants count shards,
+	// not jobs.
+	dispatched, inFlight := 0, 0
 	var pendingQ []int
 	fill := func() {
+		sort.SliceStable(pendingQ, func(a, b int) bool {
+			return flat[pendingQ[a]].Cost > flat[pendingQ[b]].Cost
+		})
 		for len(pendingQ) > 0 && inFlight < workers {
 			w := work{idx: pendingQ[0], shards: 1}
 			pendingQ = pendingQ[1:]
-			if jobs[w.idx].ShardRun != nil {
+			if flat[w.idx].ShardRun != nil {
 				// Free cores beyond this job's own and one for each job
 				// still pending become this job's extra shards.
 				switch spare := cores.Free() - 1 - len(pendingQ); {
@@ -297,38 +293,34 @@ func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, erro
 			cores.Hold(w.shards)
 			inFlight++
 			next <- w
-			dispatched++
-		}
-		if dispatched == len(jobs) && !closed {
-			close(next)
-			closed = true
-		}
-	}
-	dispatch := func(idxs []int) {
-		pendingQ = append(pendingQ, idxs...)
-		byCostDesc(pendingQ)
-		fill()
-	}
-	dispatch(ready)
-	// Emit the contiguous completed prefix as completions arrive; the
-	// receive on done orders each Results write before its read here.
-	completed := make([]bool, len(jobs))
-	emitted := 0
-	for range jobs {
-		wk := <-done
-		idx := wk.idx
-		inFlight--
-		cores.Hold(-wk.shards)
-		completed[idx] = true
-		var unblocked []int
-		for _, d := range dependents[idx] {
-			if indeg[d]--; indeg[d] == 0 {
-				unblocked = append(unblocked, d)
+			if dispatched++; dispatched == len(flat) {
+				close(next)
 			}
 		}
-		byCostDesc(unblocked)
-		dispatch(unblocked)
-		for emitted < len(jobs) && completed[emitted] {
+	}
+	left := make([]int, len(flat)) // parts still running, per job
+	for i, j := range flat {
+		if left[i] = len(j.Parts); left[i] == 0 {
+			pendingQ = append(pendingQ, i)
+		}
+	}
+	fill()
+	// Emit the contiguous completed prefix as completions arrive; the
+	// receive on done orders each Results write before its read here.
+	completed := make([]bool, len(flat))
+	emitted := 0
+	for range flat {
+		wk := <-done
+		inFlight--
+		cores.Hold(-wk.shards)
+		completed[wk.idx] = true
+		if o := owner[wk.idx]; o >= 0 {
+			if left[o]--; left[o] == 0 {
+				pendingQ = append(pendingQ, o)
+			}
+		}
+		fill()
+		for emitted < len(flat) && completed[emitted] {
 			if emit != nil {
 				emit(rep.Results[emitted])
 			}
@@ -365,101 +357,43 @@ func Run(jobs []Job, workers int, opts Options, emit func(Result)) (Report, erro
 	return rep, firstErr
 }
 
-// cachedOutput is the stored envelope of a memoized job: exactly the
-// Output fields a fresh Run produces. Data comes back as generic JSON
-// values, which is why memoization is restricted to jobs nothing
-// type-asserts against.
-type cachedOutput struct {
-	Text string `json:"text"`
-	Data any    `json:"data,omitempty"`
+// validate checks a job, or a part when part is set, before any worker
+// starts.
+func validate(j Job, part bool) error {
+	set := 0
+	for _, f := range [...]bool{j.Run != nil, j.ShardRun != nil, j.Assemble != nil} {
+		if f {
+			set++
+		}
+	}
+	switch {
+	case set != 1:
+		return fmt.Errorf("runner: job %q must set exactly one of Run, ShardRun and Assemble", j.Name)
+	case (j.Assemble != nil) != (len(j.Parts) > 0):
+		return fmt.Errorf("runner: job %q must set Parts exactly when it sets Assemble", j.Name)
+	case part && len(j.Parts) > 0:
+		return fmt.Errorf("runner: part %q has parts of its own", j.Name)
+	case (part || j.Assemble != nil) && j.CacheKey.Valid():
+		return fmt.Errorf("runner: job %q sets CacheKey on a part or an assembling job", j.Name)
+	}
+	return nil
 }
 
-// resolveDeps validates names and Needs references and returns, per job,
-// the indices it depends on and the indices depending on it. Unknown
-// names, duplicate names, mis-set Run/ShardRun/Reduce, cache keys where
-// a cached (generic-JSON) Data could leak into a Reduce's type
-// assertions, and dependency cycles are errors — caught before any
-// worker starts.
-func resolveDeps(jobs []Job) (deps, dependents [][]int, err error) {
-	idxByName := make(map[string]int, len(jobs))
-	for i, j := range jobs {
-		if _, dup := idxByName[j.Name]; dup {
-			return nil, nil, fmt.Errorf("runner: duplicate job name %q", j.Name)
+// assemble calls job.Assemble with its parts' Data, unless a part failed.
+func assemble(job Job, parts []Result) (Output, error) {
+	data := make([]any, len(parts))
+	for i, r := range parts {
+		if r.Err != "" {
+			return Output{}, fmt.Errorf("%s: %s", r.Name, r.Err)
 		}
-		idxByName[j.Name] = i
+		data[i] = r.Data
 	}
-	deps = make([][]int, len(jobs))
-	dependents = make([][]int, len(jobs))
-	for i, j := range jobs {
-		set := 0
-		for _, f := range [...]bool{j.Run != nil, j.ShardRun != nil, j.Reduce != nil} {
-			if f {
-				set++
-			}
-		}
-		if set != 1 {
-			return nil, nil, fmt.Errorf("runner: job %q must set exactly one of Run, ShardRun and Reduce", j.Name)
-		}
-		if (j.Reduce != nil) != (len(j.Needs) > 0) {
-			return nil, nil, fmt.Errorf("runner: job %q must set Needs exactly when it sets Reduce", j.Name)
-		}
-		if j.Reduce == nil {
-			continue
-		}
-		if j.CacheKey.Valid() {
-			return nil, nil, fmt.Errorf("runner: job %q sets CacheKey on a Reduce job", j.Name)
-		}
-		for _, name := range j.Needs {
-			d, ok := idxByName[name]
-			if !ok {
-				return nil, nil, fmt.Errorf("runner: job %q needs unknown job %q", j.Name, name)
-			}
-			if d == i {
-				return nil, nil, fmt.Errorf("runner: job %q needs itself", j.Name)
-			}
-			deps[i] = append(deps[i], d)
-			dependents[d] = append(dependents[d], i)
-		}
-	}
-	// A memoized dependency would hand its Reduce a Data field that
-	// round-tripped through the store as generic JSON; reject the
-	// combination outright rather than let type assertions panic on a
-	// warm cache only.
-	for i, j := range jobs {
-		if j.CacheKey.Valid() && len(dependents[i]) > 0 {
-			return nil, nil, fmt.Errorf("runner: job %q sets CacheKey but its Result feeds a Reduce job", j.Name)
-		}
-	}
-	// Kahn's algorithm: if the peel doesn't consume every job, the rest
-	// form a cycle.
-	indeg := make([]int, len(jobs))
-	var queue []int
-	for i := range jobs {
-		indeg[i] = len(deps[i])
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, d := range dependents[i] {
-			if indeg[d]--; indeg[d] == 0 {
-				queue = append(queue, d)
-			}
-		}
-	}
-	if seen != len(jobs) {
-		return nil, nil, fmt.Errorf("runner: dependency cycle among jobs")
-	}
-	return deps, dependents, nil
+	return job.Assemble(data)
 }
 
 // RenderAll concatenates the rendered outputs in submission order, one
 // blank line between jobs — exactly what a sequential driver would print.
-// Hidden results (sub-jobs folded by a reducer) are skipped.
+// Hidden results (the parts a job assembles) are skipped.
 func (r Report) RenderAll() string {
 	var out []byte
 	for _, res := range r.Results {

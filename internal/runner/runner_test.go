@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -178,117 +180,134 @@ func TestEmptyAndOversubscribed(t *testing.T) {
 	}
 }
 
-func TestReduceJobSeesInputsInNeedsOrder(t *testing.T) {
+// TestAssembleSeesPartsInOrder checks that a job's parts run like jobs,
+// are reported just before it and hidden, and reach Assemble in Parts
+// order although the first part finishes last: part b costs more, so one
+// worker runs it first, and part a sleeps, so on four workers it finishes
+// after b. The assembling job costs most, so it would run as soon as it
+// were dispatched.
+func TestAssembleSeesPartsInOrder(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		jobs := []Job{
-			{Name: "shard-a", Seed: 1, Hidden: true, Run: func() (Output, error) {
-				time.Sleep(2 * time.Millisecond) // finish after shard-b under parallelism
-				return Output{Text: "hidden-a", Data: 10}, nil
-			}},
-			{Name: "shard-b", Seed: 2, Hidden: true, Run: func() (Output, error) {
-				return Output{Text: "hidden-b", Data: 32}, nil
-			}},
-			{Name: "sum", Seed: 3, Needs: []string{"shard-a", "shard-b"},
-				Reduce: func(in []Result) (Output, error) {
-					if len(in) != 2 || in[0].Name != "shard-a" || in[1].Name != "shard-b" {
-						return Output{}, fmt.Errorf("inputs out of order: %v", in)
-					}
-					return Output{Text: fmt.Sprintf("sum=%d", in[0].Data.(int)+in[1].Data.(int))}, nil
+			{Name: "sum", Cost: 5, Parts: []Job{
+				{Name: "a", Run: func() (Output, error) {
+					time.Sleep(2 * time.Millisecond)
+					return Output{Text: "hidden-a", Data: 10}, nil
 				}},
+				{Name: "b", Cost: 1, Run: func() (Output, error) {
+					return Output{Text: "hidden-b", Data: 32}, nil
+				}},
+			}, Assemble: func(data []any) (Output, error) {
+				a, okA := data[0].(int)
+				b, okB := data[1].(int)
+				if !okA || !okB || a != 10 || b != 32 {
+					return Output{}, fmt.Errorf("parts out of order or missing: %v", data)
+				}
+				return Output{Text: fmt.Sprintf("sum=%d", a+b)}, nil
+			}},
+			{Name: "solo", Run: func() (Output, error) { return Output{Text: "solo"}, nil }},
 		}
 		rep, err := Run(jobs, workers, Options{}, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if want := "sum=42\n"; rep.RenderAll() != want {
-			t.Fatalf("workers=%d: RenderAll = %q, want %q (hidden shards excluded)", workers, rep.RenderAll(), want)
+		if want := "sum=42\nsolo\n"; rep.RenderAll() != want {
+			t.Fatalf("workers=%d: RenderAll = %q, want %q (parts excluded)", workers, rep.RenderAll(), want)
 		}
-		if !rep.Results[0].Hidden || rep.Results[2].Hidden {
-			t.Fatalf("workers=%d: hidden flags not recorded", workers)
+		if rep.Jobs != 4 {
+			t.Fatalf("workers=%d: Report.Jobs = %d, want 4 (parts count)", workers, rep.Jobs)
 		}
-	}
-}
-
-func TestReduceChainsAndEmitOrder(t *testing.T) {
-	// A diamond: two shards -> mid reducer -> final reducer, plus an
-	// independent job. Emission must still be submission order.
-	jobs := []Job{
-		{Name: "s1", Hidden: true, Run: func() (Output, error) { return Output{Data: 1}, nil }},
-		{Name: "s2", Hidden: true, Run: func() (Output, error) { return Output{Data: 2}, nil }},
-		{Name: "mid", Hidden: true, Needs: []string{"s1", "s2"},
-			Reduce: func(in []Result) (Output, error) {
-				return Output{Data: in[0].Data.(int) + in[1].Data.(int)}, nil
-			}},
-		{Name: "final", Needs: []string{"mid"},
-			Reduce: func(in []Result) (Output, error) {
-				return Output{Text: fmt.Sprintf("final=%d", in[0].Data.(int))}, nil
-			}},
-		{Name: "solo", Run: func() (Output, error) { return Output{Text: "solo"}, nil }},
-	}
-	var emitted []string
-	rep, err := Run(jobs, 3, Options{}, func(r Result) { emitted = append(emitted, r.Name) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "final=3\nsolo\n"; rep.RenderAll() != want {
-		t.Fatalf("RenderAll = %q, want %q", rep.RenderAll(), want)
-	}
-	want := []string{"s1", "s2", "mid", "final", "solo"}
-	if len(emitted) != len(want) {
-		t.Fatalf("emitted %v", emitted)
-	}
-	for i := range want {
-		if emitted[i] != want[i] {
-			t.Fatalf("emit order %v, want %v", emitted, want)
+		for i, want := range []bool{true, true, false, false} {
+			if rep.Results[i].Hidden != want {
+				t.Fatalf("workers=%d: %s Hidden = %v, want %v", workers, rep.Results[i].Name, rep.Results[i].Hidden, want)
+			}
 		}
 	}
 }
 
+// TestPartsEmitBeforeTheirJob checks that emit streams in report order
+// when jobs have parts: each job's parts, then the job, then the next job,
+// although the parts of a later job may be dispatched and finish first.
+func TestPartsEmitBeforeTheirJob(t *testing.T) {
+	part := func(v int) func() (Output, error) {
+		return func() (Output, error) { return Output{Data: v}, nil }
+	}
+	sum := func(data []any) (Output, error) {
+		total := 0
+		for _, d := range data {
+			total += d.(int)
+		}
+		return Output{Text: fmt.Sprintf("sum=%d", total)}, nil
+	}
+	for _, workers := range []int{1, 3} {
+		jobs := []Job{
+			{Name: "x", Parts: []Job{{Name: "x1", Run: part(1)}, {Name: "x2", Run: part(2)}}, Assemble: sum},
+			{Name: "solo", Run: func() (Output, error) {
+				time.Sleep(2 * time.Millisecond)
+				return Output{Text: "solo"}, nil
+			}},
+			{Name: "y", Parts: []Job{{Name: "y1", Cost: 9, Run: part(4)}}, Assemble: sum},
+		}
+		var emitted []string
+		rep, err := Run(jobs, workers, Options{}, func(r Result) { emitted = append(emitted, r.Name) })
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if want := "sum=3\nsolo\nsum=4\n"; rep.RenderAll() != want {
+			t.Fatalf("workers=%d: RenderAll = %q, want %q", workers, rep.RenderAll(), want)
+		}
+		if want := []string{"x1", "x2", "x", "solo", "y1", "y"}; !slices.Equal(emitted, want) {
+			t.Fatalf("workers=%d: emit order %v, want %v", workers, emitted, want)
+		}
+	}
+}
+
+// TestPartErrorFailsItsJob checks that a failed part fails its job with
+// the part's name and error, without calling Assemble, and that Run
+// returns the part's error, the first in report order.
+func TestPartErrorFailsItsJob(t *testing.T) {
+	var assembled atomic.Bool
+	jobs := []Job{{Name: "agg", Parts: []Job{
+		{Name: "good", Run: func() (Output, error) { return Output{Data: 1}, nil }},
+		{Name: "bad", Run: func() (Output, error) { return Output{}, errors.New("shard failed") }},
+	}, Assemble: func([]any) (Output, error) {
+		assembled.Store(true)
+		return Output{Text: "assembled"}, nil
+	}}}
+	rep, err := Run(jobs, 2, Options{}, nil)
+	if want := `runner: job "bad": shard failed`; err == nil || err.Error() != want {
+		t.Fatalf("Run error %v, want %q", err, want)
+	}
+	if got := rep.Results[2].Err; got != "bad: shard failed" {
+		t.Fatalf("assembling job Err = %q, want %q", got, "bad: shard failed")
+	}
+	if assembled.Load() {
+		t.Fatal("Assemble called despite a failed part")
+	}
+}
+
+// TestDependencyValidation checks that malformed jobs and parts are
+// rejected before any worker starts, each by the rule it breaks.
 func TestDependencyValidation(t *testing.T) {
 	run := func() (Output, error) { return Output{}, nil }
-	red := func([]Result) (Output, error) { return Output{}, nil }
+	asm := func([]any) (Output, error) { return Output{}, nil }
+	part := []Job{{Name: "p", Run: run}}
 	cases := []struct {
 		name string
-		jobs []Job
+		job  Job
+		want string
 	}{
-		{"unknown need", []Job{{Name: "a", Needs: []string{"ghost"}, Reduce: red}}},
-		{"duplicate name", []Job{{Name: "a", Run: run}, {Name: "a", Run: run}}},
-		{"needs without reduce", []Job{{Name: "a", Run: run}, {Name: "b", Needs: []string{"a"}, Run: run}}},
-		{"reduce without needs", []Job{{Name: "a", Reduce: red}}},
-		{"run and reduce", []Job{{Name: "a", Run: run}, {Name: "b", Needs: []string{"a"}, Run: run, Reduce: red}}},
-		{"run and shardrun", []Job{{Name: "a", Run: run, ShardRun: func(int) (Output, error) { return Output{}, nil }}}},
-		{"no run", []Job{{Name: "a"}}},
-		{"self cycle via pair", []Job{
-			{Name: "a", Needs: []string{"b"}, Reduce: red},
-			{Name: "b", Needs: []string{"a"}, Reduce: red},
-		}},
+		{"parts without assemble", Job{Name: "a", Run: run, Parts: part}, "Parts exactly when"},
+		{"assemble without parts", Job{Name: "a", Assemble: asm}, "Parts exactly when"},
+		{"run and shardrun", Job{Name: "a", Run: run, ShardRun: func(int) (Output, error) { return Output{}, nil }}, "exactly one of"},
+		{"nothing set", Job{Name: "a"}, "exactly one of"},
+		{"part with parts", Job{Name: "a", Assemble: asm, Parts: []Job{{Name: "p", Assemble: asm, Parts: part}}}, "parts of its own"},
 	}
 	for _, c := range cases {
-		if _, err := Run(c.jobs, 2, Options{}, nil); err == nil {
-			t.Fatalf("%s: expected error", c.name)
+		_, err := Run([]Job{c.job}, 2, Options{}, nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
-	}
-}
-
-func TestReduceSeesDependencyError(t *testing.T) {
-	jobs := []Job{
-		{Name: "bad", Hidden: true, Run: func() (Output, error) {
-			return Output{}, errors.New("shard failed")
-		}},
-		{Name: "agg", Needs: []string{"bad"},
-			Reduce: func(in []Result) (Output, error) {
-				if in[0].Err != "" {
-					return Output{}, fmt.Errorf("input %s: %s", in[0].Name, in[0].Err)
-				}
-				return Output{Text: "ok"}, nil
-			}},
-	}
-	rep, err := Run(jobs, 2, Options{}, nil)
-	if err == nil {
-		t.Fatal("expected propagated error")
-	}
-	if rep.Results[1].Err == "" {
-		t.Fatal("reducer should have reported the shard failure")
 	}
 }
 
@@ -341,6 +360,18 @@ func TestAutoShardPromotesLongPole(t *testing.T) {
 	}
 	if granted["a"] != 2 || granted["b"] != 2 {
 		t.Fatalf("2 jobs on 4 workers granted a=%d b=%d shards, want 2 and 2", granted["a"], granted["b"])
+	}
+
+	// Parts are dispatched like jobs: two ShardRun parts split the spare
+	// pair of cores the same way.
+	granted = map[string]int{}
+	whole := Job{Name: "whole", Parts: []Job{mk("a", 2), mk("b", 1)},
+		Assemble: func([]any) (Output, error) { return Output{}, nil }}
+	if _, err := Run([]Job{whole}, 4, Options{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if granted["a"] != 2 || granted["b"] != 2 {
+		t.Fatalf("2 parts on 4 workers granted a=%d b=%d shards, want 2 and 2", granted["a"], granted["b"])
 	}
 
 	// Options.Shards 1 pins one shard, even with idle workers.

@@ -61,32 +61,12 @@ func (st Step) String() string {
 	return st.Dim.String() + "-"
 }
 
-// Route returns the sequence of hops from src to dst in shape s following
-// dimension order o, taking the minimal direction around each ring (ties on
-// even rings go to +, matching Shape.Delta).
-func Route(s Shape, src, dst Coord, o DimOrder) []Step {
-	if !o.Valid() {
-		panic("topo: invalid dimension order")
-	}
-	d := s.Delta(src, dst)
-	steps := make([]Step, 0, s.HopDist(src, dst))
-	for _, dim := range o {
-		n := d.Get(dim)
-		dir := 1
-		if n < 0 {
-			dir, n = -1, -n
-		}
-		for i := 0; i < n; i++ {
-			steps = append(steps, Step{Dim: dim, Dir: dir})
-		}
-	}
-	return steps
-}
-
-// RouteTie is Route with an explicit direction choice for distance ties:
-// in an even ring, a node exactly n/2 away is minimally reachable in either
-// direction, and hardware load-balances across both physical links.
-// plusOnTie selects the + direction for such ties (Route always picks +).
+// RouteTie returns the sequence of hops from src to dst in shape s
+// following dimension order o, taking the minimal direction around each
+// ring. In an even ring, a node exactly n/2 away is minimally reachable in
+// either direction, and hardware load-balances across both physical links:
+// plusOnTie selects the + direction for such ties (the one Shape.Delta
+// picks), and otherwise the - direction.
 func RouteTie(s Shape, src, dst Coord, o DimOrder, plusOnTie bool) []Step {
 	return AppendRouteTie(make([]Step, 0, s.HopDist(src, dst)), s, src, dst, o, plusOnTie)
 }
@@ -141,18 +121,4 @@ func LegalNextSteps(s Shape, cur, dst Coord, buf []Step) []Step {
 		}
 	}
 	return buf
-}
-
-// RouteNodes returns the node sequence visited by Route, starting with src
-// and ending with dst.
-func RouteNodes(s Shape, src, dst Coord, o DimOrder) []Coord {
-	steps := Route(s, src, dst, o)
-	nodes := make([]Coord, 0, len(steps)+1)
-	nodes = append(nodes, src)
-	cur := src
-	for _, st := range steps {
-		cur = s.Neighbor(cur, st.Dim, st.Dir)
-		nodes = append(nodes, cur)
-	}
-	return nodes
 }

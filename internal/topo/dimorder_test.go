@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -40,41 +41,46 @@ func TestDimOrderString(t *testing.T) {
 	}
 }
 
-func TestRouteReachesDestination(t *testing.T) {
+// checkRoutes holds f to every RouteTie on a 4x4x8 torus between random
+// nodes, in a random order, with ties broken both ways.
+func checkRoutes(t *testing.T, f func(s Shape, src, dst Coord, o DimOrder, steps []Step) bool) {
+	t.Helper()
 	s := Shape{4, 4, 8}
-	f := func(a, b uint16, oi uint8) bool {
+	g := func(a, b uint16, oi uint8) bool {
 		src := s.CoordOf(int(a) % s.Nodes())
 		dst := s.CoordOf(int(b) % s.Nodes())
 		o := AllDimOrders[int(oi)%6]
-		nodes := RouteNodes(s, src, dst, o)
-		return nodes[len(nodes)-1] == dst
+		for _, tie := range []bool{true, false} {
+			if !f(s, src, dst, o, RouteTie(s, src, dst, o, tie)) {
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(g, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+func TestRouteReachesDestination(t *testing.T) {
+	checkRoutes(t, func(s Shape, src, dst Coord, _ DimOrder, steps []Step) bool {
+		cur := src
+		for _, st := range steps {
+			cur = s.Neighbor(cur, st.Dim, st.Dir)
+		}
+		return cur == dst
+	})
+}
+
 func TestRouteMinimal(t *testing.T) {
-	s := Shape{4, 4, 8}
-	f := func(a, b uint16, oi uint8) bool {
-		src := s.CoordOf(int(a) % s.Nodes())
-		dst := s.CoordOf(int(b) % s.Nodes())
-		o := AllDimOrders[int(oi)%6]
-		return len(Route(s, src, dst, o)) == s.HopDist(src, dst)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+	checkRoutes(t, func(s Shape, src, dst Coord, _ DimOrder, steps []Step) bool {
+		return len(steps) == s.HopDist(src, dst)
+	})
 }
 
 func TestRouteDimensionOrder(t *testing.T) {
 	// Once a route leaves a dimension it must never return to it.
-	s := Shape{4, 4, 8}
-	f := func(a, b uint16, oi uint8) bool {
-		src := s.CoordOf(int(a) % s.Nodes())
-		dst := s.CoordOf(int(b) % s.Nodes())
-		o := AllDimOrders[int(oi)%6]
-		steps := Route(s, src, dst, o)
+	checkRoutes(t, func(_ Shape, _, _ Coord, o DimOrder, steps []Step) bool {
 		rank := map[Dim]int{o[0]: 0, o[1]: 1, o[2]: 2}
 		last := -1
 		for _, st := range steps {
@@ -85,44 +91,40 @@ func TestRouteDimensionOrder(t *testing.T) {
 			last = r
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestRouteSameDirectionPerDim(t *testing.T) {
 	// Minimal routing never doubles back within a dimension.
-	s := Shape{4, 4, 8}
-	f := func(a, b uint16, oi uint8) bool {
-		src := s.CoordOf(int(a) % s.Nodes())
-		dst := s.CoordOf(int(b) % s.Nodes())
-		o := AllDimOrders[int(oi)%6]
+	checkRoutes(t, func(_ Shape, _, _ Coord, _ DimOrder, steps []Step) bool {
 		dir := map[Dim]int{}
-		for _, st := range Route(s, src, dst, o) {
+		for _, st := range steps {
 			if prev, ok := dir[st.Dim]; ok && prev != st.Dir {
 				return false
 			}
 			dir[st.Dim] = st.Dir
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestRouteExample(t *testing.T) {
 	s := Shape{4, 4, 8}
-	steps := Route(s, Coord{0, 0, 0}, Coord{1, 3, 2}, OrderXYZ)
-	// X: +1 (1 hop); Y: 0->3 is -1 with wraparound (1 hop); Z: +2 (2 hops).
-	want := []Step{{X, 1}, {Y, -1}, {Z, 1}, {Z, 1}}
-	if len(steps) != len(want) {
-		t.Fatalf("route = %v, want %v", steps, want)
-	}
-	for i := range want {
-		if steps[i] != want[i] {
-			t.Fatalf("route = %v, want %v", steps, want)
+	for _, c := range []struct {
+		dst  Coord
+		tie  bool
+		want []Step
+	}{
+		// X: +1 (1 hop); Y: 0->3 is -1 with wraparound (1 hop); Z: +2 (2 hops).
+		{Coord{1, 3, 2}, true, []Step{{X, 1}, {Y, -1}, {Z, 1}, {Z, 1}}},
+		{Coord{1, 3, 2}, false, []Step{{X, 1}, {Y, -1}, {Z, 1}, {Z, 1}}},
+		// X: 0->2 is a tie on the 4-ring; Z: 0->4 is a tie on the 8-ring.
+		{Coord{2, 0, 4}, true, []Step{{X, 1}, {X, 1}, {Z, 1}, {Z, 1}, {Z, 1}, {Z, 1}}},
+		{Coord{2, 0, 4}, false, []Step{{X, -1}, {X, -1}, {Z, -1}, {Z, -1}, {Z, -1}, {Z, -1}}},
+	} {
+		steps := RouteTie(s, Coord{0, 0, 0}, c.dst, OrderXYZ, c.tie)
+		if !slices.Equal(steps, c.want) {
+			t.Fatalf("route to %v (plusOnTie %v) = %v, want %v", c.dst, c.tie, steps, c.want)
 		}
 	}
 }
@@ -130,12 +132,10 @@ func TestRouteExample(t *testing.T) {
 func TestRouteZeroLength(t *testing.T) {
 	s := Shape{4, 4, 8}
 	c := Coord{2, 2, 2}
-	if len(Route(s, c, c, OrderXYZ)) != 0 {
-		t.Fatal("self-route should be empty")
-	}
-	nodes := RouteNodes(s, c, c, OrderXYZ)
-	if len(nodes) != 1 || nodes[0] != c {
-		t.Fatal("self RouteNodes should be [c]")
+	for _, tie := range []bool{true, false} {
+		if len(RouteTie(s, c, c, OrderXYZ, tie)) != 0 {
+			t.Fatalf("self-route (plusOnTie %v) should be empty", tie)
+		}
 	}
 }
 
